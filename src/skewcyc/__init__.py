@@ -10,7 +10,7 @@ from .enumeration import (
     lift,
 )
 from .families import family_4p
-from .quotient import QuotientData, quotient_of
+from .quotient import quotient_of
 from .skew_core import (
     IdentityNotFixedError,
     NoPowerExponentError,
@@ -29,7 +29,6 @@ __all__ = [
     "MemoryStore",
     "NoPowerExponentError",
     "NotPermutationError",
-    "QuotientData",
     "SkewMorphism",
     "SkewMorphismError",
     "Store",

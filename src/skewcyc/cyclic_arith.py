@@ -9,40 +9,7 @@ to a few times 10^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A residue k mod m, i.e. the exponent k in b^k for a generator b."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus <= 0:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} not in [0, {self.modulus})")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check_compatible(other)
-        return Residue((self.value + other.value) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue((-self.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check_compatible(other)
-        return Residue((self.value * other.value) % self.modulus, self.modulus)
-
-    def _check_compatible(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} != {other.modulus}")
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -105,19 +72,6 @@ def mult_order(s: int, m: int) -> int:
         cur = cur * s % m
         t += 1
     return t
-
-
-def dlog_cyclic(d: int, y: int, m: int) -> int:
-    """The x in [0, m) with x*d = y (mod m), for d a generator of the additive Z_m.
-
-    This is the discrete logarithm base b^d in a cyclic group written
-    multiplicatively; additively it is just division by the unit d.
-    """
-    if m < 1:
-        raise ValueError(f"expected m >= 1, got {m}")
-    if gcd(d, m) != 1:
-        raise ValueError(f"{d} does not generate Z_{m}")
-    return y * pow(d, -1, m) % m
 
 
 def largest_prime_divisor(n: int) -> int | None:

@@ -34,14 +34,13 @@ permutations) for small n in the test suite.
 
 from __future__ import annotations
 
+import contextlib
+import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import gcd
 
-try:  # batching the lift seed search is optional; results are identical
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 from .cyclic_arith import euler_phi, mult_order, units
 from .quotient import quotient_of
@@ -178,7 +177,7 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
             sk = _realize_candidate(n, m, r, [orb[e] for e in exps], orb)
             if sk is None or sk.images in seen:
                 continue
-            if quotient_of(sk).images_bar != tuple(s * k % m for k in range(m)):
+            if quotient_of(sk).images != tuple(s * k % m for k in range(m)):
                 continue
             seen.add(sk.images)
             out.append(sk)
@@ -190,22 +189,14 @@ def _realize_candidate(
 ) -> SkewMorphism | None:
     """Build f from one period of orbit-value terms and check it realises orb.
 
-    period_terms[i] is the orbit value consumed at step i; the full sum
-    sequence repeats with period r, so f(j + k*r) = f(j) + k*T with T
-    the one-period total.  Bijectivity is exactly gcd(T, n) = r here
-    (the coset pattern of the prefix sums is a bijection by
-    construction), and the orbit of 1 must replay `orb` and first
-    return to 1 at step m.  Survivors get the full verification.
+    period_terms[i] is the orbit value consumed at step i.  The orbit
+    of 1 must replay `orb` and first return to 1 at step m.  Survivors
+    get the full verification.
     """
-    prefix = [0]
-    acc = 0
-    for t in period_terms:
-        acc += t
-        prefix.append(acc)
-    total = acc % n
-    if gcd(total, n) != r:
+    period = _period_sums(n, r, period_terms)
+    if period is None:
         return None
-    prefix = [q % n for q in prefix[:r]]
+    prefix, total = period
 
     x = 1
     for step in range(1, m + 1):
@@ -215,15 +206,34 @@ def _realize_candidate(
                 return None
         elif x != 1:
             return None
+    return _verified_of_order(n, m, r, prefix, total)
 
+
+def _period_sums(n: int, r: int, terms) -> tuple[list[int], int] | None:
+    """Prefix sums of one period of orbit values, and the period total T.
+
+    The partial sums repeat with period r, so f(j + k*r) = f(j) + k*T.
+    Both searches fix the coset pattern of the prefix sums to a
+    bijection of Z_r, so f is a bijection exactly when gcd(T, n) = r;
+    None otherwise.
+    """
+    prefix = list(accumulate(terms, initial=0))
+    total = prefix[r] % n
+    if gcd(total, n) != r:
+        return None
+    return [q % n for q in prefix[:r]], total
+
+
+def _verified_of_order(
+    n: int, m: int, r: int, prefix: list[int], total: int
+) -> SkewMorphism | None:
+    """f from its period: fully verified and of order m, or None."""
     images = tuple((prefix[k % r] + (k // r) * total) % n for k in range(n))
     try:
         sk = verify(n, images)
     except SkewMorphismError:
         return None
-    if sk.order != m:
-        return None
-    return sk
+    return sk if sk.order == m else None
 
 
 def enumerate_coset_preserving(n: int, *, executor=None) -> list[SkewMorphism]:
@@ -342,7 +352,7 @@ def _lift_with_psis(
     for psi in psis:
         qmax = max(e // p for e in orbit_l)
         rows = power_table(psi.images, qmax + 1)
-        if _np is not None and kord ** len(free) >= _BATCH_MIN:
+        if kord ** len(free) >= _BATCH_MIN:
             combos = _batched_seed_survivors(
                 n, m, big_r, p, psi, free, pools, rows, orbit_l
             )
@@ -355,7 +365,7 @@ def _lift_with_psis(
             sk = _realize_lift(n, m, big_r, p, psi, seeds, value_at, orbit_l)
             if sk is None:
                 continue
-            if quotient_of(sk).images_bar != rho.images:
+            if quotient_of(sk).images != rho.images:
                 continue
             if power(sk, p) != psi.images:
                 continue
@@ -404,47 +414,47 @@ def _batched_seed_survivors(
     nfree = len(free)
     kord = len(pools[0])
     total_combos = kord**nfree
-    rows_np = _np.asarray(rows, dtype=_np.int64)
-    pools_np = _np.asarray(pools, dtype=_np.int64)
-    psi_np = _np.asarray(psi.images, dtype=_np.int64)
+    rows_np = np.asarray(rows, dtype=np.int64)
+    pools_np = np.asarray(pools, dtype=np.int64)
+    psi_np = np.asarray(psi.images, dtype=np.int64)
     pos_of = {j: idx for idx, j in enumerate(free)}
     step_q = [e // p for e in orbit_l]
     step_thread = [e % p for e in orbit_l]
-    valid_total = _np.fromiter(
+    valid_total = np.fromiter(
         (gcd(t, n) == big_r for t in range(n)), dtype=bool, count=n
     )
     chunk = max(256, min(1 << 16, (1 << 22) // (big_r + 1)))
 
     for start in range(0, total_combos, chunk):
         count = min(chunk, total_combos - start)
-        tmp = _np.arange(start, start + count, dtype=_np.int64)
-        digits = _np.empty((count, nfree), dtype=_np.int64)
+        tmp = np.arange(start, start + count, dtype=np.int64)
+        digits = np.empty((count, nfree), dtype=np.int64)
         for pos in range(nfree - 1, -1, -1):
             digits[:, pos] = tmp % kord
             tmp //= kord
-        seeds_val = pools_np[_np.arange(nfree)[None, :], digits]
+        seeds_val = pools_np[np.arange(nfree)[None, :], digits]
 
-        terms = _np.empty((count, big_r), dtype=_np.int64)
+        terms = np.empty((count, big_r), dtype=np.int64)
         for i in range(big_r):
             j = step_thread[i]
             if j == 0:
                 terms[:, i] = rows_np[step_q[i]][1]
             else:
                 terms[:, i] = rows_np[step_q[i]][seeds_val[:, pos_of[j]]]
-        prefix = _np.zeros((count, big_r + 1), dtype=_np.int64)
-        _np.cumsum(terms, axis=1, out=prefix[:, 1:])
+        prefix = np.zeros((count, big_r + 1), dtype=np.int64)
+        np.cumsum(terms, axis=1, out=prefix[:, 1:])
         prefix %= n
 
-        sel = _np.nonzero(valid_total[prefix[:, big_r]])[0]
+        sel = np.nonzero(valid_total[prefix[:, big_r]])[0]
         if not len(sel):
             continue
         pre = prefix[sel, :big_r]
         tot = prefix[sel, big_r]
         sv = seeds_val[sel]
         nsel = len(sel)
-        rowsel = _np.arange(nsel)
-        alive = _np.ones(nsel, dtype=bool)
-        o = _np.ones(nsel, dtype=_np.int64)
+        rowsel = np.arange(nsel)
+        alive = np.ones(nsel, dtype=bool)
+        o = np.ones(nsel, dtype=np.int64)
         hist: list = [None] * p
         hist[0] = o
         completed = False
@@ -465,7 +475,7 @@ def _batched_seed_survivors(
                 break
         if not completed:
             continue
-        for row in _np.nonzero(alive)[0]:
+        for row in np.nonzero(alive)[0]:
             yield tuple(int(v) for v in sv[row])
 
 
@@ -480,15 +490,10 @@ def _realize_lift(
     orbit_l: list[int],
 ) -> SkewMorphism | None:
     """Prefix sums, bijectivity, and the orbit walk for one seed choice."""
-    prefix = [0]
-    acc = 0
-    for e in orbit_l:
-        acc += value_at[e]
-        prefix.append(acc)
-    total = acc % n
-    if gcd(total, n) != big_r:
+    period = _period_sums(n, big_r, [value_at[e] for e in orbit_l])
+    if period is None:
         return None
-    prefix = [q % n for q in prefix[:big_r]]
+    prefix, total = period
 
     # orbit of 1 must return first at m, replay the seeds, and follow psi
     orb = [1]
@@ -509,15 +514,7 @@ def _realize_lift(
     for t in range(m - p):
         if orb[t + p] != pimg[orb[t]]:
             return None
-
-    images = tuple((prefix[k % big_r] + (k // big_r) * total) % n for k in range(n))
-    try:
-        sk = verify(n, images)
-    except SkewMorphismError:
-        return None
-    if sk.order != m:
-        return None
-    return sk
+    return _verified_of_order(n, m, big_r, prefix, total)
 
 
 def lift_sources(n: int, store) -> list[tuple[int, SkewMorphism]]:
@@ -571,24 +568,21 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
 
 def census_range(store, max_n: int, *, jobs: int = 1, progress=None) -> None:
     """Compute and persist censuses for every order 2..max_n in sequence."""
+    if jobs < 1:
+        raise ValueError(f"expected jobs >= 1, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            _census_sweep(store, max_n, executor, progress)
+        pool = ProcessPoolExecutor(max_workers=jobs)
     else:
-        _census_sweep(store, max_n, None, progress)
-
-
-def _census_sweep(store, max_n: int, executor, progress) -> None:
-    import time
-
-    for n in range(2, max_n + 1):
-        start = time.perf_counter()
-        fresh = not store.has(n)
-        record = census(n, store, executor=executor)
-        if progress is not None:
-            progress(record, fresh, time.perf_counter() - start)
+        pool = contextlib.nullcontext()
+    with pool as executor:
+        for n in range(2, max_n + 1):
+            start = time.perf_counter()
+            fresh = not store.has(n)
+            record = census(n, store, executor=executor)
+            if progress is not None:
+                progress(record, fresh, time.perf_counter() - start)
 
 
 def _finalize_census(n: int, morphisms: list[SkewMorphism]) -> CensusRecord:

@@ -1,4 +1,4 @@
-"""Closed-form skew-morphism families on Z_{4p} and coset-preserving predicates.
+"""Closed-form skew-morphism families on Z_{4p}.
 
 Three parametric families cover all proper skew morphisms of Z_{4p}
 for odd primes p.  With residues mod 4p:
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclic_arith import factorize
-from .enumeration import CensusRecord
 from .skew_core import SkewMorphism, verify
 
 
@@ -121,10 +120,3 @@ def family_4p(p: int) -> list[SkewMorphism]:
             for i in range(1, p):
                 out.append(make_z(p, w, 4 * i))
     return sorted(out, key=lambda m: m.images)
-
-
-def all_coset_preserving_predicate(n: int, record: CensusRecord) -> bool:
-    """True iff every skew morphism in the census of Z_n is coset-preserving."""
-    if record.n != n:
-        raise ValueError(f"record is for Z_{record.n}, not Z_{n}")
-    return all(phi.coset_preserving for phi in record.morphisms)

@@ -100,10 +100,10 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
     report = check_quotient_laws(phi)
     for failure in report.failures:
         bad("quotient law", failure)
-    qd = quotient_of(phi)
-    if qd.quotient.is_identity != phi.automorphism:
+    q = quotient_of(phi)
+    if q.is_identity != phi.automorphism:
         bad("identity quotient iff automorphism")
-    if phi.proper and qd.quotient.automorphism != phi.coset_preserving:
+    if phi.proper and q.automorphism != phi.coset_preserving:
         bad("automorphism quotient iff coset-preserving")
 
     # largest-prime divisibility of the kernel order
@@ -197,11 +197,7 @@ def _check_record_level(record: CensusRecord, out: list[Violation]) -> None:
                 )
 
 
-def check_record(
-    record: CensusRecord,
-    *,
-    pair_group_cap: int = PAIR_GROUP_CAP,
-) -> list[Violation]:
+def check_record(record: CensusRecord) -> list[Violation]:
     """All invariant checks for one stored census."""
     out: list[Violation] = []
     n = record.n
@@ -211,15 +207,15 @@ def check_record(
             _check_generator_sweep(n, phi, out)
         if n <= PRIME_COMPARISON_MAX_N:
             _check_prime_comparison(n, phi, out)
-        if n * phi.order <= pair_group_cap:
+        if n * phi.order <= PAIR_GROUP_CAP:
             _check_pair_model(n, phi, out)
     _check_record_level(record, out)
     return out
 
 
-def run_suite(store, max_n: int, *, pair_group_cap: int = PAIR_GROUP_CAP) -> list[Violation]:
+def run_suite(store, max_n: int) -> list[Violation]:
     """Run every check over the stored censuses for 2..max_n."""
     violations: list[Violation] = []
     for n in range(2, max_n + 1):
-        violations.extend(check_record(store.load(n), pair_group_cap=pair_group_cap))
+        violations.extend(check_record(store.load(n)))
     return violations

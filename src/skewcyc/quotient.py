@@ -31,30 +31,6 @@ class QuotientNotSkewError(InternalCheckError):
     """The partial-sum quotient failed verification: an implementation bug."""
 
 
-@dataclass(frozen=True)
-class QuotientData:
-    """The quotient skew morphism on Z_m together with its provenance."""
-
-    quotient: SkewMorphism
-    generator_g: int
-
-    @property
-    def m(self) -> int:
-        return self.quotient.n
-
-    @property
-    def images_bar(self) -> tuple[int, ...]:
-        return self.quotient.images
-
-    @property
-    def pi_bar(self) -> tuple[int, ...]:
-        return self.quotient.pi
-
-    @property
-    def ord_bar(self) -> int:
-        return self.quotient.order
-
-
 def generator_orbit(phi: SkewMorphism, g: int) -> list[int]:
     """The orbit g, f(g), ..., f^{ord-1}(g); always of length ord(f)."""
     orbit = [g % phi.n]
@@ -64,12 +40,10 @@ def generator_orbit(phi: SkewMorphism, g: int) -> list[int]:
     return orbit
 
 
-def quotient_of(phi: SkewMorphism, g: int = 1) -> QuotientData:
-    """The quotient of f with respect to the generator g (default 1)."""
+def quotient_of(phi: SkewMorphism, g: int = 1) -> SkewMorphism:
+    """The quotient of f on Z_ord(f) with respect to the generator g (default 1)."""
     n = phi.n
-    if n == 1:
-        g = 0  # Z_1 has only the zero residue
-    elif gcd(g, n) != 1:
+    if gcd(g, n) != 1:
         raise ValueError(f"{g} is not a unit mod {n}")
     m = phi.order
     orbit = generator_orbit(phi, g)
@@ -90,7 +64,7 @@ def quotient_of(phi: SkewMorphism, g: int = 1) -> QuotientData:
             q.automorphism == phi.coset_preserving,
             "automorphism quotient iff coset-preserving (proper case)",
         )
-    return QuotientData(quotient=q, generator_g=g)
+    return q
 
 
 def barpi_index(phi: SkewMorphism, g: int, k: int) -> int:
@@ -128,10 +102,10 @@ def check_quotient_laws(phi: SkewMorphism, g: int = 1) -> QuotientLawReport:
     (c) the coset index of f^k(g) equals Q's power function at k (mod ord Q).
     """
     n = phi.n
-    qd = quotient_of(phi, g)
-    q = qd.quotient
-    m = qd.m
-    g = qd.generator_g
+    if n == 1:
+        g = 0  # Z_1 has only the zero residue
+    q = quotient_of(phi, g)
+    m = q.n
     failures: list[str] = []
 
     # (a): walk the Q-orbit of the quotient generator alongside pi

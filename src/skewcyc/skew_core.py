@@ -90,16 +90,9 @@ class SkewMorphism:
     def proper(self) -> bool:
         return not self.automorphism
 
-    def kernel_members(self) -> tuple[int, ...]:
-        step = self.n // self.kernel_order
-        return tuple(range(0, self.n, step))
-
     def canonical_str(self) -> str:
         """Canonical textual form: comma-separated image list."""
         return ",".join(map(str, self.images))
-
-    def __call__(self, a: int) -> int:
-        return self.images[a % self.n]
 
     def __repr__(self) -> str:  # compact: full image list is available via str form
         kind = "automorphism" if self.automorphism else "proper skew morphism"
@@ -247,21 +240,6 @@ def _finish(
     )
 
 
-def kernel(phi: SkewMorphism) -> tuple[int, frozenset[int]]:
-    """Kernel order and member set {a : pi(a) = 1}."""
-    members = frozenset(phi.kernel_members())
-    _require(
-        members == frozenset(a for a in range(phi.n) if phi.pi[a] == 1),
-        "cached kernel disagrees with the power function",
-    )
-    return phi.kernel_order, members
-
-
-def periodicity(phi: SkewMorphism) -> int:
-    """Least p >= 1 with pi(f^p(a)) = pi(a) for all a (cached at construction)."""
-    return phi.periodicity
-
-
 def automorphism_of(n: int, s: int) -> SkewMorphism:
     """The automorphism a -> s*a of Z_n, for s a unit mod n."""
     if n < 1:
@@ -314,31 +292,11 @@ def induced_on_quotient(phi: SkewMorphism, n_order: int) -> SkewMorphism:
     return verify(q, images_bar)
 
 
-def restrict_to_kernel(phi: SkewMorphism) -> SkewMorphism:
-    """The automorphism of ker f, realised on Z_{|ker f|}."""
-    d = phi.n // phi.kernel_order
-    imgs = []
-    for k in range(phi.kernel_order):
-        v = phi.images[k * d]
-        _require(v % d == 0, "kernel image escapes the kernel")
-        imgs.append(v // d)
-    res = verify(phi.kernel_order, tuple(imgs))
-    _require(res.automorphism, "kernel restriction must be an automorphism")
-    return res
-
-
 def conjugate_images(phi: SkewMorphism, t: int) -> tuple[int, ...]:
     """Images of a -> t * f(t^{-1} a), without verification."""
     n = phi.n
     tinv = pow(t, -1, n)
     return tuple(t * phi.images[tinv * a % n] % n for a in range(n))
-
-
-def conjugate(phi: SkewMorphism, t: int) -> SkewMorphism:
-    """Conjugate of f by the automorphism a -> t*a (skew again, verified)."""
-    if gcd(t, phi.n) != 1:
-        raise ValueError(f"{t} is not a unit mod {phi.n}")
-    return verify(phi.n, conjugate_images(phi, t))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,7 @@ class NotComputedError(StoreError):
 
 
 class SchemaMismatchError(StoreError):
-    """Stored file uses an unknown schema version."""
+    """Stored file uses an unknown schema version or is not valid JSONL."""
 
 
 class VerificationFailedOnLoadError(StoreError):
@@ -81,7 +82,14 @@ class StoreEntry:
 
     @classmethod
     def from_json(cls, line: str) -> "StoreEntry":
-        raw = json.loads(line)
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaMismatchError(f"malformed store entry: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise SchemaMismatchError(
+                f"malformed store entry: expected an object, got {type(raw).__name__}"
+            )
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise SchemaMismatchError(
                 f"schema_version {raw.get('schema_version')!r} != {SCHEMA_VERSION}"
@@ -130,8 +138,9 @@ def _reverify(entry: StoreEntry) -> SkewMorphism:
 class Store:
     """Directory-backed census store with an in-memory cache.
 
-    Records are written atomically (single writer per order); readers
-    re-verify on first load and are served from the cache afterwards.
+    Records are written atomically through a unique temp file, so
+    concurrent writers of one order never share it; readers re-verify
+    on first load and are served from the cache afterwards.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -151,9 +160,15 @@ class Store:
             StoreEntry.from_morphism(phi, cid).to_json()
             for phi, cid in zip(record.morphisms, record.class_ids)
         ]
-        tmp = path.with_suffix(".jsonl.tmp")
-        tmp.write_text("\n".join(lines) + "\n")
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.chmod(tmp, 0o644)  # mkstemp creates 0600; census files are public data
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self._cache[record.n] = record
         return path
 
@@ -163,11 +178,14 @@ class Store:
         path = self.path_for(n)
         if not path.exists():
             raise NotComputedError(f"no census stored for n={n} in {self.directory}")
-        entries = [
-            StoreEntry.from_json(line)
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
+        entries = []
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                entries.append(StoreEntry.from_json(line))
+            except SchemaMismatchError as exc:
+                raise SchemaMismatchError(f"{path}:{lineno}: {exc}") from exc
         morphisms = []
         class_ids = []
         for entry in entries:

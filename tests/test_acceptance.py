@@ -6,14 +6,17 @@ counts, the brute-force oracle, the closed-form families, and the
 invariant suite.  Each test prints a single pass line on success.
 """
 
+import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from skewcyc import cli
 from skewcyc.enumeration import brute_force
-from skewcyc.families import all_coset_preserving_predicate, family_4p
+from skewcyc.families import family_4p
 from skewcyc.invariants import run_suite
 from skewcyc.skew_core import (
     NoPowerExponentError,
@@ -24,6 +27,10 @@ from skewcyc.skew_core import (
 from skewcyc.store import Store
 
 MAX_N = 105
+# sha256 of every census file 2..161, pinned by the census benchmark
+PINNED_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text()
+)["census_files"]
 
 # Published census rows (proper, automorphisms, classes) for n <= 60 ...
 TABLE_60 = {
@@ -130,10 +137,14 @@ def test_criterion_4_family_classification(census_store, capsys):
 
 def test_criterion_5_coset_preserving_theorems(census_store, capsys):
     store, _ = census_store
+
+    def all_cp(n):
+        return all(phi.coset_preserving for phi in store.load(n).morphisms)
+
     for n in (24, 40, 56, 48, 80, 30, 42, 66, 70, 105):
-        assert all_coset_preserving_predicate(n, store.load(n)), f"n={n} should be all-cp"
+        assert all_cp(n), f"n={n} should be all-cp"
     for n in (32, 96):
-        assert not all_coset_preserving_predicate(n, store.load(n)), f"n={n} has non-cp"
+        assert not all_cp(n), f"n={n} has non-cp"
     with capsys.disabled():
         _pass(5, "all-coset-preserving for 8p/16p/pqr instances; false for 32, 96")
 
@@ -174,3 +185,15 @@ def test_criterion_7_negative_controls(census_store, capsys):
         assert all(images in known for images in accepted), f"false accept at n={n}"
     with capsys.disabled():
         _pass(7, "1000 witnessed rejections per n in {6,8,12}, no false accepts")
+
+
+def test_census_files_match_pinned_digests(census_store, capsys):
+    store, _ = census_store
+    differing = [
+        n
+        for n in range(2, MAX_N + 1)
+        if hashlib.sha256(store.path_for(n).read_bytes()).hexdigest() != PINNED_DIGESTS[str(n)]
+    ]
+    assert differing == [], f"census files differ from the pinned digests: {differing}"
+    with capsys.disabled():
+        _pass(8, f"census files 2..{MAX_N} byte-identical to the pinned digests")

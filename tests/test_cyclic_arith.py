@@ -4,36 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewcyc.cyclic_arith import (
-    Residue,
     divisors,
-    dlog_cyclic,
     euler_phi,
     factorize,
     largest_prime_divisor,
     mult_order,
     units,
 )
-
-
-class TestResidue:
-    def test_validates_range(self):
-        Residue(0, 1)
-        Residue(4, 5)
-        with pytest.raises(ValueError):
-            Residue(5, 5)
-        with pytest.raises(ValueError):
-            Residue(-1, 5)
-        with pytest.raises(ValueError):
-            Residue(0, 0)
-
-    def test_arithmetic(self):
-        a = Residue(3, 7)
-        b = Residue(5, 7)
-        assert (a + b).value == 1
-        assert (a * b).value == 1
-        assert (-a).value == 4
-        with pytest.raises(ValueError):
-            a + Residue(1, 5)
 
 
 class TestEulerPhi:
@@ -83,23 +60,6 @@ class TestMultOrder:
                 t = mult_order(s, m)
                 assert pow(s, t, m) == 1 % m
                 assert all(pow(s, e, m) != 1 % m for e in range(1, t))
-
-
-class TestDlog:
-    def test_examples(self):
-        assert dlog_cyclic(1, 5, 7) == 5
-        assert dlog_cyclic(3, 6, 7) == 2
-        with pytest.raises(ValueError):
-            dlog_cyclic(5, 0, 10)
-
-    @given(st.integers(1, 100), st.data())
-    def test_roundtrip(self, m, data):
-        us = units(m)
-        if not us:
-            return
-        d = data.draw(st.sampled_from(us))
-        x = data.draw(st.integers(0, m - 1))
-        assert dlog_cyclic(d, x * d % m, m) == x
 
 
 def test_largest_prime_divisor():

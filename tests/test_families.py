@@ -5,7 +5,6 @@ import pytest
 from skewcyc.enumeration import census
 from skewcyc.families import (
     FamilyParams,
-    all_coset_preserving_predicate,
     family_4p,
     make_x,
     make_y,
@@ -104,12 +103,10 @@ class TestFamily4p:
 class TestAllCosetPreservingPredicate:
     def test_true_and_false_cases(self):
         store = MemoryStore()
-        assert all_coset_preserving_predicate(24, census(24, store))
-        assert all_coset_preserving_predicate(30, census(30, store))
-        assert not all_coset_preserving_predicate(32, census(32, store))
 
-    def test_rejects_wrong_record(self):
-        store = MemoryStore()
-        record = census(6, store)
-        with pytest.raises(ValueError):
-            all_coset_preserving_predicate(8, record)
+        def all_cp(n):
+            return all(phi.coset_preserving for phi in census(n, store).morphisms)
+
+        assert all_cp(24)
+        assert all_cp(30)
+        assert not all_cp(32)

@@ -21,19 +21,19 @@ def all_skew(n):
 
 class TestQuotientOf:
     def test_proper_example_gives_inversion_on_z3(self):
-        qd = quotient_of(PHI6)
-        assert qd.m == 3
-        assert qd.images_bar == (0, 2, 1)
-        assert qd.ord_bar == 2 == 6 // PHI6.kernel_order
+        q = quotient_of(PHI6)
+        assert q.n == 3
+        assert q.images == (0, 2, 1)
+        assert q.order == 2 == 6 // PHI6.kernel_order
 
     def test_automorphism_gives_identity_quotient(self):
-        qd = quotient_of(automorphism_of(12, 5))
-        assert qd.m == 2 and qd.images_bar == (0, 1)
-        assert qd.quotient.is_identity
+        q = quotient_of(automorphism_of(12, 5))
+        assert q.n == 2 and q.images == (0, 1)
+        assert q.is_identity
 
     def test_identity_gives_identity_on_z1(self):
-        qd = quotient_of(verify(9, tuple(range(9))))
-        assert qd.m == 1 and qd.images_bar == (0,)
+        q = quotient_of(verify(9, tuple(range(9))))
+        assert q.n == 1 and q.images == (0,)
 
     def test_rejects_non_unit_generator(self):
         with pytest.raises(ValueError):
@@ -42,11 +42,11 @@ class TestQuotientOf:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_invariants_exhaustively(self, n):
         for phi in all_skew(n):
-            qd = quotient_of(phi)
-            assert qd.ord_bar * phi.kernel_order == n
-            assert qd.quotient.is_identity == phi.automorphism
+            q = quotient_of(phi)
+            assert q.order * phi.kernel_order == n
+            assert q.is_identity == phi.automorphism
             if phi.proper:
-                assert qd.quotient.automorphism == phi.coset_preserving
+                assert q.automorphism == phi.coset_preserving
 
 
 class TestBarpiIndex:
@@ -64,6 +64,10 @@ class TestQuotientLaws:
 
     def test_identity_passes(self):
         assert check_quotient_laws(verify(7, tuple(range(7)))).passed
+
+    def test_trivial_group_reports_generator_zero(self):
+        rep = check_quotient_laws(verify(1, (0,)), 1)
+        assert rep.passed and rep.generator_g == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_all_generators_all_morphisms(self, n):

@@ -2,14 +2,18 @@ from itertools import permutations
 
 from skewcyc.skew_core import automorphism_of, verify
 from skewcyc.skew_product import (
+    SAMPLE_TRIPLES,
     SkewProductElement,
+    _PairTables,
     check_group,
     core_of_B,
-    induce_from_pair,
-    multiply,
 )
 
 PHI6 = verify(6, (0, 3, 2, 5, 4, 1))
+
+
+def multiply(phi, x, y):
+    return _PairTables(phi).mult(SkewProductElement(*x), SkewProductElement(*y))
 
 
 class TestMultiply:
@@ -44,10 +48,12 @@ class TestCheckGroup:
         assert rep.passed and rep.group_order == 24
 
     def test_sampled_mode_kicks_in(self):
+        # order 3 on Z_12: 36**3 triples exceed the budget
         phi = verify(12, (0, 5, 2, 7, 4, 9, 6, 11, 8, 1, 10, 3))
-        rep = check_group(phi, assoc_triple_budget=10, sample_triples=50)
-        assert rep.passed and rep.associativity_mode == "sampled"
-        assert rep.triples_checked == 50
+        rep = check_group(phi)
+        assert rep.passed and rep.group_order == 36
+        assert rep.associativity_mode == "sampled"
+        assert rep.triples_checked == SAMPLE_TRIPLES == 500
 
 
 class TestCoreOfB:
@@ -71,6 +77,16 @@ class TestCoreOfB:
 
 
 class TestInduceFromPair:
+    """Left multiplication by c = (0, 1) recovers f: c * (a, 0) = (f(a), pi(a))."""
+
+    @staticmethod
+    def round_trips(phi):
+        m = phi.order
+        return all(
+            multiply(phi, (0, 1 % m), (a, 0)) == (phi.images[a], phi.pi[a] % m)
+            for a in range(phi.n)
+        )
+
     def test_round_trip_on_all_skew_morphisms_of_c6(self):
         for perm in permutations(range(1, 6)):
             images = (0,) + perm
@@ -78,10 +94,8 @@ class TestInduceFromPair:
                 phi = verify(6, images)
             except Exception:
                 continue
-            assert induce_from_pair(6, phi).images == images
+            assert self.round_trips(phi)
 
     def test_identity_and_automorphism(self):
-        ident = verify(4, (0, 1, 2, 3))
-        assert induce_from_pair(4, ident).images == ident.images
-        a5 = automorphism_of(12, 5)
-        assert induce_from_pair(12, a5).images == a5.images
+        assert self.round_trips(verify(4, (0, 1, 2, 3)))
+        assert self.round_trips(automorphism_of(12, 5))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,21 @@ class TestStore:
         with pytest.raises(SchemaMismatchError):
             store.load(6)
 
+    def test_save_leaves_stale_temp_file_alone(self, store):
+        stale = store.directory / "census_6.jsonl.tmp"
+        stale.write_text("stale")
+        path = store.save(census(6, MemoryStore()))
+        assert path == store.path_for(6)
+        assert stale.read_text() == "stale"
+        assert sorted(p.name for p in store.directory.iterdir()) == [
+            "census_6.jsonl",
+            "census_6.jsonl.tmp",
+        ]
+        pins = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text()
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pins["census_files"]["6"]
+
     def test_store_entry_json_round_trip(self, store):
         record = census(8, store)
         for phi, cid in zip(record.morphisms, record.class_ids):
@@ -143,6 +160,43 @@ class TestCli:
         rc = cli.main(["table", "--from", "2", "--to", "6", "--store", str(tmp_path / "x")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: text[:-10], lambda text: "5\n" + text],
+        ids=["truncated", "not-an-object"],
+    )
+    def test_show_reports_malformed_store_line(self, tmp_path, capsys, damage):
+        store_dir = tmp_path / "s"
+        assert cli.main(["census", "--max", "13", "--store", str(store_dir)]) == 0
+        path = store_dir / "census_13.jsonl"
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert cli.main(["show", "--n", "13", "--store", str(store_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "census_13.jsonl:" in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--n", "1"],
+            ["families", "--p", "4"],
+            ["verify", "--n", "0", "--perm", "0"],
+            ["census", "--max", "6", "--jobs", "-3"],
+        ],
+        ids=["oracle-n1", "families-p4", "verify-n0", "census-jobs-negative"],
+    )
+    def test_bad_arguments_exit_1_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("SKEWCYC_STORE", str(tmp_path / "s"))
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "s" / "census_2.jsonl").exists()
 
     def test_env_default_store(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SKEWCYC_STORE", str(tmp_path / "env-store"))
