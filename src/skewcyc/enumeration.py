@@ -26,7 +26,13 @@ Strategy, for each n (recursively over smaller orders):
 Candidate filtering before full verification exploits the period-r
 structure of the partial sums: with T the sum over one period, the
 candidate is a bijection iff gcd(T, n) equals the kernel index, and
-the whole orbit of 1 can be walked with O(1) evaluations.
+the whole orbit of 1 can be walked with O(1) evaluations.  The lift
+runs these checks on all seed combinations of a stepper at once
+(`_batched_seed_survivors`).  Its prefix sums are separable, one
+table of partial sums per thread, and every orbit value has a residue
+mod R = ord(rho) that no seed choice changes (psi fixes residues,
+each seed pool is one coset, R divides T), so each walk step reads
+one prefix column for all combinations.
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -389,7 +395,13 @@ def _lift_with_psis(
     return sorted(results.values(), key=lambda q: q.images)
 
 
-_BATCH_MIN = 64  # below this many seed combinations the plain loop is faster
+# Below this many seed combinations the plain loop is faster.  Measured per
+# stepper on the lift tasks of census(n), n in {54, 64, 72, 80, 81, 96, 100}
+# (2 cores, best of 3; plain vs batched): 9 combinations 834 vs 1008 us,
+# 16: 293 vs 315, 25 to 36: within 3%, 64: 1045 vs 686, 81: 1120 vs 533,
+# 729: 10118 vs 1304.  None of these tasks has 37 to 63 combinations.
+_BATCH_MIN = 64
+_CHUNK = 1 << 16  # seed combinations per pre-filter pass; bounds its working set
 
 
 def _batched_seed_survivors(
@@ -407,76 +419,92 @@ def _batched_seed_survivors(
 
     Applies exactly the checks of `_realize_lift` (one-period total with
     the right gcd, orbit walk with first return at m, seed replay, psi
-    thread relation) to every combination at once and yields the few
-    survivors; each survivor is then rebuilt and fully verified by the
-    scalar path, so this stage can only discard, never admit.
+    thread relation) to every combination at once and yields the
+    survivors in `product(*pools)` order; each survivor is then rebuilt
+    and fully verified by the scalar path, so this stage can only
+    discard, never admit.
+
+    The prefix sums are separable.  Period term i depends only on the
+    seed of thread orbit_l[i] % p, so prefix column c is the part of
+    thread 0 plus one per-thread partial sum for each free thread, read
+    from an (R+1) x nfree x kord table.  Those are folded into two tables
+    over the seed digits of the first and the second half of the free
+    threads, so a column costs two gathers per combination.  The period
+    total T is column R; the gcd(T, n) = R filter runs first.
+
+    Every orbit value has the same residue mod R in all combinations:
+    psi fixes each residue mod R (see `psi_candidates`), each seed pool
+    lies in one coset of R, and R | T.  So each walk step reads a single
+    prefix column, built on the rows still alive, and the rows that fail
+    a check are dropped at once.
     """
     nfree = len(free)
     kord = len(pools[0])
-    total_combos = kord**nfree
-    rows_np = np.asarray(rows, dtype=np.int64)
+    thread_of = {j: k for k, j in enumerate(free)}
+    # terms[i, k, d]: what period step i adds when free thread k has seed
+    # digit d; slot nfree holds the steps of thread 0, whose seed is 1
+    terms = np.zeros((big_r, nfree + 1, kord), dtype=np.int64)
+    for i, e in enumerate(orbit_l):
+        row = rows[e // p]
+        if e % p == 0:
+            terms[i, nfree] = row[1]
+        else:
+            k = thread_of[e % p]
+            terms[i, k] = [row[s] for s in pools[k]]
+    sums = np.zeros((big_r + 1, nfree + 1, kord), dtype=np.int64)
+    np.cumsum(terms, axis=0, out=sums[1:])
+    sums %= n
+    _require(
+        bool((sums % big_r == sums[:, :, :1] % big_r).all()),
+        "prefix residues mod R must not depend on the seeds",
+    )
+    # a step that reads prefix column c lands on residue next_residue[c]
+    next_residue = (sums[:, :, 0].sum(axis=1) % big_r).tolist()
+
+    # column c of combination hi * lo_size + lo is hi_sums[c, hi] + lo_sums[c, lo] (mod n)
+    def fold(acc, threads):
+        for k in threads:
+            acc = (acc[:, :, None] + sums[:, k, None, :]).reshape(big_r + 1, -1)
+        return acc
+
+    half = nfree // 2
+    lo_size = kord ** (nfree - half)
+    hi_sums = fold(sums[:, nfree, :1], range(half))
+    lo_sums = fold(np.zeros((big_r + 1, 1), dtype=np.int64), range(half, nfree))
+    place = [kord ** (nfree - 1 - k) for k in range(nfree)]  # digit k = combo // place[k] % kord
     pools_np = np.asarray(pools, dtype=np.int64)
     psi_np = np.asarray(psi.images, dtype=np.int64)
-    pos_of = {j: idx for idx, j in enumerate(free)}
-    step_q = [e // p for e in orbit_l]
-    step_thread = [e % p for e in orbit_l]
-    valid_total = np.fromiter(
-        (gcd(t, n) == big_r for t in range(n)), dtype=bool, count=n
-    )
-    chunk = max(256, min(1 << 16, (1 << 22) // (big_r + 1)))
+    valid_total = np.gcd(np.arange(n), n) == big_r
 
-    for start in range(0, total_combos, chunk):
-        count = min(chunk, total_combos - start)
-        tmp = np.arange(start, start + count, dtype=np.int64)
-        digits = np.empty((count, nfree), dtype=np.int64)
-        for pos in range(nfree - 1, -1, -1):
-            digits[:, pos] = tmp % kord
-            tmp //= kord
-        seeds_val = pools_np[np.arange(nfree)[None, :], digits]
-
-        terms = np.empty((count, big_r), dtype=np.int64)
-        for i in range(big_r):
-            j = step_thread[i]
-            if j == 0:
-                terms[:, i] = rows_np[step_q[i]][1]
-            else:
-                terms[:, i] = rows_np[step_q[i]][seeds_val[:, pos_of[j]]]
-        prefix = np.zeros((count, big_r + 1), dtype=np.int64)
-        np.cumsum(terms, axis=1, out=prefix[:, 1:])
-        prefix %= n
-
-        sel = np.nonzero(valid_total[prefix[:, big_r]])[0]
-        if not len(sel):
-            continue
-        pre = prefix[sel, :big_r]
-        tot = prefix[sel, big_r]
-        sv = seeds_val[sel]
-        nsel = len(sel)
-        rowsel = np.arange(nsel)
-        alive = np.ones(nsel, dtype=bool)
-        o = np.ones(nsel, dtype=np.int64)
-        hist: list = [None] * p
-        hist[0] = o
-        completed = False
+    total_combos = kord**nfree
+    for start in range(0, total_combos, _CHUNK):
+        hi, lo = np.divmod(np.arange(start, min(start + _CHUNK, total_combos)), lo_size)
+        tot = (hi_sums[big_r, hi] + lo_sums[big_r, lo]) % n
+        live = valid_total[tot]
+        hi, lo, tot = hi[live], lo[live], tot[live]
+        o = np.ones_like(tot)
+        last = np.empty((p, len(tot)), dtype=np.int64)  # latest orbit value per thread
+        last[0] = 1
+        residue = 1
         for t in range(1, m + 1):
-            o = (pre[rowsel, o % big_r] + (o // big_r) * tot) % n
+            if not len(tot):
+                break
+            o = (hi_sums[residue, hi] + lo_sums[residue, lo] + (o // big_r) * tot) % n
+            residue = next_residue[residue]
             if t == m:
-                alive &= o == 1
-                completed = True
-                break
-            alive &= o != 1
-            if t < p:
-                if t in pos_of:
-                    alive &= o == sv[:, pos_of[t]]
+                live = o == 1
             else:
-                alive &= o == psi_np[hist[t % p]]
-            hist[t % p] = o
-            if not alive.any():
-                break
-        if not completed:
-            continue
-        for row in np.nonzero(alive)[0]:
-            yield tuple(int(v) for v in sv[row])
+                live = o != 1
+                if t >= p:
+                    live &= o == psi_np[last[t % p]]
+                elif t in thread_of:
+                    k = thread_of[t]
+                    live &= o == pools_np[k, (hi * lo_size + lo) // place[k] % kord]
+                last[t % p] = o
+            if not live.all():
+                hi, lo, tot, o, last = hi[live], lo[live], tot[live], o[live], last[:, live]
+        for combo in (hi * lo_size + lo).tolist():
+            yield tuple(pools[k][combo // place[k] % kord] for k in range(nfree))
 
 
 def _realize_lift(
@@ -568,6 +596,8 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
 
 def census_range(store, max_n: int, *, jobs: int = 1, progress=None) -> None:
     """Compute and persist censuses for every order 2..max_n in sequence."""
+    if max_n < 2:
+        raise ValueError(f"expected max_n >= 2, got {max_n}")
     if jobs < 1:
         raise ValueError(f"expected jobs >= 1, got {jobs}")
     if jobs > 1:

@@ -215,6 +215,8 @@ def check_record(record: CensusRecord) -> list[Violation]:
 
 def run_suite(store, max_n: int) -> list[Violation]:
     """Run every check over the stored censuses for 2..max_n."""
+    if max_n < 2:
+        raise ValueError(f"expected max_n >= 2, got {max_n}")
     violations: list[Violation] = []
     for n in range(2, max_n + 1):
         violations.extend(check_record(store.load(n)))

@@ -15,6 +15,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from .cyclic_arith import euler_phi
 from .enumeration import CensusRecord
 from .skew_core import SkewMorphism, SkewMorphismError, verify
 
@@ -36,6 +37,10 @@ class SchemaMismatchError(StoreError):
 
 class VerificationFailedOnLoadError(StoreError):
     """A stored entry does not re-verify; the file was corrupted or edited."""
+
+
+class IncompleteCensusError(StoreError):
+    """A census file lacks some of its automorphisms: it was cut short."""
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,13 @@ class Store:
         # CensusRecord's own postconditions catch unsorted/duplicated/misaligned data;
         # full class-id recomputation is left to the invariant suite.
         record = CensusRecord(n=n, morphisms=tuple(morphisms), class_ids=tuple(class_ids))
+        # a census holds all phi(n) automorphisms and its last line is x -> -x,
+        # so a file cut at a line boundary is short of at least one
+        if record.automorphism_count != euler_phi(n):
+            raise IncompleteCensusError(
+                f"{path}: {record.automorphism_count} automorphisms stored, "
+                f"expected phi({n}) = {euler_phi(n)}"
+            )
         self._cache[n] = record
         return record
 
@@ -230,6 +242,8 @@ def emit_table(first: int, last: int, store, fmt: str = "csv") -> str:
     """
     if fmt not in ("csv", "md"):
         raise ValueError(f"unknown table format {fmt!r}")
+    if first > last:
+        raise ValueError(f"empty range: from {first} > to {last}")
     rows = []
     for n in range(first, last + 1):
         record = store.load(n)

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+import skewcyc.enumeration as enum
 from skewcyc.cyclic_arith import euler_phi, units
 from skewcyc.enumeration import (
     CensusRecord,
@@ -186,8 +189,6 @@ def test_cp_search_tasks_examples():
 
 def test_batched_and_plain_lift_agree(monkeypatch):
     # force every seed search through the vectorised pre-filter and compare
-    import skewcyc.enumeration as enum
-
     def run():
         store = MemoryStore()
         return [phi.images for phi in census(32, store).morphisms]
@@ -195,3 +196,59 @@ def test_batched_and_plain_lift_agree(monkeypatch):
     plain = run()
     monkeypatch.setattr(enum, "_BATCH_MIN", 1)
     assert run() == plain
+
+
+@pytest.fixture(scope="module")
+def prefilter_calls(store):
+    """Arguments of the pre-filter calls of census(54), batching forced on."""
+    calls = []
+    batched = enum._batched_seed_survivors
+
+    def record(*args):
+        calls.append(args)
+        return batched(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enum, "_BATCH_MIN", 1)
+        mp.setattr(enum, "_batched_seed_survivors", record)
+        census(54, store)
+    # a few tasks of each shape (m, R, p, free threads, kernel order)
+    by_shape = {}
+    for args in calls:
+        _n, m, big_r, p, _psi, free, pools, _rows, _orbit_l = args
+        if len(free) >= 2 and len(pools[0]) >= 3:
+            by_shape.setdefault((m, big_r, p, len(free), len(pools[0])), []).append(args)
+    return [args for group in by_shape.values() for args in group[:3]]
+
+
+def test_prefilter_matches_scalar_walk(prefilter_calls, monkeypatch):
+    # the pre-filter runs every check of _realize_lift except the final
+    # verification, which runs on its survivors; with verification
+    # stubbed out the scalar path must keep exactly the same combinations
+    monkeypatch.setattr(enum, "_verified_of_order", lambda *args: True)
+    assert len({args[1:4] for args in prefilter_calls}) >= 4
+    kept = 0
+    for args in prefilter_calls:
+        n, m, big_r, p, psi, free, pools, rows, orbit_l = args
+        expected = []
+        for combo in product(*pools):
+            seeds = dict(zip(free, combo))
+            seeds[0] = 1
+            value_at = {e: rows[e // p][seeds[e % p]] for e in orbit_l}
+            if enum._realize_lift(n, m, big_r, p, psi, seeds, value_at, orbit_l) is not None:
+                expected.append(combo)
+        assert list(enum._batched_seed_survivors(*args)) == expected
+        kept += len(expected)
+    assert kept > 0
+
+
+def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
+    # calls beyond one chunk first occur at n = 126; shrink the chunk instead
+    whole = [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls]
+    monkeypatch.setattr(enum, "_CHUNK", 7)
+    assert [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls] == whole
+    spread = 0
+    for args, found in zip(prefilter_calls, whole):
+        index = {combo: i for i, combo in enumerate(product(*args[6]))}
+        spread = max(spread, len({index[combo] // 7 for combo in found}))
+    assert spread > 1  # some call yields survivors from several chunks

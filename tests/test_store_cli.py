@@ -7,6 +7,7 @@ import pytest
 from skewcyc import cli
 from skewcyc.enumeration import census
 from skewcyc.store import (
+    IncompleteCensusError,
     MemoryStore,
     NotComputedError,
     SchemaMismatchError,
@@ -74,6 +75,14 @@ class TestStore:
         path.write_text("\n".join(lines) + "\n")
         store._cache.clear()
         with pytest.raises(SchemaMismatchError):
+            store.load(6)
+
+    def test_file_cut_at_a_line_boundary_fails_on_load(self, store):
+        census(6, store)
+        path = store.path_for(6)
+        path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+        store._cache.clear()
+        with pytest.raises(IncompleteCensusError, match="census_6.jsonl: 1 automorphisms"):
             store.load(6)
 
     def test_save_leaves_stale_temp_file_alone(self, store):
@@ -163,8 +172,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "damage",
-        [lambda text: text[:-10], lambda text: "5\n" + text],
-        ids=["truncated", "not-an-object"],
+        [
+            lambda text: text[:-10],
+            lambda text: "5\n" + text,
+            lambda text: "".join(text.splitlines(True)[:6]),
+            lambda text: "".join(text.splitlines(True)[:-1]),
+        ],
+        ids=["truncated", "not-an-object", "halved", "last-line-removed"],
     )
     def test_show_reports_malformed_store_line(self, tmp_path, capsys, damage):
         store_dir = tmp_path / "s"
@@ -186,8 +200,19 @@ class TestCli:
             ["families", "--p", "4"],
             ["verify", "--n", "0", "--perm", "0"],
             ["census", "--max", "6", "--jobs", "-3"],
+            ["table", "--from", "5", "--to", "2"],
+            ["census", "--max", "1"],
+            ["check", "--max", "1"],
         ],
-        ids=["oracle-n1", "families-p4", "verify-n0", "census-jobs-negative"],
+        ids=[
+            "oracle-n1",
+            "families-p4",
+            "verify-n0",
+            "census-jobs-negative",
+            "table-empty-range",
+            "census-max-1",
+            "check-max-1",
+        ],
     )
     def test_bad_arguments_exit_1_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("SKEWCYC_STORE", str(tmp_path / "s"))
