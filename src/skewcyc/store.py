@@ -178,6 +178,8 @@ class Store:
         return path
 
     def load(self, n: int) -> CensusRecord:
+        if n < 2:
+            raise ValueError(f"expected n >= 2, got {n}")
         if n in self._cache:
             return self._cache[n]
         path = self.path_for(n)
@@ -225,6 +227,8 @@ class MemoryStore:
         self._records[record.n] = record
 
     def load(self, n: int) -> CensusRecord:
+        if n < 2:
+            raise ValueError(f"expected n >= 2, got {n}")
         if n not in self._records:
             raise NotComputedError(f"no census computed for n={n}")
         return self._records[n]

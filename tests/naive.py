@@ -63,3 +63,36 @@ def naive_order(images) -> int:
 
 def naive_units(m: int) -> list[int]:
     return [s for s in range(1, m) if gcd(s, m) == 1]
+
+
+def naive_group_axioms(images, pi) -> set[str]:
+    """The group laws that fail on the pair tables of (images, pi).
+
+    The pairs (a, i) in Z_n x Z_m, m = ord(f), multiply as
+    (a, i)(b, j) = (a + f^i(b), s_i(b) + j) with s_i(b) the sum of
+    pi(f^t(b)) over t < i, mod m, for any list pi.  The whole product
+    table is written out first; then the identity (0, 0), a two-sided
+    inverse of every element (found by search) and all |G|^3 triples
+    are checked by direct loops.  Returns a subset of
+    {"identity", "inverse", "associativity"}.
+    """
+    n = len(images)
+    powers = perm_powers(images)
+    m = len(powers)
+    els = [(a, i) for a in range(n) for i in range(m)]
+    table = {}
+    for a, i in els:
+        for b, j in els:
+            s = sum(pi[powers[t][b]] for t in range(i))
+            table[(a, i), (b, j)] = ((a + powers[i][b]) % n, (s + j) % m)
+    e = (0, 0)
+    failed = set()
+    if any(table[e, x] != x or table[x, e] != x for x in els):
+        failed.add("identity")
+    if not all(any(table[x, y] == e == table[y, x] for y in els) for x in els):
+        failed.add("inverse")
+    if any(
+        table[table[x, y], z] != table[x, table[y, z]] for x in els for y in els for z in els
+    ):
+        failed.add("associativity")
+    return failed

@@ -1,13 +1,18 @@
+import dataclasses
 from itertools import permutations
 
+import pytest
+
+from skewcyc.enumeration import brute_force
 from skewcyc.skew_core import automorphism_of, verify
 from skewcyc.skew_product import (
-    SAMPLE_TRIPLES,
     SkewProductElement,
     _PairTables,
     check_group,
     core_of_B,
 )
+
+from naive import naive_group_axioms
 
 PHI6 = verify(6, (0, 3, 2, 5, 4, 1))
 
@@ -38,7 +43,7 @@ class TestCheckGroup:
         assert rep.passed
         assert rep.group_order == 18
         assert rep.associativity_mode == "full"
-        assert rep.triples_checked == 18**3
+        assert rep.triples_checked == 2 * 18**2
 
     def test_identity_morphism(self):
         assert check_group(verify(5, tuple(range(5)))).passed
@@ -47,13 +52,57 @@ class TestCheckGroup:
         rep = check_group(automorphism_of(12, 5))
         assert rep.passed and rep.group_order == 24
 
-    def test_sampled_mode_kicks_in(self):
-        # order 3 on Z_12: 36**3 triples exceed the budget
+    def test_order_36_group_is_checked_in_full(self):
+        # order 3 on Z_12: past the old 20,000-triple budget of the full mode
         phi = verify(12, (0, 5, 2, 7, 4, 9, 6, 11, 8, 1, 10, 3))
         rep = check_group(phi)
         assert rep.passed and rep.group_order == 36
-        assert rep.associativity_mode == "sampled"
-        assert rep.triples_checked == SAMPLE_TRIPLES == 500
+        assert rep.associativity_mode == "full"
+        assert rep.triples_checked == 2 * 36**2
+
+    @staticmethod
+    def tampered(phi):
+        """phi with its power function flattened, with pi(0) changed and
+        with each other pi entry bumped in turn (same images and order)."""
+        m = phi.order
+        yield dataclasses.replace(phi, pi=(1,) * phi.n)
+        for a in range(phi.n):
+            pi = list(phi.pi)
+            pi[a] = pi[a] % m + 1
+            yield dataclasses.replace(phi, pi=tuple(pi))
+
+    def test_agrees_with_naive_triple_loop(self):
+        verdicts = set()
+        for n in range(2, 10):
+            for phi in brute_force(n):
+                if n * phi.order > 27:
+                    continue
+                for case in (phi, *self.tampered(phi)):
+                    failed = naive_group_axioms(case.images, case.pi)
+                    rep = check_group(case)
+                    assert rep.passed == (not failed), case
+                    # each failure message starts with the name of its law
+                    assert {f.split()[0] for f in rep.failures} == failed, case
+                    verdicts.add(frozenset(failed))
+        assert frozenset() in verdicts
+        assert frozenset({"identity", "inverse", "associativity"}) in verdicts
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            # pi of PHI6 raised to 2 away from 0: only the exponent coordinate fails
+            dataclasses.replace(PHI6, pi=(1, 2, 2, 2, 2, 2)),
+            # x -> -x on Z_5 with another odd involution as images: only the
+            # translation coordinate fails
+            dataclasses.replace(automorphism_of(5, 4), images=(0, 2, 1, 4, 3)),
+        ],
+        ids=["exponent-coordinate", "translation-coordinate"],
+    )
+    def test_catches_a_loop_that_is_not_a_group(self, phi):
+        # identity and two-sided inverses hold, associativity does not
+        assert naive_group_axioms(phi.images, phi.pi) == {"associativity"}
+        rep = check_group(phi)
+        assert rep.failures == ["associativity fails at (0, 1),(1, 0),(1, 0)"]
 
 
 class TestCoreOfB:

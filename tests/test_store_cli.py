@@ -194,15 +194,18 @@ class TestCli:
         assert "census_13.jsonl:" in lines[0]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, expect",
         [
-            ["oracle", "--n", "1"],
-            ["families", "--p", "4"],
-            ["verify", "--n", "0", "--perm", "0"],
-            ["census", "--max", "6", "--jobs", "-3"],
-            ["table", "--from", "5", "--to", "2"],
-            ["census", "--max", "1"],
-            ["check", "--max", "1"],
+            (["oracle", "--n", "1"], ""),
+            (["families", "--p", "4"], ""),
+            (["verify", "--n", "0", "--perm", "0"], ""),
+            (["census", "--max", "6", "--jobs", "-3"], ""),
+            (["table", "--from", "5", "--to", "2"], ""),
+            (["census", "--max", "1"], ""),
+            (["check", "--max", "1"], ""),
+            (["show", "--n", "0"], "n >= 2"),
+            (["show", "--n", "1"], "n >= 2"),
+            (["table", "--from", "1", "--to", "5"], "n >= 2"),
         ],
         ids=[
             "oracle-n1",
@@ -212,15 +215,21 @@ class TestCli:
             "table-empty-range",
             "census-max-1",
             "check-max-1",
+            "show-n0",
+            "show-n1",
+            "table-from-1",
         ],
     )
-    def test_bad_arguments_exit_1_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+    def test_bad_arguments_exit_1_with_one_error_line(
+        self, tmp_path, monkeypatch, capsys, argv, expect
+    ):
         monkeypatch.setenv("SKEWCYC_STORE", str(tmp_path / "s"))
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert expect in lines[0]
         assert not (tmp_path / "s" / "census_2.jsonl").exists()
 
     def test_env_default_store(self, tmp_path, monkeypatch, capsys):
