@@ -20,7 +20,7 @@ from math import gcd
 
 from .cyclic_arith import euler_phi, factorize, largest_prime_divisor, units
 from .enumeration import CensusRecord, _finalize_census
-from .quotient import check_quotient_laws, quotient_of
+from .quotient import check_quotient_laws
 from .skew_core import (
     SkewMorphism,
     SkewMorphismError,
@@ -100,7 +100,7 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
     report = check_quotient_laws(phi)
     for failure in report.failures:
         bad("quotient law", failure)
-    q = quotient_of(phi)
+    q = report.quotient
     if q.is_identity != phi.automorphism:
         bad("identity quotient iff automorphism")
     if phi.proper and q.automorphism != phi.coset_preserving:

@@ -83,10 +83,12 @@ def barpi_index(phi: SkewMorphism, g: int, k: int) -> int:
 
 @dataclass
 class QuotientLawReport:
-    """Outcome of the quotient-law checks; empty failure list means pass."""
+    """Outcome of the quotient-law checks against `quotient`, the quotient
+    of f for the generator; an empty failure list means pass."""
 
     n: int
     generator_g: int
+    quotient: SkewMorphism
     failures: list[str]
 
     @property
@@ -138,4 +140,4 @@ def check_quotient_laws(phi: SkewMorphism, g: int = 1) -> QuotientLawReport:
             failures.append(f"law (c) fails at k={k}: coset index {got} != pi_bar {want}")
             break
 
-    return QuotientLawReport(n=n, generator_g=g, failures=failures)
+    return QuotientLawReport(n=n, generator_g=g, quotient=q, failures=failures)

@@ -13,15 +13,22 @@ skew morphisms with pi identically 1.
 `verify` checks the defining identity exhaustively and returns an
 immutable `SkewMorphism` carrying the permutation together with its
 power function, order, kernel, periodicity and classification flags.
-All cached fields are computed (and cross-checked) eagerly, so a
-constructed value satisfies every structural invariant by
-construction.
+It needs no table of all iterates: at x = 1 the identity reads
+f(a + 1) - f(a) = f^{i_a}(1), so i_a is fixed modulo the length of the
+orbit of 1 by the position of that difference on the orbit, and each
+remaining candidate exponent is confirmed or refuted by comparing one
+whole row.  For a skew morphism the orbit of 1 has exactly ord(f)
+points, so one candidate is left.  All cached fields are computed (and
+cross-checked) eagerly, so a constructed value satisfies every
+structural invariant by construction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import index, itemgetter
 
 from .cyclic_arith import euler_phi, units
 
@@ -102,32 +109,33 @@ class SkewMorphism:
         )
 
 
-def perm_order(images: tuple[int, ...] | list[int]) -> int:
-    """Order of a permutation of [0, n): lcm of its cycle lengths."""
+def _cycles(images: tuple[int, ...]) -> tuple[list[list[int]], int]:
+    """The cycles of a permutation of [0, n), each listed from its least
+    element and in order of that element, and the order of the
+    permutation: the lcm of the cycle lengths."""
     n = len(images)
     seen = bytearray(n)
+    cycles = []
     order = 1
     for start in range(n):
         if seen[start]:
             continue
-        length = 0
+        cycle = []
         x = start
         while not seen[x]:
             seen[x] = 1
+            cycle.append(x)
             x = images[x]
-            length += 1
-        order = lcm(order, length)
-    return order
+        cycles.append(cycle)
+        order = lcm(order, len(cycle))
+    return cycles, order
 
 
 def _check_permutation(n: int, images: tuple[int, ...]) -> None:
     if len(images) != n:
         raise NotPermutationError(f"expected {n} images, got {len(images)}")
-    seen = bytearray(n)
-    for v in images:
-        if not isinstance(v, int) or not 0 <= v < n or seen[v]:
-            raise NotPermutationError(f"images are not a permutation of [0, {n})")
-        seen[v] = 1
+    if sorted(images) != list(range(n)):
+        raise NotPermutationError(f"images are not a permutation of [0, {n})")
     if images[0] != 0:
         raise IdentityNotFixedError(f"images[0] = {images[0]} != 0")
 
@@ -145,37 +153,82 @@ def power_table(images: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
 def verify(n: int, images) -> SkewMorphism:
     """Verify the defining identity and build the SkewMorphism value.
 
-    The exponent test precomputes all iterates f^0..f^{ord-1}, indexes
-    them by their full image tuple, and checks for each a that the
-    difference map x -> f(a+x) - f(a) is one of them.  The matching
-    iterate index, normalised into [1, ord], is pi[a].  Raises
-    NotPermutationError / IdentityNotFixedError / NoPowerExponentError
-    (the latter carrying the witness element) when the candidate is
-    not a skew morphism.
+    Images are converted with `operator.index`: ints and numpy integers
+    pass, anything else (a float, a string) is not a permutation.  At
+    x = 1 the identity says d = f(a+1) - f(a) is f^i(1), so if d is off
+    the orbit of 1, a is the witness; otherwise i is the number of steps
+    from 1 to d modulo L1, the length of that orbit.  Each such i below
+    ord(f) is checked on the whole row, f(a+x) = f(a) + f^i(x) for all x,
+    with f^i read off the cycles once per exponent that occurs.  The
+    iterates below ord(f) are distinct, so at most one candidate matches;
+    normalised into [1, ord], it is pi[a].  Raises NotPermutationError /
+    IdentityNotFixedError / NoPowerExponentError (the latter carrying the
+    least witness element) when the candidate is not a skew morphism.
     """
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
-    images = tuple(int(v) for v in images)
+    try:
+        images = tuple(map(index, images))
+    except TypeError:
+        raise NotPermutationError(f"images are not a permutation of [0, {n})") from None
     _check_permutation(n, images)
-    order = perm_order(images)
+    cycles, order = _cycles(images)
+    if n == 1:  # the identity of Z_1, whose iterates are all `images`; the row
+        # check below needs n >= 2, where itemgetter returns tuples
+        return _finish(n, images, (1,), order, lambda i: images)
 
-    pows = power_table(images, order)
-    index = {row: j for j, row in enumerate(pows)}
+    where = [0] * n  # where[x]: the position of x in the cycles laid end to end
+    k = 0
+    for cycle in cycles:
+        for x in cycle:
+            where[x] = k
+            k += 1
+    read_back = itemgetter(*where)
+    rows: dict[int, tuple[int, ...]] = {}
+
+    def iterate(i: int) -> tuple[int, ...]:
+        """Images of f^i: each cycle rotated by i, read back in place."""
+        row = rows.get(i)
+        if row is None:
+            rotated = []
+            for cycle in cycles:
+                r = i % len(cycle)
+                rotated += cycle[r:]
+                rotated += cycle[:r]
+            row = rows[i] = read_back(rotated)
+        return row
+
+    # cycles[1] is the orbit 1, f(1), f^2(1), ...; steps[y] = t for y = f^t(1)
+    steps = [-1] * n
+    for t, y in enumerate(cycles[1]):
+        steps[y] = t
+    l1 = len(cycles[1])
+    add = tuple(range(n)) * 2
     img2 = images + images
-    # difference values lie in (-n, n); table lookup beats a Python-level %.
-    mod = [k % n for k in range(-n + 1, n)]
-    shift = n - 1
+    # checks[i](add[c:c+n]) is the row (c + f^i(x)) mod n over x in [0, n), so the
+    # identity holds at a with exponent i iff it equals img2[a:a+n], the row f(a+x)
+    checks: list = [None] * order
 
     pi: list[int] = []
     for a in range(n):
-        off = shift - images[a]
-        row = tuple(mod[img2[a + x] + off] for x in range(n))
-        j = index.get(row)
-        if j is None:
+        c = images[a]
+        # the difference lies in (-n, n): a negative index reads steps[d + n]
+        i = steps[img2[a + 1] - c]
+        if i < 0:
             raise NoPowerExponentError(a)
-        pi.append(order if j == 0 else j)
+        shifted, want = add[c : c + n], img2[a : a + n]
+        while i < order:
+            check = checks[i]
+            if check is None:
+                check = checks[i] = itemgetter(*iterate(i))
+            if check(shifted) == want:
+                break
+            i += l1
+        else:
+            raise NoPowerExponentError(a)
+        pi.append(i or order)
 
-    return _finish(n, images, tuple(pi), order, pows)
+    return _finish(n, images, tuple(pi), order, iterate)
 
 
 def _finish(
@@ -183,7 +236,7 @@ def _finish(
     images: tuple[int, ...],
     pi: tuple[int, ...],
     order: int,
-    pows: list[tuple[int, ...]],
+    iterate: Callable[[int], tuple[int, ...]],
 ) -> SkewMorphism:
     """Kernel, flags and periodicity, with theorem-backed postconditions."""
     _require(pi[0] == 1, "pi(0) must be 1")
@@ -220,7 +273,7 @@ def _finish(
             p1 += 1
         _require(p1 < order, "periodicity must be below the order")
         # ... which must already work for every element
-        fp = pows[p1]
+        fp = iterate(p1)
         _require(
             all(pi[fp[a]] == pi[a] for a in range(n)),
             "periodicity of the generator differs from global periodicity",

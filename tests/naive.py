@@ -47,6 +47,23 @@ def naive_pi(n: int, images) -> list[int] | None:
     return pi
 
 
+def naive_witness(n: int, images) -> int | None:
+    """The least a with no exponent i in [1, ord] such that
+    f(a+x) = f(a) + f^i(x) for all x, or None when every a has one.
+
+    `images` must be a permutation of [0, n) fixing 0.
+    """
+    powers = perm_powers(images)
+    order = len(powers)
+    for a in range(n):
+        if not any(
+            all(images[(a + x) % n] == (images[a] + powers[i % order][x]) % n for x in range(n))
+            for i in range(1, order + 1)
+        ):
+            return a
+    return None
+
+
 def naive_is_skew(n: int, images) -> bool:
     return naive_pi(n, images) is not None
 

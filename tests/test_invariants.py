@@ -1,7 +1,8 @@
 import pytest
 
+import skewcyc.quotient
 from skewcyc.enumeration import CensusRecord, census
-from skewcyc.invariants import check_record, run_suite
+from skewcyc.invariants import _check_morphism, check_record, run_suite
 from skewcyc.store import MemoryStore
 
 
@@ -20,6 +21,21 @@ class TestCleanData:
     def test_non_coset_preserving_records_pass(self, store):
         # Z_32 exercises the proper-quotient branch of every law
         assert check_record(store.load(32)) == []
+
+    def test_morphism_laws_build_the_quotient_once(self, store, monkeypatch):
+        calls = []
+        verify = skewcyc.quotient.verify
+
+        def counted(n, images):
+            calls.append(n)
+            return verify(n, images)
+
+        monkeypatch.setattr(skewcyc.quotient, "verify", counted)
+        for phi in store.load(12).morphisms:
+            calls.clear()
+            out = []
+            _check_morphism(12, phi, out)
+            assert out == [] and calls == [phi.order]
 
 
 class TestViolationDetection:

@@ -61,6 +61,7 @@ class TestQuotientLaws:
     def test_proper_example_passes(self):
         rep = check_quotient_laws(PHI6)
         assert rep.passed, rep.failures
+        assert rep.quotient == quotient_of(PHI6)
 
     def test_identity_passes(self):
         assert check_quotient_laws(verify(7, tuple(range(7)))).passed

@@ -1,9 +1,11 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewcyc.enumeration import census
 from skewcyc.skew_core import (
     EquivalenceClass,
     IdentityNotFixedError,
@@ -16,14 +18,20 @@ from skewcyc.skew_core import (
     conjugate_images,
     equivalence_classes,
     induced_on_quotient,
-    perm_order,
     power,
     verify,
 )
+from skewcyc.store import MemoryStore
 
-from naive import naive_is_skew, naive_pi
+from naive import naive_is_skew, naive_order, naive_pi, naive_witness
 
 PHI6 = (0, 3, 2, 5, 4, 1)  # the canonical proper skew morphism of Z_6
+
+
+@pytest.fixture(scope="module")
+def census_up_to_30():
+    store = MemoryStore()
+    return [phi for n in range(2, 31) for phi in census(n, store).morphisms]
 
 
 class TestVerify:
@@ -55,6 +63,18 @@ class TestVerify:
             verify(4, (0, 1, 1, 3))
         with pytest.raises(NotPermutationError):
             verify(4, (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "images", [[0, 1.9, 2], [0, 1.0, 2], ["0", "1", "2"], [0, None, 2]]
+    )
+    def test_non_integer_images_rejected(self, images):
+        with pytest.raises(NotPermutationError):
+            verify(3, images)
+
+    def test_numpy_integers_accepted(self):
+        phi = verify(6, np.array(PHI6))
+        assert phi.images == PHI6 and all(type(v) is int for v in phi.images)
+        assert verify(6, [np.int32(v) for v in PHI6]) == phi
 
     def test_identity_not_fixed(self):
         with pytest.raises(IdentityNotFixedError):
@@ -89,9 +109,54 @@ class TestVerify:
 
 
 def test_perm_order():
-    assert perm_order(tuple(range(9))) == 1
-    assert perm_order(PHI6) == 3
-    assert perm_order(tuple(5 * a % 12 for a in range(12))) == 2
+    assert verify(9, tuple(range(9))).order == 1
+    assert verify(6, PHI6).order == 3
+    assert verify(12, tuple(5 * a % 12 for a in range(12))).order == 2
+
+
+def _assert_matches_naive(n, images):
+    """verify raises with the naive witness, or returns the naive pi."""
+    witness = naive_witness(n, images)
+    if witness is None:
+        assert list(verify(n, images).pi) == naive_pi(n, images)
+    else:
+        with pytest.raises(NoPowerExponentError) as exc:
+            verify(n, images)
+        assert exc.value.element == witness, (n, images)
+
+
+def _orbit_of_one_is_short(images):
+    length, x = 1, images[1]
+    while x != 1:
+        length, x = length + 1, images[x]
+    return length < naive_order(images)
+
+
+class TestWitness:
+    """The least failing element, against direct loops over every exponent."""
+
+    def test_random_permutations_up_to_12(self):
+        rng = random.Random(5)
+        short = 0
+        for n in range(2, 13):
+            for _ in range(200):
+                tail = list(range(1, n))
+                rng.shuffle(tail)
+                images = (0, *tail)
+                short += _orbit_of_one_is_short(images)
+                _assert_matches_naive(n, images)
+        # the orbit of 1 pins the exponent only modulo its own length here
+        assert short > 0
+
+    def test_census_entries_with_two_images_swapped(self, census_up_to_30):
+        rng = random.Random(6)
+        for phi in census_up_to_30:
+            if phi.n < 3:
+                continue
+            images = list(phi.images)
+            a, b = rng.sample(range(1, phi.n), 2)
+            images[a], images[b] = images[b], images[a]
+            _assert_matches_naive(phi.n, tuple(images))
 
 
 class TestPeriodicity:

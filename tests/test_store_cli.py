@@ -53,6 +53,19 @@ class TestStore:
         with pytest.raises(VerificationFailedOnLoadError):
             store.load(6)
 
+    def test_float_image_fails_on_load(self, store):
+        census(6, store)
+        path = store.path_for(6)
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry["images"][1] = float(entry["images"][1])
+        lines[1] = json.dumps(entry, separators=(",", ":"))
+        assert '.0,' in lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        store._cache.clear()
+        with pytest.raises(VerificationFailedOnLoadError, match="not a skew morphism"):
+            store.load(6)
+
     def test_tampered_metadata_fails_on_load(self, store):
         census(6, store)
         path = store.path_for(6)
