@@ -9,6 +9,7 @@ to a few times 10^4.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 
@@ -28,6 +29,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@cache  # `verify` asks for it on every call; factor each n once
 def euler_phi(n: int) -> int:
     """Number of units mod n, i.e. |{k : 1 <= k <= n, gcd(k, n) = 1}|."""
     if n < 1:

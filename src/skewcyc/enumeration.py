@@ -141,12 +141,10 @@ class CensusRecord:
 
 
 def automorphisms(n: int) -> list[SkewMorphism]:
-    """All automorphisms of Z_n, sorted by image sequence."""
+    """All automorphisms of Z_n, sorted by image sequence, in closed form."""
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
-    if n == 1:
-        return [verify(1, (0,))]
-    return sorted((automorphism_of(n, s) for s in units(n)), key=lambda p: p.images)
+    return sorted((automorphism_of(n, s) for s in units(n) or [1]), key=lambda p: p.images)
 
 
 def _candidate_orders(n: int) -> list[int]:
@@ -571,7 +569,7 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
     cp = enumerate_coset_preserving(n, executor=executor)
     collected: dict[tuple[int, ...], SkewMorphism] = {sk.images: sk for sk in cp}
     _require(
-        sum(1 for sk in cp if sk.automorphism) == len(automorphisms(n)),
+        sum(1 for sk in cp if sk.automorphism) == euler_phi(n),
         "coset-preserving list must contain exactly the automorphisms",
     )
     tasks = [

@@ -21,16 +21,22 @@ whole row.  For a skew morphism the orbit of 1 has exactly ord(f)
 points, so one candidate is left.  All cached fields are computed (and
 cross-checked) eagerly, so a constructed value satisfies every
 structural invariant by construction.
+
+Conjugation by a unit of Z_n maps skew morphisms to skew morphisms with
+the same order, kernel order, periodicity and flags, so `conjugates`
+builds the whole orbit of a verified value by gathers, with no further
+`verify`; `equivalence_classes` builds one such orbit per class.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, lcm
 from operator import index, itemgetter
 
-from .cyclic_arith import euler_phi, units
+from .cyclic_arith import euler_phi, mult_order, units
 
 
 class SkewMorphismError(Exception):
@@ -241,16 +247,14 @@ def _finish(
     """Kernel, flags and periodicity, with theorem-backed postconditions."""
     _require(pi[0] == 1, "pi(0) must be 1")
 
-    kernel = [a for a in range(n) if pi[a] == 1]
-    kord = len(kernel)
+    kord = pi.count(1)
     _require(n % kord == 0, f"kernel size {kord} does not divide {n}")
     step = n // kord
+    # kord points have pi = 1 and there are kord multiples of step, so the
+    # kernel is the subgroup of order kord iff pi is 1 on every multiple
+    _require(pi[::step] == (1,) * kord, "kernel is not the subgroup of its order")
     _require(
-        all(a % step == 0 for a in kernel),
-        "kernel is not the subgroup of its order",
-    )
-    _require(
-        all(images[a] % step == 0 for a in kernel),
+        sorted(images[::step]) == list(range(0, n, step)),
         "kernel is not preserved by the morphism",
     )
 
@@ -261,7 +265,8 @@ def _finish(
 
     automorphism = kord == n
     _require(gcd(order, n) != 1 or automorphism, "order coprime to n forces an automorphism")
-    coset_preserving = all(pi[images[a]] == pi[a] for a in range(n))
+    # pi o f, as one gather (map, since itemgetter of one index returns a bare item)
+    coset_preserving = tuple(map(pi.__getitem__, images)) == pi
 
     if order == 1:
         periodicity = 1
@@ -273,9 +278,8 @@ def _finish(
             p1 += 1
         _require(p1 < order, "periodicity must be below the order")
         # ... which must already work for every element
-        fp = iterate(p1)
         _require(
-            all(pi[fp[a]] == pi[a] for a in range(n)),
+            itemgetter(*iterate(p1))(pi) == pi,
             "periodicity of the generator differs from global periodicity",
         )
         periodicity = p1
@@ -294,14 +298,22 @@ def _finish(
 
 
 def automorphism_of(n: int, s: int) -> SkewMorphism:
-    """The automorphism a -> s*a of Z_n, for s a unit mod n."""
+    """The automorphism a -> s*a of Z_n, for s a unit mod n, in closed form:
+    pi is 1 everywhere, the order is that of s mod n, the periodicity 1."""
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
     if gcd(s, n) != 1:
         raise ValueError(f"{s} is not a unit mod {n}")
-    phi = verify(n, tuple(s * a % n for a in range(n)))
-    _require(phi.automorphism, "multiplication by a unit must be an automorphism")
-    return phi
+    return SkewMorphism(
+        n=n,
+        images=tuple(s * a % n for a in range(n)),
+        pi=(1,) * n,
+        order=mult_order(s, n),
+        kernel_order=n,
+        periodicity=1,
+        coset_preserving=True,
+        automorphism=True,
+    )
 
 
 def power(phi: SkewMorphism, e: int) -> tuple[int, ...]:
@@ -345,11 +357,43 @@ def induced_on_quotient(phi: SkewMorphism, n_order: int) -> SkewMorphism:
     return verify(q, images_bar)
 
 
-def conjugate_images(phi: SkewMorphism, t: int) -> tuple[int, ...]:
-    """Images of a -> t * f(t^{-1} a), without verification."""
-    n = phi.n
-    tinv = pow(t, -1, n)
-    return tuple(t * phi.images[tinv * a % n] % n for a in range(n))
+@lru_cache(maxsize=1)
+def _unit_gathers(n: int) -> list[tuple[tuple[int, ...], itemgetter]]:
+    """For each unit t of Z_n, n >= 2: the images of a -> t*a, and the gather
+    that reads any tuple x at the points t^{-1}*a, giving (x[t^{-1} a])_a."""
+    times = {t: tuple(t * a % n for a in range(n)) for t in units(n)}
+    return [(times[t], itemgetter(*times[pow(t, -1, n)])) for t in times]
+
+
+def conjugates(phi: SkewMorphism) -> dict[tuple[int, ...], SkewMorphism]:
+    """Every conjugate of phi under Aut(Z_n), keyed by image tuple.
+
+    Theorem: for a unit t of Z_n, g(a) = t*f(t^{-1} a) is again a skew
+    morphism, with power function pi_g(a) = pi(t^{-1} a).  Indeed
+    g^i(x) = t*f^i(t^{-1} x), so
+    g(a + x) = t*f(t^{-1}a) + t*f^{pi(t^{-1}a)}(t^{-1}x) = g(a) + g^{pi(t^{-1}a)}(x).
+    Conjugation keeps the order, and it maps the kernel onto t*kernel, of
+    the same order, and kernel cosets onto kernel cosets, so the kernel
+    order, the periodicity and both flags are unchanged.  The values are
+    therefore built, not verified: two gathers give g, one gives pi_g.
+    """
+    if phi.n == 1:
+        return {phi.images: phi}
+    orbit: dict[tuple[int, ...], SkewMorphism] = {}
+    for times_t, at_tinv in _unit_gathers(phi.n):
+        images = itemgetter(*at_tinv(phi.images))(times_t)
+        if images not in orbit:
+            orbit[images] = SkewMorphism(
+                n=phi.n,
+                images=images,
+                pi=at_tinv(phi.pi),
+                order=phi.order,
+                kernel_order=phi.kernel_order,
+                periodicity=phi.periodicity,
+                coset_preserving=phi.coset_preserving,
+                automorphism=phi.automorphism,
+            )
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -361,18 +405,27 @@ class EquivalenceClass:
 
 
 def equivalence_classes(morphisms: list[SkewMorphism]) -> list[EquivalenceClass]:
-    """Partition into conjugation orbits, sorted by canonical representative."""
+    """Partition into conjugation orbits, sorted by canonical representative.
+
+    Each orbit is built once by `conjugates`, from the least listed
+    morphism not yet placed, and every listed morphism in it joins that
+    class.  The representative is the least image tuple of the whole
+    orbit, which a list not closed under conjugation may lack; members are
+    the listed morphisms of the orbit, sorted by images, repeats kept.
+    """
     if not morphisms:
         return []
     n = morphisms[0].n
     if any(phi.n != n for phi in morphisms):
         raise ValueError("all morphisms must act on the same group")
-    us = units(n) or [1]
-    buckets: dict[tuple[int, ...], list[SkewMorphism]] = {}
-    for phi in morphisms:
-        canon = min(conjugate_images(phi, t) for t in us)
-        buckets.setdefault(canon, []).append(phi)
-    return [
-        EquivalenceClass(rep, tuple(sorted(members, key=lambda m: m.images)))
-        for rep, members in sorted(buckets.items())
-    ]
+    unplaced: dict[tuple[int, ...], list[SkewMorphism]] = {}
+    for phi in sorted(morphisms, key=lambda m: m.images):
+        unplaced.setdefault(phi.images, []).append(phi)
+    classes = []
+    for least in list(unplaced):
+        if least not in unplaced:
+            continue  # placed with an earlier orbit
+        orbit = conjugates(unplaced[least][0])
+        members = [phi for key in sorted(orbit) if key in unplaced for phi in unplaced.pop(key)]
+        classes.append(EquivalenceClass(min(orbit), tuple(members)))
+    return sorted(classes, key=lambda c: c.representative)

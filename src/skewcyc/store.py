@@ -2,9 +2,25 @@
 
 One file per group order, `census_<n>.jsonl`, one morphism per line
 with a fixed key order, entries sorted by image sequence.  Output is
-byte-deterministic so census files can be diffed across runs.  Loading
-re-verifies every permutation and every stored attribute; a tampered
-file fails loudly rather than poisoning downstream checks.
+byte-deterministic so census files can be diffed across runs.
+
+Loading re-checks every line and every stored attribute, without a full
+`verify` of each.  The census is closed under conjugation by Aut(Z_n),
+and classes are numbered in the order of their least members, so the
+first line of each class id is the least member of its class:
+- the lines must be strictly ascending;
+- the automorphisms a -> s*a are checked against their closed form and
+  must carry class id -1;
+- the first line of each new class id (0, 1, 2, ... in that order) goes
+  through `verify`, and `conjugates` builds its conjugation orbit;
+- every later line of that id must be a member of the orbit, with the
+  stored attributes the orbit carries; a line that is not goes through
+  `verify`, so a line that is no skew morphism reports its witness;
+- each class must list its whole orbit, so its first line is the least
+  member of the orbit, and the file must hold all phi(n) automorphisms.
+A tampered file fails loudly, naming the file and line, rather than
+poisoning downstream checks.  The format records no class count, so a
+file that drops every line of its last class still loads.
 """
 
 from __future__ import annotations
@@ -13,11 +29,12 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 
 from .cyclic_arith import euler_phi
-from .enumeration import CensusRecord
-from .skew_core import SkewMorphism, SkewMorphismError, verify
+from .enumeration import CensusRecord, automorphisms
+from .skew_core import SkewMorphism, SkewMorphismError, conjugates, verify
 
 SCHEMA_VERSION = 1
 ENV_STORE_DIR = "SKEWCYC_STORE"
@@ -40,7 +57,19 @@ class VerificationFailedOnLoadError(StoreError):
 
 
 class IncompleteCensusError(StoreError):
-    """A census file lacks some of its automorphisms: it was cut short."""
+    """A census file lacks some of its members: it was cut short or edited."""
+
+
+class UnsortedCensusError(StoreError):
+    """Census lines are not in ascending image order."""
+
+
+class DuplicateEntryError(StoreError):
+    """A census file lists one morphism twice."""
+
+
+class ClassIdError(StoreError):
+    """A stored class id does not match the conjugation orbits."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +128,8 @@ class StoreEntry:
             raise SchemaMismatchError(
                 f"schema_version {raw.get('schema_version')!r} != {SCHEMA_VERSION}"
             )
+        if not isinstance(raw.get("class_id"), int):
+            raise SchemaMismatchError(f"class_id {raw.get('class_id')!r} is not an integer")
         try:
             return cls(
                 n=raw["n"],
@@ -114,13 +145,8 @@ class StoreEntry:
             raise SchemaMismatchError(f"malformed store entry: {exc}") from exc
 
 
-def _reverify(entry: StoreEntry) -> SkewMorphism:
-    try:
-        phi = verify(entry.n, entry.images)
-    except SkewMorphismError as exc:
-        raise VerificationFailedOnLoadError(
-            f"stored images {entry.images} are not a skew morphism: {exc}"
-        ) from exc
+def _check_stored(entry: StoreEntry, phi: SkewMorphism, where: str) -> SkewMorphism:
+    """phi, once the attributes stored on the line are found equal to its own."""
     mismatches = [
         name
         for name, stored, actual in [
@@ -134,18 +160,27 @@ def _reverify(entry: StoreEntry) -> SkewMorphism:
     ]
     if mismatches:
         raise VerificationFailedOnLoadError(
-            f"stored metadata disagrees with recomputation for {entry.images}: "
-            + ", ".join(mismatches)
+            f"{where}: stored metadata disagrees with recomputation: " + ", ".join(mismatches)
         )
     return phi
+
+
+def _reverify(entry: StoreEntry, where: str) -> SkewMorphism:
+    try:
+        return verify(entry.n, entry.images)
+    except SkewMorphismError as exc:
+        raise VerificationFailedOnLoadError(
+            f"{where}: stored images are not a skew morphism: {exc}"
+        ) from exc
 
 
 class Store:
     """Directory-backed census store with an in-memory cache.
 
     Records are written atomically through a unique temp file, so
-    concurrent writers of one order never share it; readers re-verify
-    on first load and are served from the cache afterwards.
+    concurrent writers of one order never share it; readers check every
+    line on first load (see the module docstring) and are served from the
+    cache afterwards.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -185,23 +220,59 @@ class Store:
         path = self.path_for(n)
         if not path.exists():
             raise NotComputedError(f"no census stored for n={n} in {self.directory}")
-        entries = []
+        lines = []
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                entries.append(StoreEntry.from_json(line))
+                entry = StoreEntry.from_json(line)
             except SchemaMismatchError as exc:
-                raise SchemaMismatchError(f"{path}:{lineno}: {exc}") from exc
+                raise SchemaMismatchError(f"{where}: {exc}") from exc
+            if entry.n != n:
+                raise SchemaMismatchError(f"{where}: entry for n={entry.n} in file for n={n}")
+            try:
+                images = tuple(map(index, entry.images))  # as `verify` reads them
+            except TypeError:
+                raise VerificationFailedOnLoadError(
+                    f"{where}: stored images are not a skew morphism: not all integers"
+                ) from None
+            if lines and images <= lines[-1][2]:
+                if images == lines[-1][2]:
+                    raise DuplicateEntryError(f"{where}: repeats the line before")
+                raise UnsortedCensusError(f"{where}: sorts before the line before")
+            lines.append((where, entry, images))
+
+        autos = {phi.images: phi for phi in automorphisms(n)}
+        orbits: list[dict[tuple[int, ...], SkewMorphism]] = []  # unseen members
+        opened_at: list[str] = []
         morphisms = []
         class_ids = []
-        for entry in entries:
-            if entry.n != n:
-                raise SchemaMismatchError(f"entry for n={entry.n} in file for n={n}")
-            morphisms.append(_reverify(entry))
-            class_ids.append(entry.class_id)
-        # CensusRecord's own postconditions catch unsorted/duplicated/misaligned data;
-        # full class-id recomputation is left to the invariant suite.
+        for where, entry, images in lines:
+            cid = entry.class_id
+            phi = autos.get(images)
+            if phi is not None:
+                if cid != -1:
+                    raise ClassIdError(f"{where}: automorphism with class_id {cid}, not -1")
+            elif cid == len(orbits):  # the first line of a new class
+                # every other member must follow under this id, so once the
+                # class is complete this line is the least member of its orbit
+                orbit = conjugates(_reverify(entry, where))
+                phi = orbit.pop(images)
+                orbits.append(orbit)
+                opened_at.append(where)
+            else:
+                phi = orbits[cid].pop(images, None) if 0 <= cid < len(orbits) else None
+                if phi is None:
+                    _reverify(entry, where)  # a line that is no skew morphism keeps its witness
+                    raise ClassIdError(f"{where}: not a member of class {cid}")
+            morphisms.append(_check_stored(entry, phi, where))
+            class_ids.append(cid)
+        for cid, orbit in enumerate(orbits):
+            if orbit:
+                raise IncompleteCensusError(
+                    f"{opened_at[cid]}: class {cid} lacks {len(orbit)} of its conjugates"
+                )
         record = CensusRecord(n=n, morphisms=tuple(morphisms), class_ids=tuple(class_ids))
         # a census holds all phi(n) automorphisms and its last line is x -> -x,
         # so a file cut at a line boundary is short of at least one

@@ -113,3 +113,24 @@ def naive_group_axioms(images, pi) -> set[str]:
     ):
         failed.add("associativity")
     return failed
+
+
+def naive_conjugate(images, t: int) -> tuple[int, ...]:
+    """Images of a -> t * f(t^{-1} a) for a unit t mod n."""
+    n = len(images)
+    tinv = pow(t, -1, n)
+    return tuple(t * images[tinv * a % n] % n for a in range(n))
+
+
+def naive_classes(morphisms) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Conjugation classes as (representative, sorted member images), sorted.
+
+    Every morphism is keyed by the least image tuple among all of its
+    conjugates by units; members with the same key form one class.
+    """
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for phi in morphisms:
+        n = len(phi.images)
+        key = min(naive_conjugate(phi.images, t) for t in naive_units(n) or [1])
+        buckets.setdefault(key, []).append(phi.images)
+    return [(key, sorted(members)) for key, members in sorted(buckets.items())]

@@ -25,6 +25,8 @@ from skewcyc.skew_core import (
 )
 from skewcyc.store import Store
 
+from naive import naive_classes
+
 MAX_N = 105
 # sha256 of every census file 2..161, pinned by the census benchmark
 PINNED_DIGESTS = json.loads(
@@ -198,3 +200,24 @@ def test_census_files_match_pinned_digests(census_store, capsys):
     assert differing == [], f"census files differ from the pinned digests: {differing}"
     with capsys.disabled():
         _pass(8, f"census files 2..{MAX_N} byte-identical to the pinned digests")
+
+
+def test_loaded_entries_match_verify_and_naive_classes(census_store, capsys):
+    store, _ = census_store
+    cold = Store(store.directory)  # the fixture's store may already hold records
+    checked = 0
+    for n in range(2, MAX_N + 1):
+        record = cold.load(n)
+        for phi in record.morphisms:
+            assert phi == verify(n, phi.images), f"n={n}: loaded values differ from verify"
+        proper = record.proper()
+        id_of = {
+            images: cid
+            for cid, (_rep, members) in enumerate(naive_classes(proper))
+            for images in members
+        }
+        expected = tuple(id_of.get(phi.images, -1) for phi in record.morphisms)
+        assert record.class_ids == expected, f"n={n}: class ids differ from naive_classes"
+        checked += record.total
+    with capsys.disabled():
+        _pass(9, f"{checked} loaded entries of 2..{MAX_N} equal verify and naive_classes")

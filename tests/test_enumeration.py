@@ -38,6 +38,14 @@ class TestAutomorphisms:
         for phi in automorphisms(20):
             assert phi.automorphism and set(phi.pi) == {1}
 
+    def test_closed_form_equals_verify(self):
+        for n in range(1, 61):
+            expected = sorted(
+                (verify(n, tuple(s * x % n for x in range(n))) for s in units(n) or [1]),
+                key=lambda phi: phi.images,
+            )
+            assert automorphisms(n) == expected
+
 
 class TestEnumerateCosetPreserving:
     def test_c6(self):

@@ -15,7 +15,7 @@ from skewcyc.skew_core import (
     NotPermutationError,
     NotPreservedError,
     automorphism_of,
-    conjugate_images,
+    conjugates,
     equivalence_classes,
     induced_on_quotient,
     power,
@@ -23,9 +23,23 @@ from skewcyc.skew_core import (
 )
 from skewcyc.store import MemoryStore
 
-from naive import naive_is_skew, naive_order, naive_pi, naive_witness
+from naive import (
+    naive_classes,
+    naive_conjugate,
+    naive_is_skew,
+    naive_order,
+    naive_pi,
+    naive_units,
+    naive_witness,
+)
 
 PHI6 = (0, 3, 2, 5, 4, 1)  # the canonical proper skew morphism of Z_6
+
+
+@pytest.fixture(scope="module")
+def proper_up_to_60():
+    store = MemoryStore()
+    return {n: census(n, store).proper() for n in range(2, 61)}
 
 
 @pytest.fixture(scope="module")
@@ -241,27 +255,33 @@ class TestRestrictToKernel:
 
 
 class TestConjugate:
-    @staticmethod
-    def conjugate(phi, t):
-        return verify(phi.n, conjugate_images(phi, t))
-
     def test_conjugate_by_one_is_identity_action(self):
         phi = verify(6, PHI6)
-        assert self.conjugate(phi, 1).images == phi.images
+        assert conjugates(phi)[phi.images] == phi
 
     def test_conjugate_example(self):
         # value confirmed by direct computation + naive oracle
         assert naive_pi(6, (0, 5, 2, 1, 4, 3)) is not None
-        assert self.conjugate(verify(6, PHI6), 5).images == (0, 5, 2, 1, 4, 3)
+        orbit = conjugates(verify(6, PHI6))
+        assert orbit[(0, 5, 2, 1, 4, 3)] == verify(6, (0, 5, 2, 1, 4, 3))
 
     def test_automorphisms_are_fixed(self):
         phi = automorphism_of(12, 5)
-        for t in (1, 5, 7, 11):
-            assert self.conjugate(phi, t).images == phi.images
+        assert conjugates(phi) == {phi.images: phi}
 
     def test_rejects_non_unit(self):
+        # the orbit is taken over the units 1, 5 of Z_6 only; 3 is no automorphism
+        assert list(conjugates(verify(6, PHI6))) == [PHI6, (0, 5, 2, 1, 4, 3)]
         with pytest.raises(ValueError):
-            conjugate_images(verify(6, PHI6), 3)
+            automorphism_of(6, 3)
+
+    def test_values_equal_verify(self, census_up_to_30):
+        for phi in census_up_to_30:
+            orbit = conjugates(phi)
+            assert phi.images in orbit
+            assert set(orbit) == {naive_conjugate(phi.images, t) for t in naive_units(phi.n) or [1]}
+            for images, value in orbit.items():
+                assert value == verify(phi.n, images)
 
 
 class TestEquivalenceClasses:
@@ -280,6 +300,28 @@ class TestEquivalenceClasses:
 
     def test_empty(self):
         assert equivalence_classes([]) == []
+
+    @staticmethod
+    def as_images(classes):
+        return [(c.representative, [m.images for m in c.members]) for c in classes]
+
+    def test_matches_naive_classes_up_to_60(self, proper_up_to_60):
+        for proper in proper_up_to_60.values():
+            assert self.as_images(equivalence_classes(proper)) == naive_classes(proper)
+
+    def test_matches_naive_classes_on_non_closed_lists(self, proper_up_to_60):
+        for n in (9, 16, 18, 25, 27, 32, 49, 54):
+            proper = proper_up_to_60[n]
+            for subset in (proper[::2], proper[1::3], proper[-1:], proper[:5] + proper[:2]):
+                got = self.as_images(equivalence_classes(subset))
+                assert got == naive_classes(subset)
+            # a subset that lacks a representative still names it
+            first = equivalence_classes(proper)[0]
+            rest = list(first.members[1:])
+            if rest:
+                (cls,) = equivalence_classes(rest)
+                assert cls.representative == first.representative
+                assert cls.members == tuple(rest)
 
 
 class TestStructuralInvariants:

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import skewcyc.store
 from skewcyc import cli
 from skewcyc.enumeration import census
+from skewcyc.skew_core import verify
 from skewcyc.store import (
     IncompleteCensusError,
     MemoryStore,
@@ -119,6 +121,27 @@ class TestStore:
             entry = StoreEntry.from_morphism(phi, cid)
             assert StoreEntry.from_json(entry.to_json()) == entry
 
+    def test_loaded_values_equal_verify_up_to_60(self, store, monkeypatch):
+        memory = MemoryStore()
+        for n in range(2, 61):
+            store.save(census(n, memory))
+        calls = []
+
+        def counting_verify(n, images):
+            calls.append(n)
+            return verify(n, images)
+
+        monkeypatch.setattr(skewcyc.store, "verify", counting_verify)
+        cold = Store(store.directory)
+        loaded = [cold.load(n) for n in range(2, 61)]
+        # only the least member of each class went through verify ...
+        assert len(calls) == sum(record.class_count for record in loaded)
+        # ... and every value built by closed form or by conjugation is verify's
+        for record in loaded:
+            assert record == memory.load(record.n)
+            for phi in record.morphisms:
+                assert phi == verify(record.n, phi.images)
+
 
 class TestEmitTable:
     def test_rows(self, store):
@@ -137,6 +160,53 @@ class TestEmitTable:
     def test_missing_range_raises(self, store):
         with pytest.raises(NotComputedError):
             emit_table(2, 4, store)
+
+
+def _edit_lines(text: str, edit) -> str:
+    lines = text.splitlines(True)
+    edit(lines)
+    return "".join(lines)
+
+
+def _edit_entry(text: str, index: int, key: str, value) -> str:
+    lines = text.splitlines()
+    entry = json.loads(lines[index])
+    entry[key] = value
+    lines[index] = json.dumps(entry, separators=(",", ":"))
+    return "\n".join(lines) + "\n"
+
+
+def _members(entries: list[dict]) -> list[int]:
+    """Indices of the proper lines that are not the first of their class."""
+    seen: set[int] = set()
+    out = []
+    for i, entry in enumerate(entries):
+        if entry["class_id"] in seen:
+            out.append(i)
+        seen.add(entry["class_id"])
+    return out
+
+
+def _set(entries: list[dict], i: int, class_id=None, pi_bump=None, float_image=None) -> None:
+    entry = entries[i]
+    if class_id is not None:
+        entry["class_id"] = class_id
+    if pi_bump is not None:
+        entry["pi"][pi_bump] += 1
+    if float_image is not None:
+        entry["images"][float_image] = float(entry["images"][float_image])
+
+
+def _replace_by_other_class(entries: list[dict]) -> None:
+    """Overwrite a member line with the next line, a member of another class,
+    keeping its class id; drop that next line, so the file stays sorted."""
+    members = _members(entries)
+    i = next(
+        i
+        for i in members
+        if i + 1 in members and entries[i + 1]["class_id"] != entries[i]["class_id"]
+    )
+    entries[i] = dict(entries.pop(i + 1), class_id=entries[i]["class_id"])
 
 
 class TestCli:
@@ -190,8 +260,21 @@ class TestCli:
             lambda text: "5\n" + text,
             lambda text: "".join(text.splitlines(True)[:6]),
             lambda text: "".join(text.splitlines(True)[:-1]),
+            lambda text: _edit_lines(text, lambda lines: lines.insert(3, lines.pop(4))),
+            lambda text: _edit_lines(text, lambda lines: lines.insert(3, lines[3])),
+            lambda text: _edit_entry(text, 1, "class_id", 0),
+            lambda text: _edit_entry(text, 1, "class_id", "-1"),
         ],
-        ids=["truncated", "not-an-object", "halved", "last-line-removed"],
+        ids=[
+            "truncated",
+            "not-an-object",
+            "halved",
+            "last-line-removed",
+            "lines-swapped",
+            "duplicate-line",
+            "automorphism-with-class-id",
+            "class-id-not-an-integer",
+        ],
     )
     def test_show_reports_malformed_store_line(self, tmp_path, capsys, damage):
         store_dir = tmp_path / "s"
@@ -205,6 +288,44 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "census_13.jsonl:" in lines[0]
+
+    @pytest.mark.parametrize(
+        "damage, expect",
+        [
+            (lambda lines: _set(lines, _members(lines)[0], class_id=1), ":5: not a member"),
+            (lambda lines: _set(lines, 1, class_id=1), ":2: not a member"),
+            (_replace_by_other_class, ":5: not a member"),
+            (lambda lines: _set(lines, _members(lines)[0], pi_bump=1), ":5: stored metadata"),
+            (lambda lines: lines.pop(_members(lines)[0]), ":2: class 0 lacks 1"),
+            (lambda lines: lines.pop(1), ":2: not a member of class 1"),
+            (lambda lines: _set(lines, 6, float_image=2), ":7: stored images are not"),
+            (lambda lines: _set(lines, _members(lines)[0], float_image=2), ":5: stored images"),
+        ],
+        ids=[
+            "wrong-class-id",
+            "class-ids-out-of-order",
+            "member-replaced-by-other-class",
+            "tampered-pi-on-member",
+            "proper-line-deleted",
+            "least-member-deleted",
+            "float-image-in-automorphism",
+            "float-image-in-member",
+        ],
+    )
+    def test_class_damage_fails_on_load(self, tmp_path, capsys, damage, expect):
+        store_dir = tmp_path / "s"
+        assert cli.main(["census", "--max", "18", "--store", str(store_dir)]) == 0
+        path = store_dir / "census_18.jsonl"
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        damage(lines)
+        path.write_text("".join(json.dumps(e, separators=(",", ":")) + "\n" for e in lines))
+        capsys.readouterr()
+        assert cli.main(["show", "--n", "18", "--store", str(store_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "census_18.jsonl" + expect in lines[0]
 
     @pytest.mark.parametrize(
         "argv, expect",
