@@ -128,7 +128,7 @@ class StoreEntry:
             raise SchemaMismatchError(
                 f"schema_version {raw.get('schema_version')!r} != {SCHEMA_VERSION}"
             )
-        if not isinstance(raw.get("class_id"), int):
+        if type(raw.get("class_id")) is not int:  # JSON true/false load as bool, an int subclass
             raise SchemaMismatchError(f"class_id {raw.get('class_id')!r} is not an integer")
         try:
             return cls(

@@ -300,6 +300,7 @@ class TestCli:
             (lambda lines: lines.pop(1), ":2: not a member of class 1"),
             (lambda lines: _set(lines, 6, float_image=2), ":7: stored images are not"),
             (lambda lines: _set(lines, _members(lines)[0], float_image=2), ":5: stored images"),
+            (lambda lines: _set(lines, 1, class_id=False), ":2: class_id False is not an integer"),
         ],
         ids=[
             "wrong-class-id",
@@ -310,6 +311,7 @@ class TestCli:
             "least-member-deleted",
             "float-image-in-automorphism",
             "float-image-in-member",
+            "class-id-is-a-bool",
         ],
     )
     def test_class_damage_fails_on_load(self, tmp_path, capsys, damage, expect):
