@@ -9,10 +9,12 @@ Strategy, for each n (recursively over smaller orders):
    kernel of order n/r (so r | n) and its generator orbit lies inside
    the coset 1 + K (so m <= n/r).  The search runs over the remaining
    degrees of freedom: the kernel action u (an automorphism of K) and
-   v = f(1).  The orbit of 1 then obeys the affine recurrence
-   o_{e+1} = u*(o_e - 1) + v, and f itself is recovered as the partial
-   sums f(k) = sum_{i<k} o_{s^i mod m}; every candidate is accepted
-   only after full verification plus order, orbit and quotient checks.
+   v = f(1) = 1 + w*r.  The orbit of 1 is o_k = 1 + r*(w*S_k mod n/r)
+   with S_k = 1 + u + ... + u^(k-1), so the pairs (u, w) whose orbit has
+   period m are picked out by divisibility alone; f itself is recovered
+   as the partial sums f(k) = sum_{i<k} o_{s^i mod m}, and every candidate
+   is accepted only after full verification plus order, orbit and
+   quotient checks.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -25,14 +27,15 @@ Strategy, for each n (recursively over smaller orders):
 
 Candidate filtering before full verification exploits the period-r
 structure of the partial sums: with T the sum over one period, the
-candidate is a bijection iff gcd(T, n) equals the kernel index, and
-the whole orbit of 1 can be walked with O(1) evaluations.  The lift
-runs these checks on all seed combinations of a stepper at once
-(`_batched_seed_survivors`).  Its prefix sums are separable, one
-table of partial sums per thread, and every orbit value has a residue
-mod R = ord(rho) that no seed choice changes (psi fixes residues,
-each seed pool is one coset, R divides T), so each walk step reads
-one prefix column for all combinations.
+candidate is a bijection iff gcd(T, n) equals the kernel index, and the
+whole orbit of 1 can be walked with O(1) evaluations.  The base search
+compares that walk, step by step, with the closed-form orbit its
+candidate was built from.  The lift runs these checks on all seed
+combinations of a stepper at once (`_batched_seed_survivors`).  Its
+prefix sums are separable, one table of partial sums per thread, and
+every orbit value has a residue mod R = ord(rho) that no seed choice
+changes (psi fixes residues, each seed pool is one coset, R divides T),
+so each walk step reads one prefix column for all combinations.
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -48,7 +51,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclic_arith import euler_phi, mult_order, units
+from .cyclic_arith import euler_phi, factorize, mult_order, units
 from .quotient import quotient_of
 from .skew_core import (
     SkewMorphism,
@@ -154,31 +157,34 @@ def _candidate_orders(n: int) -> list[int]:
 
 
 def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
-    """All coset-preserving morphisms of Z_n with order m and quotient alpha_s."""
+    """All coset-preserving morphisms of Z_n with order m and quotient alpha_s.
+
+    Such an f has kernel order kq = n/r, r = ord_m(s); left free are its
+    kernel action u (a unit of kq) and f(1) = 1 + w*r, 0 <= w < kq.  With
+    x = 1 + r*z the orbit of 1 under x -> u*(x-1) + f(1) becomes
+    z -> u*z + w on Z_kq, so z_k = w*S_k, S_k = 1 + u + ... + u^(k-1) (mod kq),
+    and z_k = 0 exactly when d_k = kq/gcd(S_k, kq) divides w.  Those k are
+    the multiples of the period, so the period is m exactly when d_m | w
+    and no d_(m/q) | w for a prime q | m.  Each d_(m/q) is a multiple of
+    d_m, so a u with d_(m/q) = d_m has no such w.  Only period-m pairs reach
+    `_realize_candidate`, in (u, w) order; no orbit is walked.
+    """
     r = mult_order(s, m)
-    if r < 2 or n % r != 0 or m * r > n:
-        return []
+    _require(r >= 2 and n % r == 0, "alpha_s must be proper, and the closed form needs r | n")
     exps = [pow(s, i, m) for i in range(r)]  # one period of partial-sum exponents
     kq = n // r  # kernel order
     seen: set[tuple[int, ...]] = set()
     out: list[SkewMorphism] = []
     for u in units(kq):
-        for w in range(kq):
-            v = (1 + w * r) % n
-            # orbit of 1 under x -> u*(x-1) + v must have period exactly m
-            orb = [1]
-            x = 1
-            period = 0
-            for step in range(1, m + 1):
-                x = (u * (x - 1) + v) % n
-                if x == 1:
-                    period = step
-                    break
-                if step < m:
-                    orb.append(x)
-            if period != m:
+        sums = list(accumulate(range(m), lambda acc, _: (u * acc + 1) % kq, initial=0))
+        d_m = kq // gcd(sums[m], kq)
+        d_mq = [kq // gcd(sums[m // q], kq) for q in factorize(m)]
+        if d_m in d_mq:  # each d_(m/q) is a multiple of d_m
+            continue
+        for w in range(0, kq, d_m):
+            if any(w % d == 0 for d in d_mq):
                 continue
-            sk = _realize_candidate(n, m, r, [orb[e] for e in exps], orb)
+            sk = _realize_candidate(n, m, r, exps, w, sums)
             if sk is None or sk.images in seen:
                 continue
             if quotient_of(sk).images != tuple(s * k % m for k in range(m)):
@@ -189,15 +195,16 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
 
 
 def _realize_candidate(
-    n: int, m: int, r: int, period_terms: list[int], orb: list[int]
+    n: int, m: int, r: int, exps: list[int], w: int, sums: list[int]
 ) -> SkewMorphism | None:
-    """Build f from one period of orbit-value terms and check it realises orb.
+    """Build f from the closed-form orbit x_k = 1 + r*(w*S_k mod n/r) of 1.
 
-    period_terms[i] is the orbit value consumed at step i.  The orbit
-    of 1 must replay `orb` and first return to 1 at step m.  Survivors
-    get the full verification.
+    The period terms are the orbit values at `exps`.  The orbit of 1
+    under f must replay x_1, ..., x_m (x_m = 1); survivors get the full
+    verification.
     """
-    period = _period_sums(n, r, period_terms)
+    kq = n // r
+    period = _period_sums(n, r, [1 + r * (w * sums[e] % kq) for e in exps])
     if period is None:
         return None
     prefix, total = period
@@ -205,10 +212,7 @@ def _realize_candidate(
     x = 1
     for step in range(1, m + 1):
         x = (prefix[x % r] + (x // r) * total) % n
-        if step < m:
-            if x != orb[step]:
-                return None
-        elif x != 1:
+        if x != 1 + r * (w * sums[step] % kq):
             return None
     return _verified_of_order(n, m, r, prefix, total)
 

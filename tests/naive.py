@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from math import gcd
 
+from skewcyc.cyclic_arith import mult_order, units
+from skewcyc.quotient import quotient_of
+from skewcyc.skew_core import SkewMorphismError, verify
+
 
 def perm_powers(images: list[int] | tuple[int, ...]) -> list[list[int]]:
     """All distinct iterates f^0, f^1, ... until the identity recurs."""
@@ -134,3 +138,47 @@ def naive_classes(morphisms) -> list[tuple[tuple[int, ...], list[tuple[int, ...]
         key = min(naive_conjugate(phi.images, t) for t in naive_units(n) or [1])
         buckets.setdefault(key, []).append(phi.images)
     return [(key, sorted(members)) for key, members in sorted(buckets.items())]
+
+
+def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]], int]:
+    """Coset-preserving morphisms of order m and quotient alpha_s, by orbit walks.
+
+    For every kernel action u (a unit of kq = n/r, r = ord_m(s)) and every
+    w in [0, kq), the orbit of 1 under x -> u*(x-1) + 1 + w*r is walked step
+    by step.  Each orbit of period exactly m gives the candidate
+    f(k) = sum_{i<k} orb[s^i mod m], kept if its own orbit of 1 is orb, it
+    passes the library's `verify` with order m and quotient alpha_s, and it
+    is new.  Returns the kept image tuples in (u, w) order and the number of
+    period-m orbits.
+    """
+    r = mult_order(s, m)
+    kq = n // r
+    quotient = tuple(s * k % m for k in range(m))
+    out: list[tuple[int, ...]] = []
+    period_m = 0
+    for u in units(kq):
+        for w in range(kq):
+            orb = [1]
+            x = (1 + w * r) % n
+            while x != 1 and len(orb) <= m:
+                orb.append(x)
+                x = (u * (x - 1) + 1 + w * r) % n
+            if len(orb) != m:
+                continue
+            period_m += 1
+            images, acc = [], 0
+            for k in range(n):
+                images.append(acc % n)
+                acc += orb[pow(s, k, m)]
+            walk = [1]
+            while len(walk) < m:
+                walk.append(images[walk[-1]])
+            if walk != orb or images[walk[-1]] != 1:
+                continue
+            try:
+                sk = verify(n, tuple(images))
+            except SkewMorphismError:
+                continue
+            if sk.order == m and quotient_of(sk).images == quotient and sk.images not in out:
+                out.append(sk.images)
+    return out, period_m

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 import skewcyc.enumeration as enum
-from skewcyc.cyclic_arith import euler_phi, units
+from skewcyc.cyclic_arith import euler_phi, mult_order, units
 from skewcyc.enumeration import (
     CensusRecord,
     DuplicateFoundError,
@@ -18,6 +18,8 @@ from skewcyc.enumeration import (
 from skewcyc.quotient import quotient_of
 from skewcyc.skew_core import verify
 from skewcyc.store import MemoryStore
+
+from naive import naive_cp_base_search
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +262,75 @@ def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
         index = {combo: i for i, combo in enumerate(product(*args[6]))}
         spread = max(spread, len({index[combo] // 7 for combo in found}))
     assert spread > 1  # some call yields survivors from several chunks
+
+
+def test_cp_base_search_matches_orbit_walk(monkeypatch):
+    # the closed-form search against the step-by-step walk of every (u, w)
+    # pair: the same morphisms in the same order, and one acceptance call
+    # per pair whose orbit of 1 has period exactly m
+    calls = 0
+    realize = enum._realize_candidate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return realize(*args)
+
+    monkeypatch.setattr(enum, "_realize_candidate", counted)
+    tasks = found = rejected = 0
+    for n in range(2, 61):
+        for m, s in cp_search_tasks(n):
+            calls = 0
+            expected, period_m = naive_cp_base_search(n, m, s)
+            assert [sk.images for sk in enum._cp_base_search(n, m, s)] == expected, (n, m, s)
+            assert calls == period_m, (n, m, s)
+            tasks += 1
+            found += len(expected)
+            rejected += period_m - len(expected)
+    assert (tasks, found) == (326, 818)
+    assert rejected > 0
+
+
+def test_cp_order_bound_is_pruning_only(monkeypatch):
+    # m*r <= n only prunes: an orbit of an affine bijection of Z_(n/r) has
+    # at most n/r elements, so the tasks it drops find nothing
+    def tasks_without_order_bound(n):
+        return [
+            (m, s)
+            for m in enum._candidate_orders(n)
+            for s in units(m)
+            if s != 1 and n % mult_order(s, m) == 0
+        ]
+
+    orders = range(2, 49)
+    expected = {n: [sk.images for sk in enumerate_coset_preserving(n)] for n in orders}
+    monkeypatch.setattr(enum, "cp_search_tasks", tasks_without_order_bound)
+    assert sum(len(tasks_without_order_bound(n)) - len(cp_search_tasks(n)) for n in orders) > 0
+    assert {n: [sk.images for sk in enumerate_coset_preserving(n)] for n in orders} == expected
+
+
+def test_coset_fixing_stepper_filter_is_sound(monkeypatch):
+    # keep every stepper of order m/p, not only those fixing each residue
+    # mod ord(rho); the plain seed loop runs, since the batched pre-filter
+    # requires the residue property
+    orders = range(2, 49)
+
+    def run():
+        store = MemoryStore()
+        return {n: [phi.images for phi in census(n, store).morphisms] for n in orders}
+
+    expected = run()
+    extra = 0
+    filtered = enum.psi_candidates
+
+    def loose(rho, n, cp_list):
+        nonlocal extra
+        p = rho.n // rho.kernel_order
+        kept = [psi for psi in cp_list if psi.order == rho.n // p]
+        extra += len(kept) - len(filtered(rho, n, cp_list))
+        return kept
+
+    monkeypatch.setattr(enum, "psi_candidates", loose)
+    monkeypatch.setattr(enum, "_BATCH_MIN", float("inf"))
+    assert run() == expected
+    assert extra > 0
