@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import accumulate, permutations, product
 from math import gcd
@@ -167,7 +168,8 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
     the multiples of the period, so the period is m exactly when d_m | w
     and no d_(m/q) | w for a prime q | m.  Each d_(m/q) is a multiple of
     d_m, so a u with d_(m/q) = d_m has no such w.  Only period-m pairs reach
-    `_realize_candidate`, in (u, w) order; no orbit is walked.
+    `_realize_candidate`, in (u, w) order; no orbit is walked, and a
+    morphism already found in this task is not verified again.
     """
     r = mult_order(s, m)
     _require(r >= 2 and n % r == 0, "alpha_s must be proper, and the closed form needs r | n")
@@ -184,8 +186,8 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
         for w in range(0, kq, d_m):
             if any(w % d == 0 for d in d_mq):
                 continue
-            sk = _realize_candidate(n, m, r, exps, w, sums)
-            if sk is None or sk.images in seen:
+            sk = _realize_candidate(n, m, r, exps, w, sums, seen)
+            if sk is None:
                 continue
             if quotient_of(sk).images != tuple(s * k % m for k in range(m)):
                 continue
@@ -195,13 +197,13 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
 
 
 def _realize_candidate(
-    n: int, m: int, r: int, exps: list[int], w: int, sums: list[int]
+    n: int, m: int, r: int, exps: list[int], w: int, sums: list[int], seen: Set[tuple]
 ) -> SkewMorphism | None:
     """Build f from the closed-form orbit x_k = 1 + r*(w*S_k mod n/r) of 1.
 
     The period terms are the orbit values at `exps`.  The orbit of 1
-    under f must replay x_1, ..., x_m (x_m = 1); survivors get the full
-    verification.
+    under f must replay x_1, ..., x_m (x_m = 1); survivors not in `seen`
+    get the full verification.
     """
     kq = n // r
     period = _period_sums(n, r, [1 + r * (w * sums[e] % kq) for e in exps])
@@ -214,7 +216,7 @@ def _realize_candidate(
         x = (prefix[x % r] + (x // r) * total) % n
         if x != 1 + r * (w * sums[step] % kq):
             return None
-    return _verified_of_order(n, m, r, prefix, total)
+    return _verified_of_order(n, m, r, prefix, total, seen)
 
 
 def _period_sums(n: int, r: int, terms) -> tuple[list[int], int] | None:
@@ -233,10 +235,13 @@ def _period_sums(n: int, r: int, terms) -> tuple[list[int], int] | None:
 
 
 def _verified_of_order(
-    n: int, m: int, r: int, prefix: list[int], total: int
+    n: int, m: int, r: int, prefix: list[int], total: int, seen: Set[tuple] = frozenset()
 ) -> SkewMorphism | None:
-    """f from its period: fully verified and of order m, or None."""
+    """f from its period: fully verified and of order m, or None, also
+    for images in `seen`, which are not verified again."""
     images = tuple((prefix[k % r] + (k // r) * total) % n for k in range(n))
+    if images in seen:
+        return None
     try:
         sk = verify(n, images)
     except SkewMorphismError:

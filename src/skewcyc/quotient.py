@@ -11,11 +11,18 @@ The quotient classifies f: it is the identity exactly when f is an
 automorphism, and (for proper f) a non-trivial automorphism exactly
 when f is coset-preserving.  `check_quotient_laws` exposes the three
 compatibility laws between f and Q as a checkable report.
+
+Many morphisms share a quotient: the 24,385 skew morphisms of Z_n for
+n in 2..161 have 1,312 distinct quotients for the generator 1.  `verify`
+is a pure function of (m, images), so each distinct quotient is verified
+once per process, through an unbounded cache that the census bounds; the
+postconditions that relate f to its quotient still run on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .skew_core import (
@@ -53,7 +60,7 @@ def quotient_of(phi: SkewMorphism, g: int = 1) -> SkewMorphism:
         imgs.append(acc % m)
         acc += phi.pi[orbit[i]]
     try:
-        q = verify(m, tuple(imgs))
+        q = _verified_quotient(m, tuple(imgs))
     except SkewMorphismError as exc:  # pragma: no cover - guaranteed skew
         raise QuotientNotSkewError(f"quotient of {phi!r} failed verification: {exc}") from exc
 
@@ -67,18 +74,10 @@ def quotient_of(phi: SkewMorphism, g: int = 1) -> SkewMorphism:
     return q
 
 
-def barpi_index(phi: SkewMorphism, g: int, k: int) -> int:
-    """Coset index t with f^k(g) in K + t*g, i.e. f^k(g) * g^{-1} mod n/|K|."""
-    n = phi.n
-    if n > 1 and gcd(g, n) != 1:
-        raise ValueError(f"{g} is not a unit mod {n}")
-    r = n // phi.kernel_order
-    if r == 1:
-        return 0
-    x = g % n
-    for _ in range(k % phi.order):
-        x = phi.images[x]
-    return x * pow(g, -1, r) % r
+@cache
+def _verified_quotient(m: int, images: tuple[int, ...]) -> SkewMorphism:
+    """`verify(m, images)`, once per distinct quotient (a failure is not cached)."""
+    return verify(m, images)
 
 
 @dataclass
@@ -131,13 +130,17 @@ def check_quotient_laws(phi: SkewMorphism, g: int = 1) -> QuotientLawReport:
             f"law (b) fails: periodicity {phi.periodicity} != m/|ker Q| = {expect_p}"
         )
 
-    # (c): coset index of f^k(g) against pi_bar
+    # (c): the coset index t of x = f^k(g), x in K + t*g, is x * g^{-1} mod
+    # n/|K| = ord Q; walk x alongside k (for ord Q = 1 both sides are 0)
     r = q.order
-    for k in range(m):
-        want = q.pi[k] % r if r > 1 else 0
-        got = barpi_index(phi, g, k)
-        if got != want:
-            failures.append(f"law (c) fails at k={k}: coset index {got} != pi_bar {want}")
-            break
+    if r > 1:
+        g_inv = pow(g, -1, r)
+        x = g % n
+        for k in range(m):
+            got, want = x * g_inv % r, q.pi[k] % r
+            if got != want:
+                failures.append(f"law (c) fails at k={k}: coset index {got} != pi_bar {want}")
+                break
+            x = phi.images[x]
 
     return QuotientLawReport(n=n, generator_g=g, quotient=q, failures=failures)

@@ -147,12 +147,17 @@ def _check_permutation(n: int, images: tuple[int, ...]) -> None:
 
 
 def power_table(images: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
-    """The iterates f^0, ..., f^{count-1} as image tuples."""
+    """The iterates f^0, ..., f^{count-1} as image tuples.
+
+    f^(k+1) = f^k o f, so each row is one gather of the previous row at
+    the images (n < 2 has only the identity row, and itemgetter of one
+    index would return a bare item).
+    """
     n = len(images)
+    step = itemgetter(*images) if n >= 2 else tuple
     table = [tuple(range(n))]
     for _ in range(count - 1):
-        prev = table[-1]
-        table.append(tuple(images[x] for x in prev))
+        table.append(step(table[-1]))
     return table
 
 
@@ -322,11 +327,13 @@ def power(phi: SkewMorphism, e: int) -> tuple[int, ...]:
         raise ValueError(f"expected e >= 0, got {e}")
     e %= phi.order
     result = tuple(range(phi.n))
+    if phi.n < 2:  # only the identity; itemgetter of one index returns a bare item
+        return result
     base = phi.images
-    while e:
+    while e:  # square and multiply, each composition one gather: (g o h)(x) = g[h[x]]
         if e & 1:
-            result = tuple(base[x] for x in result)
-        base = tuple(base[x] for x in base)
+            result = itemgetter(*result)(base)
+        base = itemgetter(*base)(base)
         e >>= 1
     return result
 

@@ -12,10 +12,10 @@ which is forced by moving f^i past the translation by b one step at a
 time.  The pair model is an independent oracle: the group axioms and
 the normality/core computation are checked directly on pairs.
 
-Associativity is checked on every triple by Light's test (Clifford and
-Preston, *The Algebraic Theory of Semigroups* I, 1.2): the elements g
-with (xy)g = x(yg) for all x, y are closed under the product, so the
-law holds everywhere once it holds for each g of a generating set.
+Associativity is decided by Light's test (Clifford and Preston, *The
+Algebraic Theory of Semigroups* I, 1.2) cut to its j = 0 slice, plus one
+row of triples; `check_group` proves that the two, with the identity
+law, give every triple.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class GroupCheckReport:
 
     group_order: int
     associativity_mode: str  # always "full": every triple is covered
-    triples_checked: int
+    triples_checked: int  # 2|G|^2, the (x, y, g) of Light's test that the check decides
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -93,23 +93,45 @@ def check_group(phi: SkewMorphism) -> GroupCheckReport:
     """Check identity, inverses, and associativity on the pair model.
 
     Identity and inverses are whole-array comparisons over all |G|
-    elements.  Associativity is Light's test with the generators
-    (1, 0) and (0, 1), which covers all |G|^3 triples with 2|G|^2
-    products.  Those two generate the pairs only where the identity law
-    holds: it forces f^i(0) = 0 and s_i(0) = i, so that (a, 0) is a
-    product of copies of (1, 0) and (a, i) * (0, 1) = (a, i + 1).  The
-    test proves associativity only under that law, which is why
-    `passed` needs all three.
+    elements; the identity law forces f^i(0) = 0 and s_i(0) = i for i < m.
+    Associativity compares two families of triples directly:
 
-    Under the identity law, (xy)g = x(yg) holds identically for
-    g = (0, 1).  For g = (1, 0), x = (a, i) and y = (b, j) it reads,
-    with c = f^j(1) and k = s_i(b) + j,
+    - the j = 0 slice of Light's test with g = (1, 0): for x = (a, i) and
+      y = (b, 0), (xy)g = x(yg) reads, with k = s_i(b) < m,
 
-        f^i(b + c) = f^i(b) + f^k(1)   (mod n),
-        s_i(b + c) + s_j(1) = s_k(1)   (mod m),
+          f^i(b + 1) = f^i(b) + f^k(1)   (mod n),
+          s_i(b + 1) = s_k(1)            (mod m),
 
-    in which the translation part a of x has cancelled, so x = (0, i)
-    stands for all n elements (a, i).
+      in which a has cancelled, so x = (0, i) stands for all n elements (a, i);
+    - the row x = (0, 1), y = (0, m - 1), z = (c, 0) for every c.  Under the
+      identity law xy = (0, 0) and x(yz) = (c, s_m(c)), with
+      s_m(c) = s_{m-1}(c) + pi(f^{m-1}(c)), so the row holds exactly when
+      s_m(c) = 0 (mod m): it is necessary.
+
+    Under the identity law the two are also sufficient.  Let s_t(c), for
+    any t >= 0, be the sum of pi(f^u(c)) over u < t; splitting the sum
+    gives the cocycle s_{t+u}(c) = s_u(c) + s_t(f^u(c)), and f^m = 1.
+
+    1. For i < m, b and k = s_i(b) mod m: f^i(b + x) = f^i(b) + f^k(x) and
+       s_i(b + x) = s_k(x) (mod m), by induction on x = 0, 1, ..., n - 1.
+       At x = 0 this is f^k(0) = 0 and s_k(0) = k, the identity law.  The
+       step is the slice at (i, b + x), then the induction hypothesis,
+       then the slice at (k, x):
+           f^i(b+x+1) = f^i(b+x) + f^{s_i(b+x)}(1)
+                      = f^i(b) + f^k(x) + f^{s_k(x)}(1) = f^i(b) + f^k(x+1),
+           s_i(b+x+1) = s_{s_i(b+x)}(1) = s_{s_k(x)}(1) = s_k(x+1).
+    2. For (a, i), (b, j), (c, l), let k = s_i(b) mod m and h = k + j mod m.
+       By step 1 and the cocycle,
+           (a, i)((b, j)(c, l)) = (a + f^i(b + f^j(c)), s_i(b + f^j(c)) + s_j(c) + l)
+                                = (a + f^i(b) + f^{k+j}(c), s_{k+j}(c) + l),
+       while ((a, i)(b, j))(c, l) = (a + f^i(b), h)(c, l)
+                                = (a + f^i(b) + f^h(c), s_h(c) + l).
+       f^{k+j} = f^h, and s_{k+j}(c) = s_h(c) if k + j < m; otherwise it
+       is s_m(c) + s_h(f^m(c)) = s_m(c) + s_h(c), which the row makes s_h(c).
+
+    Each reported associativity failure names a triple that fails.
+    Without the identity law the compared triples prove nothing, which is
+    why `passed` needs all three laws.  Each law reports its first failure.
     """
     t = _tables(phi)
     n, m = t.n, t.m
@@ -127,23 +149,25 @@ def check_group(phi: SkewMorphism) -> GroupCheckReport:
             bad_i, bad_a = np.argwhere(~ok)[0]
             failures.append(f"{law} fails at ({bad_a},{bad_i})")
 
-    # Light's test with g = (1, 0), x = (0, i) and y = (b, j), all (i, b) per j.
-    # y g = (b + c, s_j(1)) is a column slice of the doubled tables, k < 2m
-    # indexes the doubled f^k(1) and s_k(1), and d in (-2n, n) and e in
-    # (-m, 2m) are 0 mod n and m exactly when they are 0 or -n and 0 or m.
+    # the slice, all (i, b) at once: np.roll puts column b + 1 at b, d in
+    # (-2n, n) is 0 mod n exactly when it is 0 or -n, and e in (-m, m) is
+    # 0 mod m exactly when it is 0
     one = 1 % n
-    f2, s2 = np.tile(t.powers[:, one], 2), np.tile(t.prefix[:, one], 2)
-    wide_f, wide_s = np.tile(t.powers, 2), np.tile(t.prefix, 2)
-    for j in range(m):
-        c, k = f2[j], t.prefix + j
-        d = wide_f[:, c : c + n] - t.powers - f2[k]
-        e = wide_s[:, c : c + n] + s2[j] - s2[k]
-        ok = ((d == 0) | (d == -n)) & ((e == 0) | (e == m))
+    d = np.roll(t.powers, -1, axis=1) - t.powers - t.powers[t.prefix, one]
+    e = np.roll(t.prefix, -1, axis=1) - t.prefix[t.prefix, one]
+    ok = ((d == 0) | (d == -n)) & (e == 0)
+    if not ok.all():
+        bad_i, bad_b = np.argwhere(~ok)[0]
+        witness = (0, int(bad_i)), (int(bad_b), 0), (one, 0)
+        failures.append("associativity fails at {},{},{}".format(*witness))
+    else:
+        # the row: (x y) z against x (y z) for x = (0, 1), y = (0, m - 1), z = (c, 0)
+        c = np.arange(n)
+        xy = t.products(0, 1 % m, 0, m - 1)
+        ok = _equal(t.products(*xy, c, 0), t.products(0, 1 % m, *t.products(0, m - 1, c, 0)))
         if not ok.all():
-            bad_i, bad_b = np.argwhere(~ok)[0]
-            witness = (0, int(bad_i)), (int(bad_b), j), (one, 0)
+            witness = (0, 1 % m), (0, m - 1), (int(np.argmin(ok)), 0)
             failures.append("associativity fails at {},{},{}".format(*witness))
-            break
 
     return GroupCheckReport(
         group_order=n * m,

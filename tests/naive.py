@@ -26,6 +26,29 @@ def perm_powers(images: list[int] | tuple[int, ...]) -> list[list[int]]:
     return powers
 
 
+def naive_power_table(images, count: int) -> list[tuple[int, ...]]:
+    """The iterates f^0, ..., f^{count-1}, each composed from the last by a loop."""
+    n = len(images)
+    table = [tuple(range(n))]
+    for _ in range(count - 1):
+        prev = table[-1]
+        table.append(tuple(images[x] for x in prev))
+    return table
+
+
+def naive_power(images, order: int, e: int) -> tuple[int, ...]:
+    """Images of f^e for f of the given order, by square and multiply."""
+    e %= order
+    result = tuple(range(len(images)))
+    base = tuple(images)
+    while e:
+        if e & 1:
+            result = tuple(base[x] for x in result)
+        base = tuple(base[x] for x in base)
+        e >>= 1
+    return result
+
+
 def naive_pi(n: int, images) -> list[int] | None:
     """Power function of a candidate, or None when it is not skew.
 

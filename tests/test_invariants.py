@@ -3,6 +3,7 @@ import pytest
 import skewcyc.quotient
 from skewcyc.enumeration import CensusRecord, census
 from skewcyc.invariants import _check_morphism, check_record, run_suite
+from skewcyc.quotient import check_quotient_laws
 from skewcyc.store import MemoryStore
 
 
@@ -32,10 +33,26 @@ class TestCleanData:
 
         monkeypatch.setattr(skewcyc.quotient, "verify", counted)
         for phi in store.load(12).morphisms:
+            # morphisms share quotients, so start each one from a cold cache
+            skewcyc.quotient._verified_quotient.cache_clear()
             calls.clear()
             out = []
             _check_morphism(12, phi, out)
             assert out == [] and calls == [phi.order]
+
+    def test_quotient_laws_on_a_warm_cache_verify_nothing(self, store, monkeypatch):
+        phi = next(phi for phi in store.load(12).morphisms if phi.proper)
+        skewcyc.quotient._verified_quotient.cache_clear()
+        cold = check_quotient_laws(phi, 5)
+        calls = []
+        verify = skewcyc.quotient.verify
+
+        def counted(n, images):
+            calls.append(n)
+            return verify(n, images)
+
+        monkeypatch.setattr(skewcyc.quotient, "verify", counted)
+        assert check_quotient_laws(phi, 5) == cold and calls == []
 
 
 class TestViolationDetection:

@@ -1,9 +1,10 @@
+import dataclasses
 from itertools import permutations
 
 import pytest
 
 from skewcyc.cyclic_arith import units
-from skewcyc.quotient import barpi_index, check_quotient_laws, quotient_of
+from skewcyc.quotient import check_quotient_laws, quotient_of
 from skewcyc.skew_core import automorphism_of, verify
 
 PHI6 = verify(6, (0, 3, 2, 5, 4, 1))
@@ -50,11 +51,24 @@ class TestQuotientOf:
 
 
 class TestBarpiIndex:
+    """The coset index t with f^k(g) in K + t*g, i.e. f^k(g) * g^{-1} mod
+    n/|K|, which law (c) of `check_quotient_laws` compares with pi_bar."""
+
+    @staticmethod
+    def barpi_index(phi, g, k):
+        r = phi.n // phi.kernel_order
+        if r == 1:
+            return 0
+        x = g % phi.n
+        for _ in range(k % phi.order):
+            x = phi.images[x]
+        return x * pow(g, -1, r) % r
+
     def test_examples(self):
-        assert barpi_index(PHI6, 1, 0) == 1
-        assert barpi_index(PHI6, 1, 1) == 1  # f(1) = 3 = 1 mod 2
+        assert self.barpi_index(PHI6, 1, 0) == 1
+        assert self.barpi_index(PHI6, 1, 1) == 1  # f(1) = 3 = 1 mod 2
         a5 = automorphism_of(12, 5)
-        assert all(barpi_index(a5, 1, k) == 0 for k in range(4))
+        assert all(self.barpi_index(a5, 1, k) == 0 for k in range(4))
 
 
 class TestQuotientLaws:
@@ -76,3 +90,11 @@ class TestQuotientLaws:
             for g in units(n) or [1]:
                 rep = check_quotient_laws(phi, g)
                 assert rep.passed, (n, phi.images, g, rep.failures)
+
+    def test_a_tampered_orbit_trips_law_c(self):
+        # f(3) and f(4) of PHI6 swapped: the orbit of 1 becomes 1, 3, 4 and
+        # meets the kernel coset 0 at k = 2, while the quotient is unchanged
+        case = dataclasses.replace(PHI6, images=(0, 3, 2, 4, 5, 1))
+        rep = check_quotient_laws(case)
+        assert rep.quotient == quotient_of(PHI6)
+        assert rep.failures == ["law (c) fails at k=2: coset index 0 != pi_bar 1"]

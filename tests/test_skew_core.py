@@ -19,6 +19,7 @@ from skewcyc.skew_core import (
     equivalence_classes,
     induced_on_quotient,
     power,
+    power_table,
     verify,
 )
 from skewcyc.store import MemoryStore
@@ -29,6 +30,8 @@ from naive import (
     naive_is_skew,
     naive_order,
     naive_pi,
+    naive_power,
+    naive_power_table,
     naive_units,
     naive_witness,
 )
@@ -199,6 +202,17 @@ class TestPower:
     def test_alpha5_squared(self):
         phi = automorphism_of(12, 5)
         assert power(phi, 2) == tuple(range(12))
+
+    def test_gathers_equal_the_generator_loops(self):
+        store = MemoryStore()
+        morphisms = [verify(1, (0,))]
+        morphisms += [phi for n in range(2, 41) for phi in census(n, store).morphisms]
+        for phi in morphisms:
+            m = phi.order
+            for e in range(2 * m):
+                assert power(phi, e) == naive_power(phi.images, m, e), (phi, e)
+            for count in {1, 2, m}:
+                assert power_table(phi.images, count) == naive_power_table(phi.images, count)
 
 
 class TestAutomorphismOf:

@@ -1,6 +1,7 @@
 import dataclasses
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from skewcyc.enumeration import brute_force
@@ -103,6 +104,19 @@ class TestCheckGroup:
         assert naive_group_axioms(phi.images, phi.pi) == {"associativity"}
         rep = check_group(phi)
         assert rep.failures == ["associativity fails at (0, 1),(1, 0),(1, 0)"]
+
+    @pytest.mark.parametrize("pi", [(1, 3, 1, 2, 1, 2), (1, 2, 1, 2, 1, 1)])
+    def test_rejects_a_power_function_with_s_m_off_zero(self, pi):
+        # pi(0) = 1 keeps the identity law, but s_m(c), the sum of pi(f^t(c))
+        # over t < m, is not 0 mod m for some c
+        phi = dataclasses.replace(PHI6, pi=pi)
+        t = _PairTables(phi)
+        s_m = (t.prefix[-1] + np.array(pi)[t.powers[-1]]) % t.m
+        assert pi[0] == 1 and s_m.any()
+        failed = naive_group_axioms(phi.images, phi.pi)
+        rep = check_group(phi)
+        assert "associativity" in failed
+        assert {f.split()[0] for f in rep.failures} == failed
 
 
 class TestCoreOfB:
