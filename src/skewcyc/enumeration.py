@@ -24,6 +24,12 @@ Strategy, for each n (recursively over smaller orders):
    thread seeds constrained to prescribed kernel cosets; the partial
    sums run over the exponent list L_i = rho^i(1).  Only orbit
    positions in {L_i} are needed, which prunes most free seeds.
+   Conjugating f by a unit t only changes the generator its quotient is
+   taken for: Q(t*f*t^{-1}) is the quotient of f for t^{-1}, which
+   `quotient_for_generator` computes from rho alone.  So the sources are
+   grouped into conjugation orbits first, only one rho per orbit is
+   lifted, and the lifts of the others are its lifts conjugated, built by
+   gathers and checked against their quotient, not verified again.
 
 Candidate filtering before full verification exploits the period-r
 structure of the partial sums: with T the sum over one period, the
@@ -53,12 +59,13 @@ from math import gcd
 import numpy as np
 
 from .cyclic_arith import euler_phi, factorize, mult_order, units
-from .quotient import quotient_of
+from .quotient import quotient_for_generator, quotient_of
 from .skew_core import (
     SkewMorphism,
     SkewMorphismError,
     _require,
     automorphism_of,
+    conjugate,
     equivalence_classes,
     power,
     power_table,
@@ -563,12 +570,53 @@ def lift_sources(n: int, store) -> list[tuple[int, SkewMorphism]]:
     return out
 
 
+def _lift_orbits(
+    n: int, sources: list[SkewMorphism]
+) -> list[tuple[SkewMorphism, list[tuple[SkewMorphism, int]]]]:
+    """The sources grouped into conjugation orbits: (rho, [(rho', t), ...]).
+
+    For a unit u of Z_n, the lifts of rho conjugated by t = u^{-1} have the
+    quotient rho' = `quotient_for_generator(rho, u)` (which depends on
+    u mod ord(rho) only).  rho' joins the orbit of rho only when, in turn,
+    the same formula sends rho' back to rho under u^{-1}: then conjugating
+    by u maps every lift of rho' to a lift of rho, so conjugation by t is a
+    bijection L(rho) -> L(rho'), and an empty L(rho) leaves rho' none.
+    Each source is listed once, first in the source order.
+    """
+    by_images = {rho.images: rho for rho in sources}
+    units_n = units(n)
+    placed: set[tuple[int, ...]] = set()
+    orbits = []
+    for rho in sources:
+        if rho.images in placed:
+            continue
+        placed.add(rho.images)
+        members = []
+        unit_of: dict[int, int] = {}  # a unit of Z_n for each unit of Z_R
+        for u in units_n:
+            unit_of.setdefault(u % rho.order, u)
+        for u in unit_of.values():
+            images = quotient_for_generator(rho, u)
+            other = by_images.get(images)
+            if other is None or images in placed:
+                continue
+            t = pow(u, -1, n)
+            if quotient_for_generator(other, t) == rho.images:
+                placed.add(images)
+                members.append((other, t))
+        orbits.append((rho, members))
+    return orbits
+
+
 def census(n: int, store, *, executor=None) -> CensusRecord:
     """All skew morphisms of Z_n, computing and persisting smaller orders on demand.
 
-    With an executor, the independent base-search and lift tasks run on
-    worker processes; merging happens in task order and the final record
-    is sorted, so output is identical to the serial path.
+    Only one quotient per conjugation orbit (`_lift_orbits`) is lifted; the
+    lifts of the others are its lifts conjugated, built by gathers and
+    checked against their quotient.  With an executor, the independent
+    base-search and lift tasks run on worker processes; merging happens in
+    task order and the final record is sorted, so output is identical to
+    the serial path.
     """
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
@@ -581,15 +629,23 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
         sum(1 for sk in cp if sk.automorphism) == euler_phi(n),
         "coset-preserving list must contain exactly the automorphisms",
     )
-    tasks = [
-        (rho, n, psi_candidates(rho, n, cp)) for _m, rho in lift_sources(n, store)
-    ]
+    orbits = _lift_orbits(n, [rho for _m, rho in lift_sources(n, store)])
+    tasks = [(rho, n, psi_candidates(rho, n, cp)) for rho, _members in orbits]
     if executor is None:
         batches = map(_lift_task, tasks)
     else:
         batches = executor.map(_lift_task, tasks)
-    for batch in batches:
-        for sk in batch:
+    for (_rho, members), batch in zip(orbits, batches):
+        lifted = list(batch)
+        for other, t in members:
+            for f in batch:
+                g = conjugate(f, t)
+                _require(
+                    quotient_of(g).images == other.images,
+                    "a conjugated lift must have the conjugated quotient",
+                )
+                lifted.append(g)
+        for sk in lifted:
             if sk.images in collected:
                 raise DuplicateFoundError(
                     f"census of Z_{n} saw {sk.canonical_str()} twice"

@@ -10,7 +10,9 @@ form by partial sums of power-function values:
 The quotient classifies f: it is the identity exactly when f is an
 automorphism, and (for proper f) a non-trivial automorphism exactly
 when f is coset-preserving.  `check_quotient_laws` exposes the three
-compatibility laws between f and Q as a checkable report.
+compatibility laws between f and Q as a checkable report, and
+`quotient_for_generator` uses them to compute the quotient for any other
+generator from the quotient for 1 alone.
 
 Many morphisms share a quotient: the 24,385 skew morphisms of Z_n for
 n in 2..161 have 1,312 distinct quotients for the generator 1.  `verify`
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import gcd
 
 from .skew_core import (
@@ -72,6 +75,40 @@ def quotient_of(phi: SkewMorphism, g: int = 1) -> SkewMorphism:
             "automorphism quotient iff coset-preserving (proper case)",
         )
     return q
+
+
+def quotient_for_generator(rho: SkewMorphism, u: int) -> tuple[int, ...]:
+    """Images of the quotient for the generator u of any f whose quotient
+    for the generator 1 is rho, computed from rho alone.
+
+    Theorem: let m = rho.n = ord(f), R = ord(rho) and c_y = rho^y(1).  Law
+    (a) gives pi(a) = c_(a mod R) (mod m), and law (c) gives
+    f^j(1) = pi_rho(j) (mod R).  The kernel of f is the subgroup of order
+    n/R, so f maps the coset x + K to f(x) + K, and
+    f(x) = sum_{y<x} f^(pi(y))(1) gives the induced map on Z_R,
+    fbar(x) = sum_{y<x} pi_rho(c_y) (mod R).  Then f^i(u) = x_i (mod R)
+    with x_0 = u mod R, x_(i+1) = fbar(x_i), and
+    Q^(u)(k) = sum_{i<k} pi(f^i(u)) = sum_{i<k} c_(x_i)   (mod m).
+    The value depends on u mod R only.  For a unit t of Z_n, g = t*f*t^{-1}
+    has pi_g(a) = pi(t^{-1} a) and g^i(1) = t*f^i(t^{-1}) (see
+    `skew_core.conjugates`), so Q(g)(k) = sum_{i<k} pi(f^i(t^{-1})): the
+    quotient of t*f*t^{-1} is Q^(t^{-1})(f).  For a rho with no lift the
+    result is only a tuple of m residues.
+    """
+    m, big_r = rho.n, rho.order
+    if gcd(u, big_r) != 1:
+        raise ValueError(f"{u} is not a unit mod {big_r}")
+    c = [1 % m]
+    for _ in range(big_r - 1):
+        c.append(rho.images[c[-1]])
+    fbar = list(accumulate((rho.pi[y] for y in c), initial=0))
+    imgs = []
+    acc, x = 0, u % big_r
+    for _ in range(m):
+        imgs.append(acc % m)
+        acc += c[x]
+        x = fbar[x] % big_r
+    return tuple(imgs)
 
 
 @cache

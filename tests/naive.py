@@ -10,6 +10,13 @@ from __future__ import annotations
 from math import gcd
 
 from skewcyc.cyclic_arith import mult_order, units
+from skewcyc.enumeration import (
+    _finalize_census,
+    _lift_with_psis,
+    enumerate_coset_preserving,
+    lift_sources,
+    psi_candidates,
+)
 from skewcyc.quotient import quotient_of
 from skewcyc.skew_core import SkewMorphismError, verify
 
@@ -205,3 +212,19 @@ def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]],
             if sk.order == m and quotient_of(sk).images == quotient and sk.images not in out:
                 out.append(sk.images)
     return out, period_m
+
+
+def naive_census(n: int, store):
+    """The census of Z_n with one `_lift_with_psis` per lift source.
+
+    The library lifts one quotient per conjugation orbit and conjugates
+    its lifts; this is the loop it replaced, which lifts every source on
+    its own.  Smaller orders are read from (and computed into) `store`.
+    """
+    cp = enumerate_coset_preserving(n)
+    collected = {sk.images: sk for sk in cp}
+    for _m, rho in lift_sources(n, store):
+        for sk in _lift_with_psis(rho, n, psi_candidates(rho, n, cp)):
+            assert sk.images not in collected, f"Z_{n}: {sk.images} found twice"
+            collected[sk.images] = sk
+    return _finalize_census(n, list(collected.values()))

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import pytest
@@ -19,7 +20,7 @@ from skewcyc.quotient import quotient_of
 from skewcyc.skew_core import verify
 from skewcyc.store import MemoryStore
 
-from naive import naive_cp_base_search
+from naive import naive_census, naive_cp_base_search
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,46 @@ class TestOrbitTemplate:
             OrbitTemplate(m=6, p=2, psi=psi, x=((5, 7),), needed_positions=frozenset())
         with pytest.raises(AssertionError):
             OrbitTemplate(m=9, p=2, psi=psi, x=(), needed_positions=frozenset())
+
+
+def test_orbit_lifts_match_one_lift_per_source():
+    # census lifts one quotient per conjugation orbit and conjugates the
+    # lifts; every n <= 60 must equal the loop that lifts each source
+    store = MemoryStore()
+    conjugated = 0
+    for n in range(2, 61):
+        expected = naive_census(n, store)
+        got = census(n, store)
+        assert [phi.images for phi in got.morphisms] == [
+            phi.images for phi in expected.morphisms
+        ], n
+        assert got.class_ids == expected.class_ids, n
+        sources = [rho for _m, rho in enum.lift_sources(n, store)]
+        conjugated += len(sources) - len(enum._lift_orbits(n, sources))
+    assert conjugated > 0
+
+
+@pytest.mark.parametrize("n", [27, 32])
+def test_a_source_without_lifts_claims_no_orbit(monkeypatch, n):
+    # rho0 agrees with a lifted rho on the orbit of 1 and on pi but not
+    # elsewhere, so it has the same formula images and no lift; only the
+    # check that each image maps back to rho0 keeps it from claiming the
+    # orbit of rho, whose lifts would then be lost
+    store = MemoryStore()
+    expected = naive_census(n, store)
+    sources = enum.lift_sources(n, store)
+    lifted = {quotient_of(phi).images for phi in expected.proper() if not phi.coset_preserving}
+    m, rho = next((m, rho) for m, rho in sources if rho.images in lifted and rho.order <= m - 3)
+    orbit_of_1 = [1]
+    while len(orbit_of_1) < rho.order:
+        orbit_of_1.append(rho.images[orbit_of_1[-1]])
+    a, b = [x for x in range(1, m) if x not in orbit_of_1][:2]
+    images = list(rho.images)
+    images[a], images[b] = images[b], images[a]
+    rho0 = dataclasses.replace(rho, images=tuple(images))
+    monkeypatch.setattr(enum, "lift_sources", lambda n, store: [(m, rho0)] + sources)
+    got = census(n, store)
+    assert [phi.images for phi in got.morphisms] == [phi.images for phi in expected.morphisms]
 
 
 def test_cp_search_tasks_examples():

@@ -4,8 +4,12 @@ from itertools import permutations
 import pytest
 
 from skewcyc.cyclic_arith import units
-from skewcyc.quotient import check_quotient_laws, quotient_of
+from skewcyc.enumeration import census
+from skewcyc.quotient import check_quotient_laws, quotient_for_generator, quotient_of
 from skewcyc.skew_core import automorphism_of, verify
+from skewcyc.store import MemoryStore
+
+from naive import naive_conjugate
 
 PHI6 = verify(6, (0, 3, 2, 5, 4, 1))
 
@@ -48,6 +52,54 @@ class TestQuotientOf:
             assert q.is_identity == phi.automorphism
             if phi.proper:
                 assert q.automorphism == phi.coset_preserving
+
+
+@pytest.fixture(scope="module")
+def proper_up_to_60():
+    store = MemoryStore()
+    return {n: census(n, store).proper() for n in range(2, 61)}
+
+
+class TestQuotientForGenerator:
+    def test_example(self):
+        # PHI6 has quotient (0, 2, 1) on Z_3; for the generator 5 the orbit
+        # 5, 1, 3 meets pi = 2, 2, 1, so Q = (0, 2, 1) again
+        rho = quotient_of(PHI6)
+        assert quotient_for_generator(rho, 5) == quotient_of(PHI6, 5).images == (0, 2, 1)
+
+    def test_identity_quotient_for_every_generator(self):
+        assert quotient_for_generator(verify(4, (0, 1, 2, 3)), 3) == (0, 1, 2, 3)
+        assert quotient_for_generator(verify(1, (0,)), 7) == (0,)
+
+    def test_rejects_non_unit_mod_the_order(self):
+        # ord of (0, 2, 1) is 2, so 2 is no unit of Z_2
+        with pytest.raises(ValueError):
+            quotient_for_generator(quotient_of(PHI6), 2)
+
+    def test_equals_quotient_of_for_every_unit(self, proper_up_to_60):
+        pairs = 0
+        for n, proper in proper_up_to_60.items():
+            for phi in proper:
+                rho = quotient_of(phi)
+                for u in units(n):
+                    assert quotient_for_generator(rho, u) == quotient_of(phi, u).images, (
+                        phi.images,
+                        u,
+                    )
+                    pairs += 1
+        assert pairs == 32040
+
+    @pytest.mark.parametrize("n", [12, 27, 32, 45, 54])
+    def test_conjugating_changes_the_generator(self, proper_up_to_60, n):
+        # the quotient of t*f*t^{-1} is the quotient of f for the generator
+        # t^{-1}; on Z_12 no conjugation moves a quotient, on the others some do
+        moved = 0
+        for phi in proper_up_to_60[n]:
+            for t in units(n):
+                conjugated = verify(n, naive_conjugate(phi.images, t))
+                assert quotient_of(conjugated) == quotient_of(phi, pow(t, -1, n))
+                moved += quotient_of(conjugated) != quotient_of(phi)
+        assert (moved > 0) == (n != 12)
 
 
 class TestBarpiIndex:

@@ -376,9 +376,9 @@ class TestCli:
     def test_parallel_census_matches_serial(self, tmp_path, capsys):
         serial = str(tmp_path / "serial")
         parallel = str(tmp_path / "parallel")
-        assert cli.main(["census", "--max", "24", "--store", serial]) == 0
-        assert cli.main(["census", "--max", "24", "--jobs", "2", "--store", parallel]) == 0
-        for n in range(2, 25):
+        assert cli.main(["census", "--max", "32", "--store", serial]) == 0
+        assert cli.main(["census", "--max", "32", "--jobs", "2", "--store", parallel]) == 0
+        for n in range(2, 33):
             a = (tmp_path / "serial" / f"census_{n}.jsonl").read_bytes()
             b = (tmp_path / "parallel" / f"census_{n}.jsonl").read_bytes()
             assert a == b
