@@ -12,9 +12,15 @@ Strategy, for each n (recursively over smaller orders):
    v = f(1) = 1 + w*r.  The orbit of 1 is o_k = 1 + r*(w*S_k mod n/r)
    with S_k = 1 + u + ... + u^(k-1), so the pairs (u, w) whose orbit has
    period m are picked out by divisibility alone; f itself is recovered
-   as the partial sums f(k) = sum_{i<k} o_{s^i mod m}, and every candidate
-   is accepted only after full verification plus order, orbit and
-   quotient checks.
+   as the partial sums f(k) = sum_{i<k} o_{s^i mod m}.  Closed forms in
+   (u, w) decide bijectivity and the orbit replay, and a necessary
+   condition on the kernel action (`_kernel_test`) turns away the other
+   non-skew candidates before `verify`.  Conjugating f by a unit t
+   changes its quotient alpha_s to alpha_(s^(t^{-1})), so only the least s
+   of each cyclic subgroup <s> is searched.  The solutions of the other
+   tasks of <s>, and those of the searched task that are conjugates of
+   one already verified, are built by gathers, not verified again; each
+   is checked to land in its task.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -36,12 +42,13 @@ structure of the partial sums: with T the sum over one period, the
 candidate is a bijection iff gcd(T, n) equals the kernel index, and the
 whole orbit of 1 can be walked with O(1) evaluations.  The base search
 compares that walk, step by step, with the closed-form orbit its
-candidate was built from.  The lift runs these checks on all seed
-combinations of a stepper at once (`_batched_seed_survivors`).  Its
-prefix sums are separable, one table of partial sums per thread, and
-every orbit value has a residue mod R = ord(rho) that no seed choice
-changes (psi fixes residues, each seed pool is one coset, R divides T),
-so each walk step reads one prefix column for all combinations.
+candidate was built from, as a guard behind a closed form of the same
+test.  The lift runs these checks on all seed combinations of a stepper
+at once (`_batched_seed_survivors`).  Its prefix sums are separable, one
+table of partial sums per thread, and every orbit value has a residue
+mod R = ord(rho) that no seed choice changes (psi fixes residues, each
+seed pool is one coset, R divides T), so each walk step reads one prefix
+column for all combinations.
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from collections.abc import Set
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, permutations, product
 from math import gcd
@@ -175,44 +182,71 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
     the multiples of the period, so the period is m exactly when d_m | w
     and no d_(m/q) | w for a prime q | m.  Each d_(m/q) is a multiple of
     d_m, so a u with d_(m/q) = d_m has no such w.  Only period-m pairs reach
-    `_realize_candidate`, in (u, w) order; no orbit is walked, and a
-    morphism already found in this task is not verified again.
+    `_realize_candidate`, in (u, w) order; no orbit is walked.
+
+    Conjugation by a unit t = 1 (mod r) keeps the quotient alpha_s (see
+    `enumerate_coset_preserving`), so a morphism accepted here brings its
+    conjugates by those t, keyed by images: a later candidate whose images
+    are one of them takes it without `verify`, and one already accepted is
+    skipped.  Every solution of the task is returned, in (u, w) order.
     """
     r = mult_order(s, m)
     _require(r >= 2 and n % r == 0, "alpha_s must be proper, and the closed form needs r | n")
     exps = [pow(s, i, m) for i in range(r)]  # one period of partial-sum exponents
     kq = n // r  # kernel order
-    seen: set[tuple[int, ...]] = set()
-    out: list[SkewMorphism] = []
+    alpha = tuple(s * k % m for k in range(m))
+    same_quotient = [t for t in units(n) if t % r == 1]
+    known: dict[tuple[int, ...], SkewMorphism] = {}
+    found: dict[tuple[int, ...], SkewMorphism] = {}
     for u in units(kq):
         sums = list(accumulate(range(m), lambda acc, _: (u * acc + 1) % kq, initial=0))
         d_m = kq // gcd(sums[m], kq)
         d_mq = [kq // gcd(sums[m // q], kq) for q in factorize(m)]
         if d_m in d_mq:  # each d_(m/q) is a multiple of d_m
             continue
+        sigma = sum(sums[e] for e in exps)
         for w in range(0, kq, d_m):
             if any(w % d == 0 for d in d_mq):
                 continue
-            sk = _realize_candidate(n, m, r, exps, w, sums, seen)
-            if sk is None:
+            sk = _realize_candidate(n, m, r, exps, u, w, sums, sigma, known)
+            if sk is None or sk.images in found:
                 continue
-            if quotient_of(sk).images != tuple(s * k % m for k in range(m)):
+            if quotient_of(sk).images != alpha:
                 continue
-            seen.add(sk.images)
-            out.append(sk)
-    return out
+            if sk.images not in known:
+                known.update((g.images, g) for g in (conjugate(sk, t) for t in same_quotient))
+            found[sk.images] = sk
+    return list(found.values())
 
 
 def _realize_candidate(
-    n: int, m: int, r: int, exps: list[int], w: int, sums: list[int], seen: Set[tuple]
+    n: int,
+    m: int,
+    r: int,
+    exps: list[int],
+    u: int,
+    w: int,
+    sums: list[int],
+    sigma: int,
+    known: Mapping[tuple[int, ...], SkewMorphism],
 ) -> SkewMorphism | None:
-    """Build f from the closed-form orbit x_k = 1 + r*(w*S_k mod n/r) of 1.
+    """Build f from the closed-form orbit x_k = 1 + r*z_k, z_k = w*S_k mod n/r, of 1.
 
-    The period terms are the orbit values at `exps`.  The orbit of 1
-    under f must replay x_1, ..., x_m (x_m = 1); survivors not in `seen`
-    get the full verification.
+    The period terms are the orbit values at `exps`, so the period total
+    is T = r*c (mod n) with c = 1 + w*sigma, sigma the sum of S_e over
+    `exps`: f is a bijection exactly when c is a unit mod n/r.  And
+    f(1 + r*z) = x_1 + z*T, which is x_(k+1) = 1 + r*(u*z_k + w) at z = z_k
+    exactly when z_k*(c - u) = 0 (mod n/r); every z_k is a multiple of
+    z_1 = w, so the orbit of 1 under f replays x_1, ..., x_m exactly when
+    w*(c - u) = 0 (mod n/r).  Pairs failing either closed form are
+    rejected at once; the replay still runs on the others, as a guard.
+    Survivors must pass `_kernel_test`; those with images in `known` take
+    that morphism, the others get the full verification.
     """
     kq = n // r
+    c = 1 + w * sigma
+    if gcd(c, kq) != 1 or w * (c - u) % kq:
+        return None
     period = _period_sums(n, r, [1 + r * (w * sums[e] % kq) for e in exps])
     if period is None:
         return None
@@ -223,7 +257,26 @@ def _realize_candidate(
         x = (prefix[x % r] + (x // r) * total) % n
         if x != 1 + r * (w * sums[step] % kq):
             return None
-    return _verified_of_order(n, m, r, prefix, total, seen)
+    if not _kernel_test(n, r, exps[1], total):
+        return None
+    return _verified_of_order(n, m, r, prefix, total, known)
+
+
+def _kernel_test(n: int, r: int, s: int, total: int) -> bool:
+    """A necessary condition for f(j + k*r) = f(j) + k*T, T = `total`, to
+    be a skew morphism of order m with quotient alpha_s: (T/r)^(s-1) = 1
+    (mod n/r).
+
+    Proof: gcd(T, n) = r, and f(k*r) = k*T, so f acts on the subgroup
+    K = rZ_n as y -> c*y with c = T/r, a unit mod n/r.  The skew identity
+    at a = 1, x = r reads f(1 + r) - f(1) = f^(pi(1))(r); the left side is
+    T = c*r and the right side c^(pi(1))*r (mod n), so c^(pi(1)-1) = 1
+    (mod n/r).  f^m is the identity, so the order of c divides m, and
+    pi(1) = Q(1) = s (mod m) for the quotient Q = alpha_s; hence
+    c^(s-1) = 1 (mod n/r).  The condition is not sufficient, so its
+    survivors still get `verify`.
+    """
+    return pow(total // r, s - 1, n // r) == 1
 
 
 def _period_sums(n: int, r: int, terms) -> tuple[list[int], int] | None:
@@ -242,13 +295,18 @@ def _period_sums(n: int, r: int, terms) -> tuple[list[int], int] | None:
 
 
 def _verified_of_order(
-    n: int, m: int, r: int, prefix: list[int], total: int, seen: Set[tuple] = frozenset()
+    n: int,
+    m: int,
+    r: int,
+    prefix: list[int],
+    total: int,
+    known: Mapping[tuple[int, ...], SkewMorphism] | None = None,
 ) -> SkewMorphism | None:
-    """f from its period: fully verified and of order m, or None, also
-    for images in `seen`, which are not verified again."""
+    """f from its period: fully verified and of order m, or None; images
+    in `known` take that morphism, which is not verified again."""
     images = tuple((prefix[k % r] + (k // r) * total) % n for k in range(n))
-    if images in seen:
-        return None
+    if known and images in known:
+        return known[images]
     try:
         sk = verify(n, images)
     except SkewMorphismError:
@@ -259,27 +317,50 @@ def _verified_of_order(
 def enumerate_coset_preserving(n: int, *, executor=None) -> list[SkewMorphism]:
     """All coset-preserving skew morphisms of Z_n (automorphisms included).
 
-    The (order, quotient) search tasks are independent; with an
-    executor they fan out to worker processes and are merged back in
-    task order, so the result does not depend on scheduling.
+    For a unit t of Z_n and a solution f of the task (m, s), conjugation
+    gives Q(t*f*t^{-1}) = Q^(t^{-1})(f) (see `quotient_for_generator`),
+    and by law (a) the quotient of f for a generator u is alpha_(s^u).
+    Conjugation by t^{-1} maps back, so with r = ord_m(s) and t^{-1} = v
+    (mod r) it is a bijection from the solutions of (m, s) onto those of
+    (m, s^v).  So the tasks are grouped into {(m, s^v) : v a unit of Z_r},
+    only the least s of each group is searched, and the solutions of the
+    others are its solutions conjugated, built by gathers and checked to
+    land in their task.  The searches are independent; with an executor
+    they fan out to worker processes and are merged back in task order,
+    so the result does not depend on scheduling.
     """
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
     found: dict[tuple[int, ...], SkewMorphism] = {}
     for phi in automorphisms(n):
         found[phi.images] = phi
-    tasks = cp_search_tasks(n)
+    units_n = units(n)
+    placed: set[tuple[int, int]] = set()
+    groups = []  # (m, s, [(s^v mod m, t with t^{-1} = v mod r), ...]), v = 1 first
+    for m, s in cp_search_tasks(n):
+        if (m, s) in placed:
+            continue
+        r = mult_order(s, m)
+        lift_of: dict[int, int] = {}  # a unit of Z_n for each unit of Z_r
+        for u in units_n:
+            lift_of.setdefault(u % r, u)
+        members = [(pow(s, v, m), pow(lift_of[v], -1, n)) for v in units(r)]
+        placed.update((m, sv) for sv, _t in members)
+        groups.append((m, s, members))
     if executor is None:
-        batches = (_cp_base_search(n, m, s) for m, s in tasks)
+        batches = (_cp_base_search(n, m, s) for m, s, _members in groups)
     else:
-        batches = executor.map(_cp_task, [(n, m, s) for m, s in tasks])
-    for (m, s), batch in zip(tasks, batches):
-        for sk in batch:
-            if sk.images in found:
-                raise DuplicateFoundError(
-                    f"coset-preserving search repeated {sk.canonical_str()} at (m={m}, s={s})"
-                )
-            found[sk.images] = sk
+        batches = executor.map(_cp_task, [(n, m, s) for m, s, _members in groups])
+    for (m, _s, members), batch in zip(groups, batches):
+        for sv, t in members:
+            for f in batch:
+                sk = f if t == 1 else conjugate(f, t)
+                _require(sk.pi[1] % m == sv, "a conjugated solution must land in its task")
+                if sk.images in found:
+                    raise DuplicateFoundError(
+                        f"coset-preserving search repeated {sk.canonical_str()} at (m={m}, s={sv})"
+                    )
+                found[sk.images] = sk
     result = sorted(found.values(), key=lambda p: p.images)
     _require(all(sk.coset_preserving for sk in result), "base search must yield cp maps")
     return result

@@ -11,8 +11,11 @@ from math import gcd
 
 from skewcyc.cyclic_arith import mult_order, units
 from skewcyc.enumeration import (
+    _cp_base_search,
     _finalize_census,
     _lift_with_psis,
+    automorphisms,
+    cp_search_tasks,
     enumerate_coset_preserving,
     lift_sources,
     psi_candidates,
@@ -212,6 +215,21 @@ def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]],
             if sk.order == m and quotient_of(sk).images == quotient and sk.images not in out:
                 out.append(sk.images)
     return out, period_m
+
+
+def naive_coset_preserving(n: int):
+    """The coset-preserving morphisms of Z_n with one `_cp_base_search` per task.
+
+    The library searches one task per cyclic subgroup <s> and conjugates
+    its solutions into the other tasks of the group; this is the loop it
+    replaced, which searches every task of `cp_search_tasks(n)` on its own.
+    """
+    found = {phi.images: phi for phi in automorphisms(n)}
+    for m, s in cp_search_tasks(n):
+        for sk in _cp_base_search(n, m, s):
+            assert sk.images not in found, f"Z_{n}: {sk.images} found twice"
+            found[sk.images] = sk
+    return sorted(found.values(), key=lambda phi: phi.images)
 
 
 def naive_census(n: int, store):

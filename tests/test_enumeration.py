@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -17,10 +20,10 @@ from skewcyc.enumeration import (
     lift,
 )
 from skewcyc.quotient import quotient_of
-from skewcyc.skew_core import verify
+from skewcyc.skew_core import InternalCheckError, equivalence_classes, verify
 from skewcyc.store import MemoryStore
 
-from naive import naive_census, naive_cp_base_search
+from naive import naive_census, naive_coset_preserving, naive_cp_base_search
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +333,96 @@ def test_cp_base_search_matches_orbit_walk(monkeypatch):
             rejected += period_m - len(expected)
     assert (tasks, found) == (326, 818)
     assert rejected > 0
+
+
+@pytest.fixture(scope="module")
+def cp_without_kernel_test():
+    """enumerate_coset_preserving(n) for n <= 60 with `_kernel_test` always passing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enum, "_kernel_test", lambda *args: True)
+        return {n: enumerate_coset_preserving(n) for n in range(2, 61)}
+
+
+def test_kernel_test_holds_for_every_proper_cp_morphism(cp_without_kernel_test):
+    # f(k*r) = k*T, so the period total T is f(r); the quotient alpha_s has s = pi(1) mod m
+    checked = 0
+    for n, cp in cp_without_kernel_test.items():
+        for f in cp:
+            if f.automorphism:
+                continue
+            m = f.order
+            s = f.pi[1] % m
+            r = mult_order(s, m)
+            total = f.images[r]
+            assert gcd(total, n) == r, (n, f.images)
+            assert pow(total // r, s - 1, n // r) == 1, (n, f.images)
+            assert enum._kernel_test(n, r, s, total), (n, f.images)
+            checked += 1
+    assert checked == 818  # every solution of the 326 tasks of 2..60
+
+
+def test_kernel_test_only_prunes(cp_without_kernel_test, monkeypatch):
+    rejected = 0
+    kernel_test = enum._kernel_test
+
+    def counted(*args):
+        nonlocal rejected
+        passed = kernel_test(*args)
+        rejected += not passed
+        return passed
+
+    monkeypatch.setattr(enum, "_kernel_test", counted)
+    assert {n: enumerate_coset_preserving(n) for n in range(2, 61)} == cp_without_kernel_test
+    assert rejected > 0
+
+
+def test_each_cp_class_is_verified_once(monkeypatch):
+    # the kernel test leaves verify no reject here, one searched task per
+    # <s> meets each conjugation class in one orbit of its own conjugates,
+    # and the rest of that orbit is taken without verify
+    calls = 0
+    verify_in_search = enum.verify
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return verify_in_search(*args)
+
+    monkeypatch.setattr(enum, "verify", counted)
+    for n in [*range(2, 61), *range(145, 149)]:
+        calls = 0
+        proper = [phi for phi in enumerate_coset_preserving(n) if phi.proper]
+        assert calls == len(equivalence_classes(proper)), n
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grouped_tasks_match_per_task_search(jobs, monkeypatch):
+    # conjugating the solutions of the least s of each <s> gives exactly
+    # what a search of every task finds, SkewMorphism values included
+    searched = 0
+    search = enum._cp_base_search
+
+    def counted(*args):
+        nonlocal searched
+        searched += 1
+        return search(*args)
+
+    monkeypatch.setattr(enum, "_cp_base_search", counted)
+    orders = [*range(2, 61), *range(145, 149)]
+    pool = ProcessPoolExecutor(max_workers=2) if jobs == 2 else contextlib.nullcontext()
+    with pool as executor:
+        for n in orders:
+            assert enumerate_coset_preserving(n, executor=executor) == naive_coset_preserving(n), n
+    if jobs == 1:
+        assert 0 < searched < sum(len(cp_search_tasks(n)) for n in orders)
+
+
+def test_a_conjugate_in_the_wrong_task_trips_the_check(monkeypatch):
+    # (7, 2) and (7, 4) are one group in Z_21; an unconjugated solution of
+    # (7, 2) handed to (7, 4) keeps the quotient alpha_2
+    monkeypatch.setattr(enum, "conjugate", lambda phi, t: phi)
+    with pytest.raises(InternalCheckError, match="land in its task"):
+        enumerate_coset_preserving(21)
 
 
 def test_cp_order_bound_is_pruning_only(monkeypatch):
