@@ -6,7 +6,14 @@ order bounds and divisibility, kernel shape and coset structure of
 the power function, generating-orbit size, periodicity powers,
 quotient compatibility laws, the kernel-order divisibility theorems,
 the prime-comparison theorem for induced quotients, the skew-product
-cross-checks, and the order/kernel constraints on Z_{4p}.
+cross-checks, the order/kernel constraints on Z_{4p}, and the census
+total at odd prime powers.
+
+Every law runs on every morphism of every order, except the quotient laws
+for all generators, which run for n <= ALL_GENERATORS_MAX_N (generator 1
+is checked everywhere).  The pair-model laws and the periodicity-power
+law run per record, on stacks of morphisms of one order
+(`_check_pair_model`).
 
 Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
@@ -15,24 +22,27 @@ wrong.  A clean run over a census is the package's acceptance gate.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from .cyclic_arith import euler_phi, factorize, largest_prime_divisor, units
 from .enumeration import CensusRecord, _finalize_census
 from .quotient import check_quotient_laws
 from .skew_core import (
+    NoPowerExponentError,
     SkewMorphism,
     SkewMorphismError,
     induced_on_quotient,
     power,
     verify,
 )
-from .skew_product import check_group, core_of_B
+from .skew_product import _PairTables
 
-PAIR_GROUP_CAP = 100_000  # skip the pair-model checks above this group order
-PRIME_COMPARISON_MAX_N = 30
 ALL_GENERATORS_MAX_N = 30
+_STACK_ELEMENTS = 1 << 16  # table entries per pair-model stack; bounds its working set
 PROP62_ORDERS = (12, 20, 28)
 
 
@@ -47,10 +57,8 @@ class Violation:
 
 
 def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
-    name = phi.canonical_str()
-
     def bad(law: str, detail: str = "") -> None:
-        out.append(Violation(n, law, f"[{name}] {detail}".strip()))
+        out.append(Violation(n, law, f"[{phi.canonical_str()}] {detail}".strip()))
 
     k = phi.kernel_order
     step = n // k
@@ -88,13 +96,6 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
         x = phi.images[x]
     if len(orbit) != phi.order:
         bad("generating orbit has size ord", f"|orbit|={len(orbit)}")
-
-    try:
-        fp = verify(n, power(phi, phi.periodicity))
-        if not fp.coset_preserving:
-            bad("periodicity power is coset-preserving")
-    except SkewMorphismError as exc:
-        bad("periodicity power is skew", str(exc))
 
     # quotient compatibility laws (generator 1)
     report = check_quotient_laws(phi)
@@ -142,15 +143,72 @@ def _check_prime_comparison(n: int, phi: SkewMorphism, out: list[Violation]) -> 
                 )
 
 
-def _check_pair_model(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
-    name = phi.canonical_str()
-    try:
-        core_of_B(phi)
-    except AssertionError as exc:
-        out.append(Violation(n, "pair-model core equals kernel", f"[{name}] {exc}"))
-    report = check_group(phi)
-    for failure in report.failures:
-        out.append(Violation(n, "pair-model group axioms", f"[{name}] {failure}"))
+def _periodicity_power_law(
+    phi: SkewMorphism, verdict: tuple[int, bool] | None
+) -> tuple[str, str] | None:
+    """The law f^p breaks, p the periodicity, with its detail, or None.
+
+    `verdict` is `_PairTables.power_verdicts`' (witness, coset-preserving)
+    for phi, or None to verify f^p from scratch.
+    """
+    if verdict is None:
+        try:
+            coset_preserving = verify(phi.n, power(phi, phi.periodicity)).coset_preserving
+        except SkewMorphismError as exc:
+            return "periodicity power is skew", str(exc)
+    else:
+        witness, coset_preserving = verdict
+        if witness >= 0:
+            return "periodicity power is skew", str(NoPowerExponentError(witness))
+    if not coset_preserving:
+        return "periodicity power is coset-preserving", ""
+    return None
+
+
+def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Violation]) -> None:
+    """The pair-model laws and the periodicity-power law, for every listed
+    morphism of Z_n, on one stack of pair tables per order at a time.
+
+    A stack holds at most `_STACK_ELEMENTS` table entries.  The
+    periodicity-power law asks that f^p, p the periodicity, be a
+    coset-preserving skew morphism.  For a morphism that passes the group
+    check and has p | m, p < m, `_PairTables.power_verdicts` reads that
+    off row p of its tables (the proof is there); any other morphism has
+    f^p verified from scratch.  Violations are listed in the order of
+    `morphisms`, each morphism's in the order core, group axioms,
+    periodicity power.
+    """
+    found: list[list[Violation]] = [[] for _ in morphisms]
+    by_order: dict[int, list[int]] = {}
+    for index, phi in enumerate(morphisms):
+        by_order.setdefault(phi.order, []).append(index)
+    for m, indices in by_order.items():
+        size = max(1, _STACK_ELEMENTS // (m * n))
+        for start in range(0, len(indices), size):
+            chunk = indices[start : start + size]
+            stack = [morphisms[i] for i in chunk]
+            tables = _PairTables(stack)
+            reports = tables.group_reports()
+            periods = np.array([phi.periodicity for phi in stack])
+            read = np.array([rep.passed for rep in reports]) & (m % periods == 0) & (periods < m)
+            rows = np.flatnonzero(read)
+            witness, coset_preserving = tables.power_verdicts(rows, periods[rows])
+            verdicts = dict(zip(rows.tolist(), zip(witness.tolist(), coset_preserving.tolist())))
+            for k, (phi, report, core) in enumerate(zip(stack, reports, tables.cores().tolist())):
+                laws = []
+                if core != phi.kernel_order:
+                    detail = "pair-model core differs from kernel order"
+                    laws.append(("pair-model core equals kernel", detail))
+                laws += [("pair-model group axioms", failure) for failure in report.failures]
+                broken = _periodicity_power_law(phi, verdicts.get(k))
+                if broken:
+                    laws.append(broken)
+                if laws:
+                    name = phi.canonical_str()
+                    found[chunk[k]] = [
+                        Violation(n, law, f"[{name}] {detail}".strip()) for law, detail in laws
+                    ]
+    out.extend(v for violations in found for v in violations)
 
 
 def _check_record_level(record: CensusRecord, out: list[Violation]) -> None:
@@ -179,6 +237,22 @@ def _check_record_level(record: CensusRecord, out: list[Violation]) -> None:
             )
         )
 
+    # a fit to the census, not a cited theorem: at every odd prime power
+    # p^e <= 161 the total is (p-1)(p^(2e-1) - p^(2e-2) + 2)/(p+1), which
+    # is p - 1 at e = 1
+    primes = factorize(n)
+    if len(primes) == 1 and 2 not in primes:
+        ((p, e),) = primes.items()
+        fit = (p - 1) * (p ** (2 * e - 1) - p ** (2 * e - 2) + 2) // (p + 1)
+        if record.total != fit:
+            out.append(
+                Violation(
+                    n,
+                    "census total at an odd prime power (census fit)",
+                    f"total={record.total}, fit={fit}",
+                )
+            )
+
     rebuilt = _finalize_census(n, list(record.morphisms))
     if rebuilt.class_ids != record.class_ids:
         out.append(Violation(n, "equivalence class ids", "stored ids differ from recomputation"))
@@ -205,10 +279,8 @@ def check_record(record: CensusRecord) -> list[Violation]:
         _check_morphism(n, phi, out)
         if n <= ALL_GENERATORS_MAX_N:
             _check_generator_sweep(n, phi, out)
-        if n <= PRIME_COMPARISON_MAX_N:
-            _check_prime_comparison(n, phi, out)
-        if n * phi.order <= PAIR_GROUP_CAP:
-            _check_pair_model(n, phi, out)
+        _check_prime_comparison(n, phi, out)
+    _check_pair_model(n, record.morphisms, out)
     _check_record_level(record, out)
     return out
 

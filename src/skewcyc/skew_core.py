@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 from operator import index, itemgetter
 
@@ -355,12 +355,17 @@ def induced_on_quotient(phi: SkewMorphism, n_order: int) -> SkewMorphism:
         if phi.images[a] % gen != 0:
             raise NotPreservedError(f"subgroup of order {n_order} not preserved")
     q = gen
-    images_bar = tuple(phi.images[x] % q for x in range(q))
-    for a in range(n):
-        _require(
-            phi.images[a] % q == images_bar[a % q],
-            "induced map is not well-defined on cosets",
-        )
+    reduced = tuple(x % q for x in phi.images)
+    images_bar = reduced[:q]
+    # f(a) mod q depends on a mod q alone: the reduced images repeat with period q
+    _require(reduced == images_bar * n_order, "induced map is not well-defined on cosets")
+    return _verified_induced(q, images_bar)
+
+
+@cache
+def _verified_induced(q: int, images_bar: tuple[int, ...]) -> SkewMorphism:
+    """`verify(q, images_bar)`, once per distinct induced map: the morphisms
+    of one census share few of them (a failure is not cached)."""
     return verify(q, images_bar)
 
 

@@ -16,18 +16,23 @@ Associativity is decided by Light's test (Clifford and Preston, *The
 Algebraic Theory of Semigroups* I, 1.2) cut to its j = 0 slice, plus one
 row of triples; `check_group` proves that the two, with the identity
 law, give every triple.
+
+The tables are built for a stack of morphisms that share Z_n and the
+order m, and every law is one whole-array pass over the stack, so the
+suite pays numpy's per-call cost once per (n, m) stack instead of once
+per morphism.  `check_group` and `core_of_B` are stacks of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .cyclic_arith import divisors
-from .skew_core import SkewMorphism, _require, power_table
+from .skew_core import SkewMorphism, _require
 
 
 class SkewProductElement(NamedTuple):
@@ -35,40 +40,6 @@ class SkewProductElement(NamedTuple):
 
     a: int
     j: int
-
-
-class _PairTables:
-    """Cached m x n tables for one morphism: powers[i, b] = f^i(b),
-    prefix[i, b] = s_i(b) mod m and inv_powers[i, f^i(b)] = b."""
-
-    def __init__(self, phi: SkewMorphism):
-        n, m = phi.n, phi.order
-        self.n = n
-        self.m = m
-        self.powers = np.array(power_table(phi.images, m), dtype=np.int64)
-        self.prefix = np.zeros((m, n), dtype=np.int64)
-        np.cumsum(np.array(phi.pi)[self.powers[:-1]], axis=0, out=self.prefix[1:])
-        self.prefix %= m
-        self.inv_powers = np.empty_like(self.powers)
-        np.put_along_axis(self.inv_powers, self.powers, np.arange(n), axis=1)
-
-    def products(self, a, i, b, j):
-        """(a, i) * (b, j) for integers or broadcasting integer arrays."""
-        return (a + self.powers[i, b]) % self.n, (self.prefix[i, b] + j) % self.m
-
-    def mult(self, x: SkewProductElement, y: SkewProductElement) -> SkewProductElement:
-        a, i = self.products(x.a % self.n, x.j % self.m, y.a % self.n, y.j % self.m)
-        return SkewProductElement(int(a), int(i))
-
-    def inverse(self, x: SkewProductElement) -> SkewProductElement:
-        a, i = x.a % self.n, x.j % self.m
-        b = int(self.inv_powers[i, -a % self.n])
-        return SkewProductElement(b, int(-self.prefix[i, b]) % self.m)
-
-
-@lru_cache(maxsize=8)
-def _tables(phi: SkewMorphism) -> _PairTables:
-    return _PairTables(phi)
 
 
 @dataclass
@@ -85,15 +56,196 @@ class GroupCheckReport:
         return not self.failures
 
 
-def _equal(lhs, rhs) -> np.ndarray:
-    return (lhs[0] == rhs[0]) & (lhs[1] == rhs[1])
+def _first(bad: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of `bad`, in row-major order."""
+    return tuple(int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[k, index[k, ...]] for every k, as one flat take."""
+    depth, width = table.shape
+    offsets = (np.arange(depth) * width).reshape((depth,) + (1,) * (index.ndim - 1))
+    return np.take(table.ravel(), index + offsets)
+
+
+class _PairTables:
+    """K x m x n tables for a stack of K morphisms f_0, ..., f_{K-1} of Z_n
+    that share the order m: powers[k, i, b] = f_k^i(b) and
+    prefix[k, i, b] = s_i(b) mod m for f_k.
+
+    `powers` is built by doubling, f^(h+i) = f^h o f^i for i <= h, each step
+    one gather of row h at the rows 1..h; `prefix` is one cumsum of pi read
+    at the rows 0..m-2.  Both are int32, which halves the memory traffic of
+    the whole-array passes.
+    """
+
+    def __init__(self, stack: Sequence[SkewMorphism]):
+        n, m = stack[0].n, stack[0].order
+        if any(phi.n != n or phi.order != m for phi in stack):
+            raise ValueError("a stack of pair tables needs one group Z_n and one order")
+        self.n, self.m = n, m
+        depth = len(stack)
+        self.powers = np.empty((depth, m, n), dtype=np.int32)
+        self.powers[:, 0] = np.arange(n)
+        if m > 1:
+            self.powers[:, 1] = [phi.images for phi in stack]
+        known = min(m, 2)
+        while known < m:
+            count = min(known - 1, m - known)
+            self.powers[:, known : known + count] = _gather(
+                self.powers[:, known - 1], self.powers[:, 1 : count + 1]
+            )
+            known += count
+        pi = np.array([phi.pi for phi in stack], dtype=np.int32)
+        self.prefix = np.zeros_like(self.powers)
+        np.cumsum(_gather(pi, self.powers[:, :-1]), axis=1, out=self.prefix[:, 1:])
+        self.prefix %= m
+        self._k = np.arange(depth)[:, None]
+
+    def products(self, a, i, b, j):
+        """(a, i) * (b, j) in every group of the stack at once, for integers or
+        integer arrays that broadcast against a (K, 1) stack index."""
+        k = self._k
+        return (a + self.powers[k, i, b]) % self.n, (self.prefix[k, i, b] + j) % self.m
+
+    def mult(self, x: SkewProductElement, y: SkewProductElement) -> SkewProductElement:
+        """x * y, in the group of a stack of one."""
+        a, i = self.products(x.a % self.n, x.j % self.m, y.a % self.n, y.j % self.m)
+        return SkewProductElement(a.item(), i.item())
+
+    def group_reports(self) -> list[GroupCheckReport]:
+        """The `check_group` report of every morphism of the stack."""
+        n, m = self.n, self.m
+        failures: list[list[str]] = [[] for _ in self.powers]
+        for law in (self._identity_failures, self._inverse_failures, self._associativity_failures):
+            for k, failure in law():  # each law frees its temporaries before the next
+                failures[k].append(failure)
+        return [
+            GroupCheckReport(
+                group_order=n * m,
+                associativity_mode="full",
+                triples_checked=2 * (n * m) ** 2,
+                failures=failed,
+            )
+            for failed in failures
+        ]
+
+    def _identity_failures(self):
+        """(k, failure) for each morphism of the stack that breaks the identity
+        law, read off column 0 and row 0 (see `check_group`); the witness is
+        the first failing (i, a) in row-major order."""
+        powers, prefix = self.powers, self.prefix
+        column = (powers[:, :, 0] == 0) & (prefix[:, :, 0] == np.arange(self.m))
+        row = (powers[:, 0] == np.arange(self.n)) & (prefix[:, 0] == 0)
+        for k in np.flatnonzero(~(column.all(axis=1) & row.all(axis=1))):
+            bad_i, bad_a = _first(~(column[k][:, None] & row[k]))
+            yield k, f"identity fails at ({bad_a},{bad_i})"
+
+    def _inverse_failures(self):
+        """(k, failure) for each morphism of the stack that breaks the inverse law.
+
+        x = (a, i) has the one right inverse y = (b, j) with f^i(b) = -a and
+        j = -s_i(b), so x y = (0, 0) always and the law is
+        y x = (b + f^j(a), s_j(a) + i) = (0, 0).  For each i, b <-> a is a
+        bijection, so it is checked over (i, b); the witness is the first
+        failing (i, a) in row-major order.
+        """
+        powers, prefix, n, m = self.powers, self.prefix, self.n, self.m
+        depth = len(powers)
+        minus_n, minus_m = -np.arange(n) % n, -np.arange(m)[:, None] % m
+        a = minus_n[powers]
+        at = minus_m[prefix, 0] * n + a  # the flat index of (j, a)
+        f_j_a = _gather(powers.reshape(depth, -1), at)
+        s_j_a = _gather(prefix.reshape(depth, -1), at)
+        inverse_ok = (f_j_a == minus_n) & (s_j_a == minus_m)
+        for k in np.flatnonzero(~inverse_ok.all(axis=(1, 2))):
+            ok = np.ones((m, n), dtype=bool)  # the same verdicts over (i, a)
+            np.put_along_axis(ok, a[k], inverse_ok[k], axis=1)
+            bad_i, bad_a = _first(~ok)
+            yield k, f"inverse fails at ({bad_a},{bad_i})"
+
+    def _associativity_failures(self):
+        """(k, failure) for each morphism of the stack that fails the slice of
+        Light's test or, where the slice passes, the row (see `check_group`)."""
+        powers, prefix, n, m = self.powers, self.prefix, self.n, self.m
+
+        # the slice, all (i, b) at once: np.roll puts column b + 1 at b, d in
+        # (-2n, n) is 0 mod n exactly when it is 0 or -n, and e in (-m, m) is
+        # 0 mod m exactly when it is 0
+        one = 1 % n
+        f_k_1 = _gather(powers[:, :, one], prefix)  # f^k(1) and s_k(1) at k = s_i(b)
+        s_k_1 = _gather(prefix[:, :, one], prefix)
+        d = np.roll(powers, -1, axis=2) - powers - f_k_1
+        e = np.roll(prefix, -1, axis=2) - s_k_1
+        slice_ok = ((d == 0) | (d == -n)) & (e == 0)
+        slice_passed = slice_ok.all(axis=(1, 2))
+        for k in np.flatnonzero(~slice_passed):
+            bad_i, bad_b = _first(~slice_ok[k])
+            yield k, "associativity fails at {},{},{}".format((0, bad_i), (bad_b, 0), (one, 0))
+
+        # the row: (x y) z against x (y z) for x = (0, 1), y = (0, m - 1), z = (c, 0)
+        c = np.arange(n)
+        lhs = self.products(*self.products(0, 1 % m, 0, m - 1), c, 0)
+        rhs = self.products(0, 1 % m, *self.products(0, m - 1, c, 0))
+        row_ok = (lhs[0] == rhs[0]) & (lhs[1] == rhs[1])
+        for k in np.flatnonzero(slice_passed & ~row_ok.all(axis=1)):
+            witness = (0, 1 % m), (0, m - 1), (int(np.argmin(row_ok[k])), 0)
+            yield k, "associativity fails at {},{},{}".format(*witness)
+
+    def cores(self) -> np.ndarray:
+        """The pair-model core order of every morphism of the stack (see
+        `core_of_B`): the order of the largest subgroup of Z_n inside
+        {h : s_1(h) = 1 (mod m)}."""
+        n, m = self.n, self.m
+        stays_in_b = self.prefix[:, 1 % m] == 1 % m
+        core = np.ones(len(stays_in_b), dtype=np.intp)
+        for d in divisors(n):  # the subgroup generated by d has order n // d
+            core = np.maximum(core, np.where(stays_in_b[:, ::d].all(axis=1), n // d, 1))
+        return core
+
+    def power_verdicts(
+        self, rows: np.ndarray, exponents: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`verify`'s verdict on f^p, read off row p of the tables, for the
+        morphisms f of the stack at `rows` and their exponents p.
+
+        Each f must pass `check_group`, and each p must divide m and lie
+        below it.  Returns, per row, the least element a for which f^p has
+        no power exponent (-1 when f^p is skew), and whether f^p is
+        coset-preserving (meaningful when it is skew).
+
+        Proof.  Step 1 of `check_group`'s proof gives, for i = p < m,
+        f^p(a + x) = f^p(a) + f^{s_p(a)}(x) for all x.  So f^p is skew with
+        exponent e at a exactly when f^{s_p(a)} = (f^p)^e = f^{pe}, that is
+        when s_p(a) = pe (mod m), because f has order m; as p | m, such an e
+        exists exactly when p divides s_p(a) mod m.  The least a where it
+        does not is `verify`'s witness, since `verify` tests the elements
+        in ascending order and f^p is a permutation fixing 0.  When f^p is
+        skew, its power function at a is (s_p(a) mod m) / p normalised into
+        [1, m/p], a bijective image of s_p(a) mod m, so `_finish`'s
+        definition pi(f^p(a)) = pi(a) for every a reads
+        s_p(f^p(a)) = s_p(a) (mod m).
+        """
+        witness = np.full(len(rows), -1, dtype=np.intp)
+        coset_preserving = np.ones(len(rows), dtype=bool)
+        for p in np.unique(exponents):
+            at = np.flatnonzero(exponents == p)
+            s = self.prefix[rows[at], p]
+            off = s % p != 0
+            witness[at] = np.where(off.any(axis=1), off.argmax(axis=1), -1)
+            s_at_image = _gather(s, self.powers[rows[at], p])
+            coset_preserving[at] = (s_at_image == s).all(axis=1)
+        return witness, coset_preserving
 
 
 def check_group(phi: SkewMorphism) -> GroupCheckReport:
     """Check identity, inverses, and associativity on the pair model.
 
-    Identity and inverses are whole-array comparisons over all |G|
-    elements; the identity law forces f^i(0) = 0 and s_i(0) = i for i < m.
+    Identity is read off column 0 and row 0 of the tables: (a, i)(0, 0) =
+    (a + f^i(0), s_i(0)) and (0, 0)(a, i) = (f^0(a), s_0(a) + i), so the
+    identity law at every element is f^i(0) = 0 and s_i(0) = i for i < m
+    (column 0) together with f^0(a) = a and s_0(a) = 0 for every a (row 0).
+    Inverses are a whole-array comparison over all |G| elements.
     Associativity compares two families of triples directly:
 
     - the j = 0 slice of Light's test with g = (1, 0): for x = (a, i) and
@@ -132,63 +284,26 @@ def check_group(phi: SkewMorphism) -> GroupCheckReport:
     Each reported associativity failure names a triple that fails.
     Without the identity law the compared triples prove nothing, which is
     why `passed` needs all three laws.  Each law reports its first failure.
+    The check runs on a stack of one; `_PairTables.group_reports` checks
+    a whole stack the same way.
     """
-    t = _tables(phi)
-    n, m = t.n, t.m
-    failures: list[str] = []
-
-    # every element x = (xa, xi) at once: xa along the columns, xi down the rows
-    xa, xi = np.arange(n)[None, :], np.arange(m)[:, None]
-    x = (xa, xi)
-    identity_ok = _equal(t.products(*x, 0, 0), x) & _equal(t.products(0, 0, *x), x)
-    ya = t.inv_powers[xi, -xa % n]
-    y = (ya, -t.prefix[xi, ya] % m)
-    inverse_ok = _equal(t.products(*x, *y), (0, 0)) & _equal(t.products(*y, *x), (0, 0))
-    for law, ok in (("identity", identity_ok), ("inverse", inverse_ok)):
-        if not ok.all():
-            bad_i, bad_a = np.argwhere(~ok)[0]
-            failures.append(f"{law} fails at ({bad_a},{bad_i})")
-
-    # the slice, all (i, b) at once: np.roll puts column b + 1 at b, d in
-    # (-2n, n) is 0 mod n exactly when it is 0 or -n, and e in (-m, m) is
-    # 0 mod m exactly when it is 0
-    one = 1 % n
-    d = np.roll(t.powers, -1, axis=1) - t.powers - t.powers[t.prefix, one]
-    e = np.roll(t.prefix, -1, axis=1) - t.prefix[t.prefix, one]
-    ok = ((d == 0) | (d == -n)) & (e == 0)
-    if not ok.all():
-        bad_i, bad_b = np.argwhere(~ok)[0]
-        witness = (0, int(bad_i)), (int(bad_b), 0), (one, 0)
-        failures.append("associativity fails at {},{},{}".format(*witness))
-    else:
-        # the row: (x y) z against x (y z) for x = (0, 1), y = (0, m - 1), z = (c, 0)
-        c = np.arange(n)
-        xy = t.products(0, 1 % m, 0, m - 1)
-        ok = _equal(t.products(*xy, c, 0), t.products(0, 1 % m, *t.products(0, m - 1, c, 0)))
-        if not ok.all():
-            witness = (0, 1 % m), (0, m - 1), (int(np.argmin(ok)), 0)
-            failures.append("associativity fails at {},{},{}".format(*witness))
-
-    return GroupCheckReport(
-        group_order=n * m,
-        associativity_mode="full",
-        triples_checked=2 * (n * m) ** 2,
-        failures=failures,
-    )
+    return _PairTables([phi]).group_reports()[0]
 
 
 def core_of_B(phi: SkewMorphism) -> int:
     """Order of the largest subgroup H of Z_n with c H c^{-1} inside Z_n.
 
-    Computed entirely in the pair model by conjugating subgroup
-    elements with c = (0, 1); must equal the kernel order.
+    Here B = {(h, 0)} is Z_n and c = (0, 1).  Under the identity law
+    (f^k(0) = 0 and s_k(0) = k for k < m, which `check_group` checks),
+    c^{-1} = (0, m - 1): (0, 1)(0, m - 1) = (f(0), s_1(0) + m - 1) = (0, 0).
+    So c (h, 0) = (f(h), s_1(h)) and
+        c (h, 0) c^{-1} = (f(h) + f^{s_1(h)}(0), s_{s_1(h)}(0) + m - 1)
+                        = (f(h), s_1(h) - 1),
+    with s_1(h) = pi(h) (mod m).  The conjugate lies in B exactly when
+    prefix[1, h] = s_1(h) mod m is 1 mod m, and H, a subgroup <d> for a
+    divisor d of n, is conjugated into B exactly when every multiple of d
+    is such an h.  The result must equal the kernel order.
     """
-    t = _tables(phi)
-    n = t.n
-    c = SkewProductElement(0, 1 % t.m)
-    conj = t.products(*t.products(*c, np.arange(n), 0), *t.inverse(c))  # c (h, 0) c^{-1}
-    stays_in_b = conj[1] == 0
-    # the subgroup generated by d has order n // d
-    best = max((n // d for d in divisors(n) if stays_in_b[::d].all()), default=1)
+    best = int(_PairTables([phi]).cores()[0])
     _require(best == phi.kernel_order, "pair-model core differs from kernel order")
     return best

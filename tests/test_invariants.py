@@ -1,9 +1,14 @@
+import dataclasses
+
 import pytest
 
+import skewcyc.invariants
 import skewcyc.quotient
+from skewcyc.cyclic_arith import divisors
 from skewcyc.enumeration import CensusRecord, census
-from skewcyc.invariants import _check_morphism, check_record, run_suite
+from skewcyc.invariants import _check_morphism, _check_pair_model, check_record, run_suite
 from skewcyc.quotient import check_quotient_laws
+from skewcyc.skew_core import SkewMorphismError, power, verify
 from skewcyc.store import MemoryStore
 
 
@@ -55,6 +60,48 @@ class TestCleanData:
         assert check_quotient_laws(phi, 5) == cold and calls == []
 
 
+def test_periodicity_power_from_the_tables_matches_verify(store):
+    """The law read off the pair tables gives `verify`'s verdict on f^p (law,
+    witness, coset-preserving flag), for the stored periodicity and for
+    copies whose periodicity is every other proper divisor of the order."""
+    for n in range(33, 61):
+        census(n, store)
+    calls = []
+
+    def counted(n, images):
+        calls.append(n)
+        return verify(n, images)
+
+    laws = set()
+    for n in range(2, 61):
+        cases = [
+            dataclasses.replace(phi, periodicity=p)
+            for phi in store.load(n).morphisms
+            for p in {phi.periodicity, *(d for d in divisors(phi.order) if d < phi.order)}
+        ]
+        expected = []
+        for case in cases:
+            name = case.canonical_str()
+            try:
+                fp = verify(n, power(case, case.periodicity))
+            except SkewMorphismError as exc:
+                expected.append(("periodicity power is skew", f"[{name}] {exc}"))
+            else:
+                if not fp.coset_preserving:
+                    expected.append(("periodicity power is coset-preserving", f"[{name}]"))
+        out = []
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(skewcyc.invariants, "verify", counted)
+            _check_pair_model(n, cases, out)
+        # every case but the identity's (p = m = 1) is read off the tables
+        assert calls == [n]
+        assert [(v.law, v.witness) for v in out] == expected, n
+        laws.update(law for law, _ in expected)
+    # both ways to break the law occur among the copies
+    assert laws == {"periodicity power is skew", "periodicity power is coset-preserving"}
+
+
 class TestViolationDetection:
     def test_stale_class_ids_are_caught(self, store):
         record = store.load(6)
@@ -76,6 +123,18 @@ class TestViolationDetection:
         )
         laws = {v.law for v in check_record(tampered)}
         assert "proper morphisms exist except for n=4 or gcd(n, phi(n))=1" in laws
+
+    @pytest.mark.parametrize("n", [25, 27])
+    def test_an_odd_prime_power_census_without_its_last_class_is_caught(self, store, n):
+        record = store.load(n)
+        last = max(record.class_ids)
+        kept = [(phi, cid) for phi, cid in zip(record.morphisms, record.class_ids) if cid != last]
+        tampered = CensusRecord(
+            n=n, morphisms=tuple(phi for phi, _ in kept), class_ids=tuple(cid for _, cid in kept)
+        )
+        laws = {v.law for v in check_record(tampered)}
+        assert "census total at an odd prime power (census fit)" in laws
+        assert check_record(record) == []
 
     def test_violation_formatting(self, store):
         record = store.load(6)

@@ -19,7 +19,7 @@ PHI6 = verify(6, (0, 3, 2, 5, 4, 1))
 
 
 def multiply(phi, x, y):
-    return _PairTables(phi).mult(SkewProductElement(*x), SkewProductElement(*y))
+    return _PairTables([phi]).mult(SkewProductElement(*x), SkewProductElement(*y))
 
 
 class TestMultiply:
@@ -88,6 +88,28 @@ class TestCheckGroup:
         assert frozenset() in verdicts
         assert frozenset({"identity", "inverse", "associativity"}) in verdicts
 
+    def test_a_stack_checks_each_row_alone(self):
+        # one stack per (n, order) mixes genuine morphisms with their
+        # tampered-pi cases: each row's verdict must be its own
+        rows = 0
+        for n in range(2, 10):
+            by_order = {}
+            for phi in brute_force(n):
+                if n * phi.order <= 27:
+                    by_order.setdefault(phi.order, []).extend((phi, *self.tampered(phi)))
+            for stack in by_order.values():
+                tables = _PairTables(stack)
+                cores = tables.cores()
+                for k, (case, rep) in enumerate(zip(stack, tables.group_reports())):
+                    failed = naive_group_axioms(case.images, case.pi)
+                    assert rep.passed == (not failed), case
+                    assert {f.split()[0] for f in rep.failures} == failed, case
+                    assert rep == check_group(case), case
+                    if not failed:
+                        assert cores[k] == core_of_B(case), case
+                rows += len(stack)
+        assert rows > 100
+
     @pytest.mark.parametrize(
         "phi",
         [
@@ -110,8 +132,8 @@ class TestCheckGroup:
         # pi(0) = 1 keeps the identity law, but s_m(c), the sum of pi(f^t(c))
         # over t < m, is not 0 mod m for some c
         phi = dataclasses.replace(PHI6, pi=pi)
-        t = _PairTables(phi)
-        s_m = (t.prefix[-1] + np.array(pi)[t.powers[-1]]) % t.m
+        t = _PairTables([phi])
+        s_m = (t.prefix[0, -1] + np.array(pi)[t.powers[0, -1]]) % t.m
         assert pi[0] == 1 and s_m.any()
         failed = naive_group_axioms(phi.images, phi.pi)
         rep = check_group(phi)
