@@ -17,10 +17,10 @@ Strategy, for each n (recursively over smaller orders):
    condition on the kernel action (`_kernel_test`) turns away the other
    non-skew candidates before `verify`.  Conjugating f by a unit t
    changes its quotient alpha_s to alpha_(s^(t^{-1})), so only the least s
-   of each cyclic subgroup <s> is searched.  The solutions of the other
-   tasks of <s>, and those of the searched task that are conjugates of
-   one already verified, are built by gathers, not verified again; each
-   is checked to land in its task.
+   of each cyclic subgroup <s> is searched, and its solutions are closed
+   into conjugation classes by `conjugates`: the classes hold the
+   solutions of every task of <s>, built by gathers, not verified again,
+   and each class is checked to meet exactly those tasks.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -34,8 +34,11 @@ Strategy, for each n (recursively over smaller orders):
    taken for: Q(t*f*t^{-1}) is the quotient of f for t^{-1}, which
    `quotient_for_generator` computes from rho alone.  So the sources are
    grouped into conjugation orbits first, only one rho per orbit is
-   lifted, and the lifts of the others are its lifts conjugated, built by
-   gathers and checked against their quotient, not verified again.
+   lifted, and its lifts are closed into conjugation classes by
+   `conjugates`, which hold the lifts of the whole orbit, built by gathers
+   and not verified again; each class is checked to have exactly the
+   quotients of the orbit.  The census numbers its class ids from these
+   classes.
 
 Candidate filtering before full verification exploits the period-r
 structure of the partial sums: with T the sum over one period, the
@@ -72,14 +75,14 @@ from .skew_core import (
     SkewMorphismError,
     _require,
     automorphism_of,
-    conjugate,
-    equivalence_classes,
+    conjugates,
     power,
     power_table,
     verify,
 )
 
 BRUTE_FORCE_MAX_N = 10
+Orbit = dict[tuple[int, ...], SkewMorphism]  # conjugates of one morphism, keyed by images
 
 
 class DuplicateFoundError(AssertionError):
@@ -184,18 +187,19 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
     d_m, so a u with d_(m/q) = d_m has no such w.  Only period-m pairs reach
     `_realize_candidate`, in (u, w) order; no orbit is walked.
 
-    Conjugation by a unit t = 1 (mod r) keeps the quotient alpha_s (see
-    `enumerate_coset_preserving`), so a morphism accepted here brings its
-    conjugates by those t, keyed by images: a later candidate whose images
-    are one of them takes it without `verify`, and one already accepted is
-    skipped.  Every solution of the task is returned, in (u, w) order.
+    A morphism accepted here brings its conjugation orbit (`conjugates`),
+    keyed by images: a later candidate whose images are in it takes that
+    morphism without `verify`, and one already accepted is skipped.  Its
+    conjugates by the units t = 1 (mod r) keep the quotient alpha_s (see
+    `_coset_preserving`); the others fail the quotient check as
+    they would after `verify`.  Every solution of the task is returned, in
+    (u, w) order.
     """
     r = mult_order(s, m)
     _require(r >= 2 and n % r == 0, "alpha_s must be proper, and the closed form needs r | n")
     exps = [pow(s, i, m) for i in range(r)]  # one period of partial-sum exponents
     kq = n // r  # kernel order
     alpha = tuple(s * k % m for k in range(m))
-    same_quotient = [t for t in units(n) if t % r == 1]
     known: dict[tuple[int, ...], SkewMorphism] = {}
     found: dict[tuple[int, ...], SkewMorphism] = {}
     for u in units(kq):
@@ -214,7 +218,7 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
             if quotient_of(sk).images != alpha:
                 continue
             if sk.images not in known:
-                known.update((g.images, g) for g in (conjugate(sk, t) for t in same_quotient))
+                known.update(conjugates(sk))
             found[sk.images] = sk
     return list(found.values())
 
@@ -315,55 +319,75 @@ def _verified_of_order(
 
 
 def enumerate_coset_preserving(n: int, *, executor=None) -> list[SkewMorphism]:
-    """All coset-preserving skew morphisms of Z_n (automorphisms included).
+    """All coset-preserving skew morphisms of Z_n (automorphisms included),
+    sorted by images (see `_coset_preserving`)."""
+    return _coset_preserving(n, executor)[0]
+
+
+def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[Orbit]]:
+    """All coset-preserving skew morphisms of Z_n, sorted by images, and
+    the conjugation classes of the proper ones.
 
     For a unit t of Z_n and a solution f of the task (m, s), conjugation
     gives Q(t*f*t^{-1}) = Q^(t^{-1})(f) (see `quotient_for_generator`),
     and by law (a) the quotient of f for a generator u is alpha_(s^u).
-    Conjugation by t^{-1} maps back, so with r = ord_m(s) and t^{-1} = v
-    (mod r) it is a bijection from the solutions of (m, s) onto those of
-    (m, s^v).  So the tasks are grouped into {(m, s^v) : v a unit of Z_r},
-    only the least s of each group is searched, and the solutions of the
-    others are its solutions conjugated, built by gathers and checked to
-    land in their task.  The searches are independent; with an executor
-    they fan out to worker processes and are merged back in task order,
-    so the result does not depend on scheduling.
+    With r = ord_m(s), t^{-1} mod r runs over every unit v of Z_r, so the
+    class of f meets exactly the tasks {(m, s^v) : v a unit of Z_r}, the
+    group of s.  Only the least s of each group is searched, and its
+    solutions are closed into classes by `conjugates`; each class is
+    checked to meet exactly the tasks of its group.  The searches are
+    independent; with an executor they fan out to worker processes and
+    are merged back in task order, so the result does not depend on
+    scheduling.
     """
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
-    found: dict[tuple[int, ...], SkewMorphism] = {}
-    for phi in automorphisms(n):
-        found[phi.images] = phi
-    units_n = units(n)
     placed: set[tuple[int, int]] = set()
-    groups = []  # (m, s, [(s^v mod m, t with t^{-1} = v mod r), ...]), v = 1 first
+    groups = []  # (m, s, {s^v mod m : v a unit of Z_r})
     for m, s in cp_search_tasks(n):
-        if (m, s) in placed:
-            continue
-        r = mult_order(s, m)
-        lift_of: dict[int, int] = {}  # a unit of Z_n for each unit of Z_r
-        for u in units_n:
-            lift_of.setdefault(u % r, u)
-        members = [(pow(s, v, m), pow(lift_of[v], -1, n)) for v in units(r)]
-        placed.update((m, sv) for sv, _t in members)
-        groups.append((m, s, members))
+        if (m, s) not in placed:
+            group = {pow(s, v, m) for v in units(mult_order(s, m))}
+            placed.update((m, sv) for sv in group)
+            groups.append((m, s, group))
     if executor is None:
-        batches = (_cp_base_search(n, m, s) for m, s, _members in groups)
+        batches = (_cp_base_search(n, m, s) for m, s, _group in groups)
     else:
-        batches = executor.map(_cp_task, [(n, m, s) for m, s, _members in groups])
-    for (m, _s, members), batch in zip(groups, batches):
-        for sv, t in members:
-            for f in batch:
-                sk = f if t == 1 else conjugate(f, t)
-                _require(sk.pi[1] % m == sv, "a conjugated solution must land in its task")
-                if sk.images in found:
-                    raise DuplicateFoundError(
-                        f"coset-preserving search repeated {sk.canonical_str()} at (m={m}, s={sv})"
-                    )
-                found[sk.images] = sk
+        batches = executor.map(_cp_task, [(n, m, s) for m, s, _group in groups])
+    classes = []
+    for (m, _s, group), batch in zip(groups, batches):
+        classes += _closed(
+            batch, lambda g: g.pi[1] % m, group, "a class must meet exactly the tasks of its group"
+        )
+    found = {phi.images: phi for phi in automorphisms(n)}
+    _merge(found, classes, f"coset-preserving search of Z_{n}")
     result = sorted(found.values(), key=lambda p: p.images)
     _require(all(sk.coset_preserving for sk in result), "base search must yield cp maps")
-    return result
+    return result, classes
+
+
+def _closed(batch, key, expected, message: str) -> list[Orbit]:
+    """The conjugation classes that `batch` meets, one `conjugates` orbit
+    each, in the order of their first morphism in `batch`; `key` must take
+    exactly the values `expected` on every class."""
+    classes: list[Orbit] = []
+    seen: set[tuple[int, ...]] = set()
+    for f in batch:
+        if f.images not in seen:
+            orbit = conjugates(f)
+            _require({key(g) for g in orbit.values()} == expected, message)
+            seen.update(orbit)
+            classes.append(orbit)
+    return classes
+
+
+def _merge(found: dict[tuple[int, ...], SkewMorphism], classes: list[Orbit], where: str) -> None:
+    """Add every member of `classes` to `found`, keyed by images; a member
+    already there means two classes overlap, an implementation bug."""
+    for cls in classes:
+        for images, sk in cls.items():
+            if images in found:
+                raise DuplicateFoundError(f"{where} saw {sk.canonical_str()} twice")
+            found[images] = sk
 
 
 def _cp_task(args: tuple[int, int, int]) -> list[SkewMorphism]:
@@ -653,8 +677,9 @@ def lift_sources(n: int, store) -> list[tuple[int, SkewMorphism]]:
 
 def _lift_orbits(
     n: int, sources: list[SkewMorphism]
-) -> list[tuple[SkewMorphism, list[tuple[SkewMorphism, int]]]]:
-    """The sources grouped into conjugation orbits: (rho, [(rho', t), ...]).
+) -> list[tuple[SkewMorphism, set[tuple[int, ...]]]]:
+    """The sources grouped into conjugation orbits: (rho, the images of
+    every source in its orbit, rho's own included).
 
     For a unit u of Z_n, the lifts of rho conjugated by t = u^{-1} have the
     quotient rho' = `quotient_for_generator(rho, u)` (which depends on
@@ -662,7 +687,7 @@ def _lift_orbits(
     the same formula sends rho' back to rho under u^{-1}: then conjugating
     by u maps every lift of rho' to a lift of rho, so conjugation by t is a
     bijection L(rho) -> L(rho'), and an empty L(rho) leaves rho' none.
-    Each source is listed once, first in the source order.
+    Each source is in one orbit, led by its first source in the source order.
     """
     by_images = {rho.images: rho for rho in sources}
     units_n = units(n)
@@ -671,69 +696,54 @@ def _lift_orbits(
     for rho in sources:
         if rho.images in placed:
             continue
-        placed.add(rho.images)
-        members = []
+        orbit = {rho.images}
         unit_of: dict[int, int] = {}  # a unit of Z_n for each unit of Z_R
         for u in units_n:
             unit_of.setdefault(u % rho.order, u)
         for u in unit_of.values():
             images = quotient_for_generator(rho, u)
             other = by_images.get(images)
-            if other is None or images in placed:
+            if other is None or images in placed or images in orbit:
                 continue
-            t = pow(u, -1, n)
-            if quotient_for_generator(other, t) == rho.images:
-                placed.add(images)
-                members.append((other, t))
-        orbits.append((rho, members))
+            if quotient_for_generator(other, pow(u, -1, n)) == rho.images:
+                orbit.add(images)
+        placed |= orbit
+        orbits.append((rho, orbit))
     return orbits
 
 
 def census(n: int, store, *, executor=None) -> CensusRecord:
     """All skew morphisms of Z_n, computing and persisting smaller orders on demand.
 
-    Only one quotient per conjugation orbit (`_lift_orbits`) is lifted; the
-    lifts of the others are its lifts conjugated, built by gathers and
-    checked against their quotient.  With an executor, the independent
-    base-search and lift tasks run on worker processes; merging happens in
-    task order and the final record is sorted, so output is identical to
-    the serial path.
+    Only one quotient per conjugation orbit (`_lift_orbits`) is lifted; its
+    lifts are closed into conjugation classes by `conjugates`, and each
+    class is checked to have exactly the quotients of the orbit.  Those
+    classes and the coset-preserving ones (`_coset_preserving`) are all the
+    classes of proper morphisms, and number the class ids.  With an
+    executor, the independent base-search and lift tasks run on worker
+    processes; merging happens in task order and the final record is
+    sorted, so output is identical to the serial path.
     """
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
     if store.has(n):
         return store.load(n)
 
-    cp = enumerate_coset_preserving(n, executor=executor)
-    collected: dict[tuple[int, ...], SkewMorphism] = {sk.images: sk for sk in cp}
-    _require(
-        sum(1 for sk in cp if sk.automorphism) == euler_phi(n),
-        "coset-preserving list must contain exactly the automorphisms",
-    )
+    cp, classes = _coset_preserving(n, executor)
+    collected = {sk.images: sk for sk in cp}
     orbits = _lift_orbits(n, [rho for _m, rho in lift_sources(n, store)])
-    tasks = [(rho, n, psi_candidates(rho, n, cp)) for rho, _members in orbits]
+    tasks = [(rho, n, psi_candidates(rho, n, cp)) for rho, _orbit in orbits]
     if executor is None:
         batches = map(_lift_task, tasks)
     else:
         batches = executor.map(_lift_task, tasks)
-    for (_rho, members), batch in zip(orbits, batches):
-        lifted = list(batch)
-        for other, t in members:
-            for f in batch:
-                g = conjugate(f, t)
-                _require(
-                    quotient_of(g).images == other.images,
-                    "a conjugated lift must have the conjugated quotient",
-                )
-                lifted.append(g)
-        for sk in lifted:
-            if sk.images in collected:
-                raise DuplicateFoundError(
-                    f"census of Z_{n} saw {sk.canonical_str()} twice"
-                )
-            collected[sk.images] = sk
+    for (_rho, orbit), batch in zip(orbits, batches):
+        message = "a class of lifts must have exactly the quotients of its source's orbit"
+        lifted = _closed(batch, lambda g: quotient_of(g).images, orbit, message)
+        _merge(collected, lifted, f"census of Z_{n}")
+        classes += lifted
 
-    record = _finalize_census(n, list(collected.values()))
+    record = _finalize_census(n, list(collected.values()), classes)
     store.save(record)
     return record
 
@@ -759,13 +769,16 @@ def census_range(store, max_n: int, *, jobs: int = 1, progress=None) -> None:
                 progress(record, fresh, time.perf_counter() - start)
 
 
-def _finalize_census(n: int, morphisms: list[SkewMorphism]) -> CensusRecord:
+def _finalize_census(n: int, morphisms: list[SkewMorphism], classes) -> CensusRecord:
+    """The record of `morphisms`, sorted by images, with class ids that
+    number `classes`, the conjugation classes of the proper morphisms
+    (each a collection of image tuples), in the order of their least
+    member."""
     morphisms = sorted(morphisms, key=lambda p: p.images)
-    classes = equivalence_classes([phi for phi in morphisms if phi.proper])
     id_of: dict[tuple[int, ...], int] = {}
-    for cid, cls in enumerate(classes):
-        for member in cls.members:
-            id_of[member.images] = cid
+    for cid, cls in enumerate(sorted(classes, key=min)):
+        for images in cls:
+            id_of[images] = cid
     class_ids = tuple(id_of.get(phi.images, -1) for phi in morphisms)
     return CensusRecord(n=n, morphisms=tuple(morphisms), class_ids=class_ids)
 

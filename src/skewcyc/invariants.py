@@ -17,7 +17,10 @@ law run per record, on stacks of morphisms of one order
 
 Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
-wrong.  A clean run over a census is the package's acceptance gate.
+wrong.  A law whose check cannot even be computed on a record (a quotient
+that is not skew, a kernel subgroup outside the kernel) is reported as a
+violation of that law, with the error as its witness.  A clean run over
+a census is the package's acceptance gate.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from .cyclic_arith import euler_phi, factorize, largest_prime_divisor, units
 from .enumeration import CensusRecord, _finalize_census
 from .quotient import check_quotient_laws
 from .skew_core import (
+    InternalCheckError,
     NoPowerExponentError,
     SkewMorphism,
     SkewMorphismError,
+    equivalence_classes,
     induced_on_quotient,
     power,
     verify,
@@ -98,14 +103,8 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
         bad("generating orbit has size ord", f"|orbit|={len(orbit)}")
 
     # quotient compatibility laws (generator 1)
-    report = check_quotient_laws(phi)
-    for failure in report.failures:
+    for failure in _quotient_law_failures(phi, 1):
         bad("quotient law", failure)
-    q = report.quotient
-    if q.is_identity != phi.automorphism:
-        bad("identity quotient iff automorphism")
-    if phi.proper and q.automorphism != phi.coset_preserving:
-        bad("automorphism quotient iff coset-preserving")
 
     # largest-prime divisibility of the kernel order
     if n >= 4:
@@ -117,10 +116,19 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
             bad("kernel order divisible by largest prime", f"p={p}, kernel={k}")
 
 
+def _quotient_law_failures(phi: SkewMorphism, g: int) -> list[str]:
+    """`check_quotient_laws(phi, g)`'s failures, or the error that keeps
+    the quotient from being built (`quotient_of` checks that it is skew,
+    of order n/|kernel|, and trivial or an automorphism as phi's flags say)."""
+    try:
+        return check_quotient_laws(phi, g).failures
+    except InternalCheckError as exc:
+        return [str(exc)]
+
+
 def _check_generator_sweep(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
     for g in units(n) or [1]:
-        report = check_quotient_laws(phi, g)
-        for failure in report.failures:
+        for failure in _quotient_law_failures(phi, g):
             out.append(
                 Violation(n, "quotient law (all generators)", f"[{phi.canonical_str()}] g={g}: {failure}")
             )
@@ -130,17 +138,16 @@ def _check_prime_comparison(n: int, phi: SkewMorphism, out: list[Violation]) -> 
     """Prime comparison through the induced quotient by each order-q subgroup."""
     k = phi.kernel_order
     for q in factorize(k):
-        ind = induced_on_quotient(phi, q)
-        l_order = q * ind.kernel_order
-        for f in factorize(l_order):
-            if k % f != 0 and f >= q:
-                out.append(
-                    Violation(
-                        n,
-                        "prime comparison via induced quotient",
-                        f"[{phi.canonical_str()}] q={q}, |L|={l_order}, p={f}",
-                    )
-                )
+        try:
+            ind = induced_on_quotient(phi, q)
+        except (SkewMorphismError, InternalCheckError) as exc:
+            found = [f"q={q}: {exc}"]
+        else:
+            l_order = q * ind.kernel_order
+            primes = [f for f in factorize(l_order) if k % f and f >= q]
+            found = [f"q={q}, |L|={l_order}, p={f}" for f in primes]
+        law = "prime comparison via induced quotient"
+        out.extend(Violation(n, law, f"[{phi.canonical_str()}] {detail}") for detail in found)
 
 
 def _periodicity_power_law(
@@ -253,7 +260,8 @@ def _check_record_level(record: CensusRecord, out: list[Violation]) -> None:
                 )
             )
 
-    rebuilt = _finalize_census(n, list(record.morphisms))
+    classes = [[phi.images for phi in cls.members] for cls in equivalence_classes(record.proper())]
+    rebuilt = _finalize_census(n, list(record.morphisms), classes)
     if rebuilt.class_ids != record.class_ids:
         out.append(Violation(n, "equivalence class ids", "stored ids differ from recomputation"))
 

@@ -17,14 +17,14 @@ generator from the quotient for 1 alone.
 Many morphisms share a quotient: the 24,385 skew morphisms of Z_n for
 n in 2..161 have 1,312 distinct quotients for the generator 1.  `verify`
 is a pure function of (m, images), so each distinct quotient is verified
-once per process, through an unbounded cache that the census bounds; the
-postconditions that relate f to its quotient still run on every call.
+once per process, through `skew_core._verified_once`, an unbounded cache
+that the census bounds; the postconditions that relate f to its quotient
+still run on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from math import gcd
 
@@ -32,8 +32,8 @@ from .skew_core import (
     InternalCheckError,
     SkewMorphism,
     SkewMorphismError,
-    verify,
     _require,
+    _verified_once,
 )
 
 
@@ -63,7 +63,7 @@ def quotient_of(phi: SkewMorphism, g: int = 1) -> SkewMorphism:
         imgs.append(acc % m)
         acc += phi.pi[orbit[i]]
     try:
-        q = _verified_quotient(m, tuple(imgs))
+        q = _verified_once(m, tuple(imgs))
     except SkewMorphismError as exc:  # pragma: no cover - guaranteed skew
         raise QuotientNotSkewError(f"quotient of {phi!r} failed verification: {exc}") from exc
 
@@ -109,12 +109,6 @@ def quotient_for_generator(rho: SkewMorphism, u: int) -> tuple[int, ...]:
         acc += c[x]
         x = fbar[x] % big_r
     return tuple(imgs)
-
-
-@cache
-def _verified_quotient(m: int, images: tuple[int, ...]) -> SkewMorphism:
-    """`verify(m, images)`, once per distinct quotient (a failure is not cached)."""
-    return verify(m, images)
 
 
 @dataclass

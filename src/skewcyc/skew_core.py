@@ -25,7 +25,8 @@ structural invariant by construction.
 Conjugation by a unit of Z_n maps skew morphisms to skew morphisms with
 the same order, kernel order, periodicity and flags, so `conjugates`
 builds the whole orbit of a verified value by gathers, with no further
-`verify`; `equivalence_classes` builds one such orbit per class.
+`verify`; it is the one way conjugates are built, and
+`equivalence_classes` builds one such orbit per class.
 """
 
 from __future__ import annotations
@@ -359,48 +360,25 @@ def induced_on_quotient(phi: SkewMorphism, n_order: int) -> SkewMorphism:
     images_bar = reduced[:q]
     # f(a) mod q depends on a mod q alone: the reduced images repeat with period q
     _require(reduced == images_bar * n_order, "induced map is not well-defined on cosets")
-    return _verified_induced(q, images_bar)
+    return _verified_once(q, images_bar)
 
 
 @cache
-def _verified_induced(q: int, images_bar: tuple[int, ...]) -> SkewMorphism:
-    """`verify(q, images_bar)`, once per distinct induced map: the morphisms
-    of one census share few of them (a failure is not cached)."""
-    return verify(q, images_bar)
+def _verified_once(n: int, images: tuple[int, ...]) -> SkewMorphism:
+    """`verify(n, images)`, once per distinct argument and process (a
+    failure is not cached).  The morphisms of one census share few
+    quotients and induced maps, so this caches both; it calls `verify` by
+    its module-global name, so a patched `verify` sees every miss."""
+    return verify(n, images)
 
 
 @lru_cache(maxsize=1)
-def _unit_gathers(n: int) -> dict[int, tuple[tuple[int, ...], itemgetter]]:
+def _unit_gathers(n: int) -> list[tuple[tuple[int, ...], itemgetter]]:
     """For each unit t of Z_n, n >= 2, in ascending order: the images of
     a -> t*a, and the gather that reads any tuple x at the points t^{-1}*a,
     giving (x[t^{-1} a])_a."""
     times = {t: tuple(t * a % n for a in range(n)) for t in units(n)}
-    return {t: (times[t], itemgetter(*times[pow(t, -1, n)])) for t in times}
-
-
-def _with_images(phi: SkewMorphism, images: tuple[int, ...], pi: tuple[int, ...]) -> SkewMorphism:
-    """A conjugate of phi: new images and power function, the rest kept
-    (see `conjugates`)."""
-    return SkewMorphism(
-        n=phi.n,
-        images=images,
-        pi=pi,
-        order=phi.order,
-        kernel_order=phi.kernel_order,
-        periodicity=phi.periodicity,
-        coset_preserving=phi.coset_preserving,
-        automorphism=phi.automorphism,
-    )
-
-
-def conjugate(phi: SkewMorphism, t: int) -> SkewMorphism:
-    """The conjugate a -> t*f(t^{-1} a) for a unit t of Z_n, n >= 2, built
-    by three gathers with no `verify` (the theorem is that of `conjugates`)."""
-    gathers = _unit_gathers(phi.n).get(t % phi.n)
-    if gathers is None:
-        raise ValueError(f"{t} is not a unit mod {phi.n}")
-    times_t, at_tinv = gathers
-    return _with_images(phi, itemgetter(*at_tinv(phi.images))(times_t), at_tinv(phi.pi))
+    return [(times[t], itemgetter(*times[pow(t, -1, n)])) for t in times]
 
 
 def conjugates(phi: SkewMorphism) -> dict[tuple[int, ...], SkewMorphism]:
@@ -418,10 +396,19 @@ def conjugates(phi: SkewMorphism) -> dict[tuple[int, ...], SkewMorphism]:
     if phi.n == 1:
         return {phi.images: phi}
     orbit: dict[tuple[int, ...], SkewMorphism] = {}
-    for times_t, at_tinv in _unit_gathers(phi.n).values():
+    for times_t, at_tinv in _unit_gathers(phi.n):
         images = itemgetter(*at_tinv(phi.images))(times_t)
         if images not in orbit:
-            orbit[images] = _with_images(phi, images, at_tinv(phi.pi))
+            orbit[images] = SkewMorphism(
+                n=phi.n,
+                images=images,
+                pi=at_tinv(phi.pi),
+                order=phi.order,
+                kernel_order=phi.kernel_order,
+                periodicity=phi.periodicity,
+                coset_preserving=phi.coset_preserving,
+                automorphism=phi.automorphism,
+            )
     return orbit
 
 

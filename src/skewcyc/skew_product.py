@@ -27,19 +27,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .cyclic_arith import divisors
 from .skew_core import SkewMorphism, _require
-
-
-class SkewProductElement(NamedTuple):
-    """Normal form a * c^j with a in Z_n and j in Z_m."""
-
-    a: int
-    j: int
 
 
 @dataclass
@@ -107,11 +99,6 @@ class _PairTables:
         integer arrays that broadcast against a (K, 1) stack index."""
         k = self._k
         return (a + self.powers[k, i, b]) % self.n, (self.prefix[k, i, b] + j) % self.m
-
-    def mult(self, x: SkewProductElement, y: SkewProductElement) -> SkewProductElement:
-        """x * y, in the group of a stack of one."""
-        a, i = self.products(x.a % self.n, x.j % self.m, y.a % self.n, y.j % self.m)
-        return SkewProductElement(a.item(), i.item())
 
     def group_reports(self) -> list[GroupCheckReport]:
         """The `check_group` report of every morphism of the stack."""

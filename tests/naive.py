@@ -235,9 +235,10 @@ def naive_coset_preserving(n: int):
 def naive_census(n: int, store):
     """The census of Z_n with one `_lift_with_psis` per lift source.
 
-    The library lifts one quotient per conjugation orbit and conjugates
-    its lifts; this is the loop it replaced, which lifts every source on
-    its own.  Smaller orders are read from (and computed into) `store`.
+    The library lifts one quotient per conjugation orbit and closes its
+    lifts under conjugation; this is the loop it replaced, which lifts
+    every source on its own.  The class ids come from `naive_classes`.
+    Smaller orders are read from (and computed into) `store`.
     """
     cp = enumerate_coset_preserving(n)
     collected = {sk.images: sk for sk in cp}
@@ -245,4 +246,6 @@ def naive_census(n: int, store):
         for sk in _lift_with_psis(rho, n, psi_candidates(rho, n, cp)):
             assert sk.images not in collected, f"Z_{n}: {sk.images} found twice"
             collected[sk.images] = sk
-    return _finalize_census(n, list(collected.values()))
+    proper = [sk for sk in collected.values() if sk.proper]
+    classes = [members for _key, members in naive_classes(proper)]
+    return _finalize_census(n, list(collected.values()), classes)

@@ -418,11 +418,24 @@ def test_grouped_tasks_match_per_task_search(jobs, monkeypatch):
 
 
 def test_a_conjugate_in_the_wrong_task_trips_the_check(monkeypatch):
-    # (7, 2) and (7, 4) are one group in Z_21; an unconjugated solution of
-    # (7, 2) handed to (7, 4) keeps the quotient alpha_2
-    monkeypatch.setattr(enum, "conjugate", lambda phi, t: phi)
-    with pytest.raises(InternalCheckError, match="land in its task"):
+    # (7, 2) and (7, 4) are one group in Z_21; a one-member orbit of a
+    # solution of (7, 2) never reaches (7, 4)
+    monkeypatch.setattr(enum, "conjugates", lambda phi: {phi.images: phi})
+    with pytest.raises(InternalCheckError, match="exactly the tasks of its group"):
         enumerate_coset_preserving(21)
+
+
+def test_a_class_of_lifts_that_misses_a_quotient_trips_the_check(monkeypatch):
+    # the coset-preserving classes stay whole; a one-member orbit of a lift
+    # has one quotient, not every quotient of its source's orbit
+    conjugates = enum.conjugates
+
+    def lifts_alone(phi):
+        return conjugates(phi) if phi.coset_preserving else {phi.images: phi}
+
+    monkeypatch.setattr(enum, "conjugates", lifts_alone)
+    with pytest.raises(InternalCheckError, match="exactly the quotients of its source's orbit"):
+        census(9, MemoryStore())
 
 
 def test_cp_order_bound_is_pruning_only(monkeypatch):

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import skewcyc.invariants
-import skewcyc.quotient
+import skewcyc.skew_core
 from skewcyc.cyclic_arith import divisors
 from skewcyc.enumeration import CensusRecord, census
 from skewcyc.invariants import _check_morphism, _check_pair_model, check_record, run_suite
@@ -30,16 +30,16 @@ class TestCleanData:
 
     def test_morphism_laws_build_the_quotient_once(self, store, monkeypatch):
         calls = []
-        verify = skewcyc.quotient.verify
+        verify = skewcyc.skew_core.verify
 
         def counted(n, images):
             calls.append(n)
             return verify(n, images)
 
-        monkeypatch.setattr(skewcyc.quotient, "verify", counted)
+        monkeypatch.setattr(skewcyc.skew_core, "verify", counted)
         for phi in store.load(12).morphisms:
             # morphisms share quotients, so start each one from a cold cache
-            skewcyc.quotient._verified_quotient.cache_clear()
+            skewcyc.skew_core._verified_once.cache_clear()
             calls.clear()
             out = []
             _check_morphism(12, phi, out)
@@ -47,16 +47,16 @@ class TestCleanData:
 
     def test_quotient_laws_on_a_warm_cache_verify_nothing(self, store, monkeypatch):
         phi = next(phi for phi in store.load(12).morphisms if phi.proper)
-        skewcyc.quotient._verified_quotient.cache_clear()
+        skewcyc.skew_core._verified_once.cache_clear()
         cold = check_quotient_laws(phi, 5)
         calls = []
-        verify = skewcyc.quotient.verify
+        verify = skewcyc.skew_core.verify
 
         def counted(n, images):
             calls.append(n)
             return verify(n, images)
 
-        monkeypatch.setattr(skewcyc.quotient, "verify", counted)
+        monkeypatch.setattr(skewcyc.skew_core, "verify", counted)
         assert check_quotient_laws(phi, 5) == cold and calls == []
 
 
@@ -135,6 +135,35 @@ class TestViolationDetection:
         laws = {v.law for v in check_record(tampered)}
         assert "census total at an odd prime power (census fit)" in laws
         assert check_record(record) == []
+
+    def test_a_record_changed_after_verify_is_reported_not_raised(self, store):
+        # pi bumped at 0, 1 and n - 1: the quotient built from such a pi
+        # may not be skew, and the stored kernel may no longer lie in the
+        # kernel of pi; each is a violation of its own law, and every
+        # other law of the morphism still runs.  So are stored orders,
+        # kernel orders and flags that disagree with the quotient.
+        def tampered(n, phi):
+            for a in (0, 1, n - 1):
+                pi = list(phi.pi)
+                pi[a] = pi[a] % phi.order + 1
+                yield dataclasses.replace(phi, pi=tuple(pi))
+            if n <= 12:
+                yield dataclasses.replace(phi, order=phi.order + 1)
+                yield dataclasses.replace(phi, kernel_order=n)
+                yield dataclasses.replace(phi, coset_preserving=not phi.coset_preserving)
+
+        laws = set()
+        records = 0
+        for n in [*range(2, 13), *range(31, 41)]:
+            for phi in census(n, store).proper():
+                for bad in tampered(n, phi):
+                    out = check_record(CensusRecord(n=n, morphisms=(bad,), class_ids=(0,)))
+                    assert any(f"[{bad.canonical_str()}]" in v.witness for v in out), bad
+                    laws.update(v.law for v in out)
+                    records += 1
+        assert records == 678 + 3 * 16  # 226 proper morphisms, 16 of them with n <= 12
+        assert {"quotient law", "prime comparison via induced quotient"} <= laws
+        assert "pair-model group axioms" in laws
 
     def test_violation_formatting(self, store):
         record = store.load(6)

@@ -15,7 +15,6 @@ from skewcyc.skew_core import (
     NotPermutationError,
     NotPreservedError,
     automorphism_of,
-    conjugate,
     conjugates,
     equivalence_classes,
     induced_on_quotient,
@@ -297,18 +296,6 @@ class TestConjugate:
             assert set(orbit) == {naive_conjugate(phi.images, t) for t in naive_units(phi.n) or [1]}
             for images, value in orbit.items():
                 assert value == verify(phi.n, images)
-
-    def test_single_conjugate_equals_verify(self, census_up_to_30):
-        for phi in census_up_to_30:
-            if phi.n == 1:
-                continue
-            for t in naive_units(phi.n):
-                g = conjugate(phi, t + phi.n)  # any representative of the unit
-                assert g == verify(phi.n, naive_conjugate(phi.images, t))
-
-    def test_single_conjugate_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            conjugate(verify(6, PHI6), 3)
 
 
 class TestEquivalenceClasses:
