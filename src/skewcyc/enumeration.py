@@ -13,14 +13,16 @@ Strategy, for each n (recursively over smaller orders):
    with S_k = 1 + u + ... + u^(k-1), so the pairs (u, w) whose orbit has
    period m are picked out by divisibility alone; f itself is recovered
    as the partial sums f(k) = sum_{i<k} o_{s^i mod m}.  Closed forms in
-   (u, w) decide bijectivity and the orbit replay, and a necessary
-   condition on the kernel action (`_kernel_test`) turns away the other
-   non-skew candidates before `verify`.  Conjugating f by a unit t
-   changes its quotient alpha_s to alpha_(s^(t^{-1})), so only the least s
-   of each cyclic subgroup <s> is searched, and its solutions are closed
-   into conjugation classes by `conjugates`: the classes hold the
-   solutions of every task of <s>, built by gathers, not verified again,
-   and each class is checked to meet exactly those tasks.
+   (u, w), tested inside the search loop, decide bijectivity and the
+   orbit replay, so only the pairs that pass both are built into a
+   candidate; a necessary condition on the kernel action (`_kernel_test`)
+   turns away the other non-skew candidates before `verify`.
+   Conjugating f by a unit t changes its quotient alpha_s to
+   alpha_(s^(t^{-1})), so only the least s of each cyclic subgroup <s> is
+   searched, and its solutions are closed into conjugation classes by
+   `conjugates`: the classes hold the solutions of every task of <s>,
+   built by gathers, not verified again, and each class is checked to
+   meet exactly those tasks.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -184,8 +186,18 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
     and z_k = 0 exactly when d_k = kq/gcd(S_k, kq) divides w.  Those k are
     the multiples of the period, so the period is m exactly when d_m | w
     and no d_(m/q) | w for a prime q | m.  Each d_(m/q) is a multiple of
-    d_m, so a u with d_(m/q) = d_m has no such w.  Only period-m pairs reach
-    `_realize_candidate`, in (u, w) order; no orbit is walked.
+    d_m, so a u with d_(m/q) = d_m has no such w.
+
+    The candidate built from such a pair has period total T = r*c (mod n),
+    c = 1 + w*sigma with sigma the sum of S_e over one period of exponents
+    e = s^i mod m, so it is a bijection exactly when c is a unit mod kq.
+    And f(1 + r*z) = x_1 + z*T, which is x_(k+1) = 1 + r*(u*z_k + w) at
+    z = z_k exactly when z_k*(c - u) = 0 (mod kq); every z_k is a multiple
+    of z_1 = w, so the orbit of 1 under f replays x_1, ..., x_m exactly
+    when w*(c - u) = 0 (mod kq).  Both closed forms are tested in the
+    loop, the cheap congruence first, so only the period-m pairs whose
+    candidate is a bijection that replays its orbit reach
+    `_realize_candidate`, in (u, w) order; no orbit is walked to find them.
 
     A morphism accepted here brings its conjugation orbit (`conjugates`),
     keyed by images: a later candidate whose images are in it takes that
@@ -202,15 +214,21 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
     alpha = tuple(s * k % m for k in range(m))
     known: dict[tuple[int, ...], SkewMorphism] = {}
     found: dict[tuple[int, ...], SkewMorphism] = {}
+    primes = list(factorize(m))
     for u in units(kq):
-        sums = list(accumulate(range(m), lambda acc, _: (u * acc + 1) % kq, initial=0))
+        sums = [0] * (m + 1)
+        acc = 0
+        for k in range(1, m + 1):
+            acc = (u * acc + 1) % kq
+            sums[k] = acc
         d_m = kq // gcd(sums[m], kq)
-        d_mq = [kq // gcd(sums[m // q], kq) for q in factorize(m)]
+        d_mq = [kq // gcd(sums[m // q], kq) for q in primes]
         if d_m in d_mq:  # each d_(m/q) is a multiple of d_m
             continue
         sigma = sum(sums[e] for e in exps)
         for w in range(0, kq, d_m):
-            if any(w % d == 0 for d in d_mq):
+            c = 1 + w * sigma
+            if w * (c - u) % kq or gcd(c, kq) != 1 or any(w % d == 0 for d in d_mq):
                 continue
             sk = _realize_candidate(n, m, r, exps, u, w, sums, sigma, known)
             if sk is None or sk.images in found:
@@ -236,30 +254,26 @@ def _realize_candidate(
 ) -> SkewMorphism | None:
     """Build f from the closed-form orbit x_k = 1 + r*z_k, z_k = w*S_k mod n/r, of 1.
 
-    The period terms are the orbit values at `exps`, so the period total
-    is T = r*c (mod n) with c = 1 + w*sigma, sigma the sum of S_e over
-    `exps`: f is a bijection exactly when c is a unit mod n/r.  And
-    f(1 + r*z) = x_1 + z*T, which is x_(k+1) = 1 + r*(u*z_k + w) at z = z_k
-    exactly when z_k*(c - u) = 0 (mod n/r); every z_k is a multiple of
-    z_1 = w, so the orbit of 1 under f replays x_1, ..., x_m exactly when
-    w*(c - u) = 0 (mod n/r).  Pairs failing either closed form are
-    rejected at once; the replay still runs on the others, as a guard.
-    Survivors must pass `_kernel_test`; those with images in `known` take
-    that morphism, the others get the full verification.
+    The period terms are the orbit values at `exps`.  `_cp_base_search`
+    sends only pairs that pass its closed forms for bijectivity and the
+    orbit replay (see there), and both are checked again here, as guards:
+    the period total must be r*(1 + w*sigma), `_period_sums` tests
+    gcd(T, n) = r, and the orbit of 1 under f is walked against
+    z -> u*z + w.  Survivors must pass `_kernel_test`; those with images
+    in `known` take that morphism, the others get the full verification.
     """
     kq = n // r
-    c = 1 + w * sigma
-    if gcd(c, kq) != 1 or w * (c - u) % kq:
-        return None
     period = _period_sums(n, r, [1 + r * (w * sums[e] % kq) for e in exps])
     if period is None:
         return None
     prefix, total = period
+    _require(total == r * (1 + w * sigma) % n, "the period total is r*(1 + w*sigma)")
 
-    x = 1
-    for step in range(1, m + 1):
+    x, z = 1, 0
+    for _ in range(m):
         x = (prefix[x % r] + (x // r) * total) % n
-        if x != 1 + r * (w * sums[step] % kq):
+        z = (u * z + w) % kq
+        if x != 1 + r * z:
             return None
     if not _kernel_test(n, r, exps[1], total):
         return None

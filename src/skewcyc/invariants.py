@@ -244,21 +244,21 @@ def _check_record_level(record: CensusRecord, out: list[Violation]) -> None:
             )
         )
 
-    # a fit to the census, not a cited theorem: at every odd prime power
+    # fits to the census, not cited theorems: at every odd prime power
     # p^e <= 161 the total is (p-1)(p^(2e-1) - p^(2e-2) + 2)/(p+1), which
-    # is p - 1 at e = 1
+    # is p - 1 at e = 1; at 2^e, 3 <= e <= 7, it is (14*4^(e-3) + 4)/3
     primes = factorize(n)
-    if len(primes) == 1 and 2 not in primes:
+    if len(primes) == 1:
         ((p, e),) = primes.items()
-        fit = (p - 1) * (p ** (2 * e - 1) - p ** (2 * e - 2) + 2) // (p + 1)
-        if record.total != fit:
-            out.append(
-                Violation(
-                    n,
-                    "census total at an odd prime power (census fit)",
-                    f"total={record.total}, fit={fit}",
-                )
-            )
+        law = fit = None
+        if p > 2:
+            law = "census total at an odd prime power (census fit)"
+            fit = (p - 1) * (p ** (2 * e - 1) - p ** (2 * e - 2) + 2) // (p + 1)
+        elif e >= 3:
+            law = "census total at a power of two (census fit)"
+            fit = (14 * 4 ** (e - 3) + 4) // 3
+        if law and record.total != fit:
+            out.append(Violation(n, law, f"total={record.total}, fit={fit}"))
 
     classes = [[phi.images for phi in cls.members] for cls in equivalence_classes(record.proper())]
     rebuilt = _finalize_census(n, list(record.morphisms), classes)

@@ -173,22 +173,23 @@ def naive_classes(morphisms) -> list[tuple[tuple[int, ...], list[tuple[int, ...]
     return [(key, sorted(members)) for key, members in sorted(buckets.items())]
 
 
-def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]], int]:
+def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]], int, int]:
     """Coset-preserving morphisms of order m and quotient alpha_s, by orbit walks.
 
     For every kernel action u (a unit of kq = n/r, r = ord_m(s)) and every
     w in [0, kq), the orbit of 1 under x -> u*(x-1) + 1 + w*r is walked step
     by step.  Each orbit of period exactly m gives the candidate
-    f(k) = sum_{i<k} orb[s^i mod m], kept if its own orbit of 1 is orb, it
-    passes the library's `verify` with order m and quotient alpha_s, and it
-    is new.  Returns the kept image tuples in (u, w) order and the number of
-    period-m orbits.
+    f(k) = sum_{i<k} orb[s^i mod m], kept if it is a bijection, its own
+    orbit of 1 is orb, it passes the library's `verify` with order m and
+    quotient alpha_s, and it is new.  Returns the kept image tuples in
+    (u, w) order, the number of period-m orbits, and the number of those
+    whose candidate is a bijection that replays orb.
     """
     r = mult_order(s, m)
     kq = n // r
     quotient = tuple(s * k % m for k in range(m))
     out: list[tuple[int, ...]] = []
-    period_m = 0
+    period_m = replayed = 0
     for u in units(kq):
         for w in range(kq):
             orb = [1]
@@ -206,15 +207,16 @@ def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]],
             walk = [1]
             while len(walk) < m:
                 walk.append(images[walk[-1]])
-            if walk != orb or images[walk[-1]] != 1:
+            if len(set(images)) != n or walk != orb or images[walk[-1]] != 1:
                 continue
+            replayed += 1
             try:
                 sk = verify(n, tuple(images))
             except SkewMorphismError:
                 continue
             if sk.order == m and quotient_of(sk).images == quotient and sk.images not in out:
                 out.append(sk.images)
-    return out, period_m
+    return out, period_m, replayed
 
 
 def naive_coset_preserving(n: int):

@@ -311,7 +311,8 @@ def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
 def test_cp_base_search_matches_orbit_walk(monkeypatch):
     # the closed-form search against the step-by-step walk of every (u, w)
     # pair: the same morphisms in the same order, and one acceptance call
-    # per pair whose orbit of 1 has period exactly m
+    # per period-m pair whose candidate is a bijection that replays its
+    # orbit of 1 (the closed forms turn the other period-m pairs away)
     calls = 0
     realize = enum._realize_candidate
 
@@ -321,18 +322,35 @@ def test_cp_base_search_matches_orbit_walk(monkeypatch):
         return realize(*args)
 
     monkeypatch.setattr(enum, "_realize_candidate", counted)
-    tasks = found = rejected = 0
+    tasks = found = rejected = pruned = 0
     for n in range(2, 61):
         for m, s in cp_search_tasks(n):
             calls = 0
-            expected, period_m = naive_cp_base_search(n, m, s)
+            expected, period_m, replayed = naive_cp_base_search(n, m, s)
             assert [sk.images for sk in enum._cp_base_search(n, m, s)] == expected, (n, m, s)
-            assert calls == period_m, (n, m, s)
+            assert calls == replayed, (n, m, s)
             tasks += 1
             found += len(expected)
-            rejected += period_m - len(expected)
+            rejected += replayed - len(expected)
+            pruned += period_m - replayed
     assert (tasks, found) == (326, 818)
-    assert rejected > 0
+    assert rejected > 0 and pruned > 0
+
+
+def test_cp_task_bound_only_prunes_empty_tasks():
+    # the orbit of 1 lies in the coset 1 + K, |K| = n/r, so a task with
+    # m*r > n has no period-m pair; `cp_search_tasks` drops those tasks
+    tasks = 0
+    for n in range(2, 61):
+        for m in enum._candidate_orders(n):
+            for s in units(m):
+                r = mult_order(s, m)
+                if s == 1 or n % r or m * r <= n:
+                    continue
+                assert enum._cp_base_search(n, m, s) == [], (n, m, s)
+                assert naive_cp_base_search(n, m, s)[1] == 0, (n, m, s)
+                tasks += 1
+    assert tasks == 452
 
 
 @pytest.fixture(scope="module")

@@ -124,16 +124,28 @@ class TestViolationDetection:
         laws = {v.law for v in check_record(tampered)}
         assert "proper morphisms exist except for n=4 or gcd(n, phi(n))=1" in laws
 
+    @staticmethod
+    def _without_last_class(record):
+        last = max(record.class_ids)
+        kept = [(phi, cid) for phi, cid in zip(record.morphisms, record.class_ids) if cid != last]
+        return CensusRecord(
+            n=record.n,
+            morphisms=tuple(phi for phi, _ in kept),
+            class_ids=tuple(cid for _, cid in kept),
+        )
+
     @pytest.mark.parametrize("n", [25, 27])
     def test_an_odd_prime_power_census_without_its_last_class_is_caught(self, store, n):
         record = store.load(n)
-        last = max(record.class_ids)
-        kept = [(phi, cid) for phi, cid in zip(record.morphisms, record.class_ids) if cid != last]
-        tampered = CensusRecord(
-            n=n, morphisms=tuple(phi for phi, _ in kept), class_ids=tuple(cid for _, cid in kept)
-        )
-        laws = {v.law for v in check_record(tampered)}
+        laws = {v.law for v in check_record(self._without_last_class(record))}
         assert "census total at an odd prime power (census fit)" in laws
+        assert check_record(record) == []
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_a_power_of_two_census_without_its_last_class_is_caught(self, store, n):
+        record = store.load(n)
+        laws = {v.law for v in check_record(self._without_last_class(record))}
+        assert "census total at a power of two (census fit)" in laws
         assert check_record(record) == []
 
     def test_a_record_changed_after_verify_is_reported_not_raised(self, store):
