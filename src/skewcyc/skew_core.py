@@ -18,9 +18,14 @@ f(a + 1) - f(a) = f^{i_a}(1), so i_a is fixed modulo the length of the
 orbit of 1 by the position of that difference on the orbit, and each
 remaining candidate exponent is confirmed or refuted by comparing one
 whole row.  For a skew morphism the orbit of 1 has exactly ord(f)
-points, so one candidate is left.  All cached fields are computed (and
-cross-checked) eagerly, so a constructed value satisfies every
-structural invariant by construction.
+points, so one candidate is left.  Only one row per kernel coset is
+compared: the set of a with f(a + x) = f(a) + f(x) for all x is closed
+under addition, so it is the subgroup generated by its least positive
+element d, and since f(a + d + x) - f(a + d) = f(a + x) - f(a) the row
+at a + d holds, with the same exponent, exactly when the row at a does.
+The rows a < d therefore decide all n rows, and pi has period d.  All
+cached fields are computed (and cross-checked) eagerly, so a
+constructed value satisfies every structural invariant by construction.
 
 Conjugation by a unit of Z_n maps skew morphisms to skew morphisms with
 the same order, kernel order, periodicity and flags, so `conjugates`
@@ -167,15 +172,28 @@ def verify(n: int, images) -> SkewMorphism:
 
     Images are converted with `operator.index`: ints and numpy integers
     pass, anything else (a float, a string) is not a permutation.  At
-    x = 1 the identity says d = f(a+1) - f(a) is f^i(1), so if d is off
+    x = 1 the identity says e = f(a+1) - f(a) is f^i(1), so if e is off
     the orbit of 1, a is the witness; otherwise i is the number of steps
-    from 1 to d modulo L1, the length of that orbit.  Each such i below
+    from 1 to e modulo L1, the length of that orbit.  Each such i below
     ord(f) is checked on the whole row, f(a+x) = f(a) + f^i(x) for all x,
-    with f^i read off the cycles once per exponent that occurs.  The
-    iterates below ord(f) are distinct, so at most one candidate matches;
-    normalised into [1, ord], it is pi[a].  Raises NotPermutationError /
-    IdentityNotFixedError / NoPowerExponentError (the latter carrying the
-    least witness element) when the candidate is not a skew morphism.
+    with f^i built once per exponent that occurs.  The iterates below
+    ord(f) are distinct, so at most one candidate matches; normalised
+    into [1, ord], it is pi[a].
+
+    Rows are checked for a = 0, 1, 2, ... and the first a = d >= 1 with
+    pi[d] = 1 ends the loop.  Proof that rows 0..d-1 decide the rest:
+    K = {a : f(a + x) = f(a) + f(x) for all x} is closed under addition
+    (f(a+b+x) = f(a+x) + f(b) = f(a) + f(b) + f(x) and f(a+b) = f(a) + f(b)),
+    so it is a subgroup of Z_n, and its least positive element d divides n.
+    For any a, f(a+d+x) = f(a+x) + f(d) and f(a+d) = f(a) + f(d), so the
+    identity holds at a + d with exponent i exactly when it holds at a
+    with exponent i.  Hence pi repeats with period d, and a failing row
+    repeats too, so the least failing element is below d and is met
+    first.  For a skew morphism K is the kernel and d = n / |kernel|.
+
+    Raises NotPermutationError / IdentityNotFixedError /
+    NoPowerExponentError (the latter carrying the least witness element)
+    when the candidate is not a skew morphism.
     """
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
@@ -185,30 +203,10 @@ def verify(n: int, images) -> SkewMorphism:
         raise NotPermutationError(f"images are not a permutation of [0, {n})") from None
     _check_permutation(n, images)
     cycles, order = _cycles(images)
-    if n == 1:  # the identity of Z_1, whose iterates are all `images`; the row
-        # check below needs n >= 2, where itemgetter returns tuples
-        return _finish(n, images, (1,), order, lambda i: images)
-
-    where = [0] * n  # where[x]: the position of x in the cycles laid end to end
-    k = 0
-    for cycle in cycles:
-        for x in cycle:
-            where[x] = k
-            k += 1
-    read_back = itemgetter(*where)
-    rows: dict[int, tuple[int, ...]] = {}
-
-    def iterate(i: int) -> tuple[int, ...]:
-        """Images of f^i: each cycle rotated by i, read back in place."""
-        row = rows.get(i)
-        if row is None:
-            rotated = []
-            for cycle in cycles:
-                r = i % len(cycle)
-                rotated += cycle[r:]
-                rotated += cycle[:r]
-            row = rows[i] = read_back(rotated)
-        return row
+    iterate = _iterates(images)
+    if n == 1:  # the identity of Z_1; the row check below needs n >= 2, where
+        # itemgetter returns tuples
+        return _finish(n, images, (1,), order, iterate)
 
     # cycles[1] is the orbit 1, f(1), f^2(1), ...; steps[y] = t for y = f^t(1)
     steps = [-1] * n
@@ -224,7 +222,7 @@ def verify(n: int, images) -> SkewMorphism:
     pi: list[int] = []
     for a in range(n):
         c = images[a]
-        # the difference lies in (-n, n): a negative index reads steps[d + n]
+        # the difference lies in (-n, n): a negative index reads steps[e + n]
         i = steps[img2[a + 1] - c]
         if i < 0:
             raise NoPowerExponentError(a)
@@ -238,9 +236,36 @@ def verify(n: int, images) -> SkewMorphism:
             i += l1
         else:
             raise NoPowerExponentError(a)
+        if a and (i or order) == 1:  # a = d: pi has period d (see the docstring)
+            _require(n % a == 0, f"least kernel element {a} does not divide {n}")
+            return _finish(n, images, tuple(pi) * (n // a), order, iterate)
         pi.append(i or order)
 
+    # K = {0}, a kernel that _finish rejects for n >= 2
     return _finish(n, images, tuple(pi), order, iterate)
+
+
+def _iterates(images: tuple[int, ...]) -> Callable[[int], tuple[int, ...]]:
+    """i -> the images of f^i, by square and multiply over the squares
+    f^(2^k), each built once and kept; every composition is one gather,
+    (g o h)(x) = g[h[x]]."""
+    if len(images) < 2:  # only the identity; itemgetter of one index returns a bare item
+        return lambda i: images
+    identity = tuple(range(len(images)))
+    squares = [images]  # squares[k] is f^(2^k)
+
+    def iterate(i: int) -> tuple[int, ...]:
+        row, k = identity, 0
+        while i:
+            if k == len(squares):
+                squares.append(itemgetter(*squares[-1])(squares[-1]))
+            if i & 1:
+                row = squares[k] if row is identity else itemgetter(*row)(squares[k])
+            i >>= 1
+            k += 1
+        return row
+
+    return iterate
 
 
 def _finish(
@@ -326,17 +351,7 @@ def power(phi: SkewMorphism, e: int) -> tuple[int, ...]:
     """Images of the e-fold iterate f^e (a raw permutation, not checked skew)."""
     if e < 0:
         raise ValueError(f"expected e >= 0, got {e}")
-    e %= phi.order
-    result = tuple(range(phi.n))
-    if phi.n < 2:  # only the identity; itemgetter of one index returns a bare item
-        return result
-    base = phi.images
-    while e:  # square and multiply, each composition one gather: (g o h)(x) = g[h[x]]
-        if e & 1:
-            result = itemgetter(*result)(base)
-        base = itemgetter(*base)(base)
-        e >>= 1
-    return result
+    return _iterates(phi.images)(e % phi.order)
 
 
 def induced_on_quotient(phi: SkewMorphism, n_order: int) -> SkewMorphism:

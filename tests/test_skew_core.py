@@ -1,10 +1,12 @@
 import random
 from itertools import permutations
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewcyc import skew_core
 from skewcyc.enumeration import census
 from skewcyc.skew_core import (
     EquivalenceClass,
@@ -100,6 +102,8 @@ class TestVerify:
     def test_trivial_groups(self):
         assert verify(1, (0,)).order == 1
         assert verify(2, (0, 1)).pi == (1, 1)
+        _assert_matches_naive(1, (0,))
+        _assert_matches_naive(2, (0, 1))
 
     def test_agrees_with_naive_oracle_exhaustively_n6(self):
         for perm in permutations(range(1, 6)):
@@ -174,6 +178,62 @@ class TestWitness:
             a, b = rng.sample(range(1, phi.n), 2)
             images[a], images[b] = images[b], images[a]
             _assert_matches_naive(phi.n, tuple(images))
+
+
+class TestKernelCosetRows:
+    """`verify` stops at the least a >= 1 with pi(a) = 1 and tiles pi with
+    that period; pi and the witness must still be the naive ones."""
+
+    def test_random_bijective_lift_shaped_candidates(self):
+        # f(j + k*r) = prefix[j] + k*T, the shape both searches build; with
+        # gcd(T, n) = r and the prefix distinct mod r it is a bijection
+        rng = random.Random(14)
+        verdicts = []
+        for n in range(2, 25):
+            divisors = [r for r in range(1, n + 1) if n % r == 0]
+            for _ in range(30):
+                r = rng.choice(divisors)
+                T = rng.choice([t for t in range(0, n, r) if gcd(t, n) == r])
+                residues = [0, *rng.sample(range(1, r), r - 1)]
+                prefix = [0] + [res + r * rng.randrange(n // r) for res in residues[1:]]
+                images = [0] * n
+                for j in range(r):
+                    for k in range(n // r):
+                        images[j + k * r] = (prefix[j] + k * T) % n
+                images = tuple(images)
+                _assert_matches_naive(n, images)
+                verdicts.append(naive_witness(n, images) is None)
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+    def test_shift_identity_at_two_does_not_hide_witness_one(self):
+        images = (0, 1, 4, 5, 2, 3)
+        # f(x + 2) = f(x) + f(2) for all x, so 2 would end the loop ...
+        assert all(images[(x + 2) % 6] == (images[x] + images[2]) % 6 for x in range(6))
+        # ... but row 1 fails first, and is the witness
+        assert naive_witness(6, images) == 1
+        with pytest.raises(NoPowerExponentError) as exc:
+            verify(6, images)
+        assert exc.value.element == 1
+
+    def test_automorphism_stops_at_one(self, monkeypatch):
+        images = tuple(5 * a % 12 for a in range(12))
+        gathers = []
+        real = skew_core.itemgetter
+
+        def counting(*indices):
+            getter = real(*indices)
+
+            def gather(seq):
+                gathers.append(indices)
+                return getter(seq)
+
+            return gather
+
+        monkeypatch.setattr(skew_core, "itemgetter", counting)
+        assert verify(12, images).pi == (1,) * 12
+        # the rows 0 and 1, and the periodicity check in _finish: one gather
+        # each, where a check of all twelve rows would make thirteen
+        assert len(gathers) == 3
 
 
 class TestPeriodicity:

@@ -227,6 +227,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "element 1" in out  # witness from the failing candidate
 
+    def test_verify_witness_below_the_shift_period(self, capsys):
+        # f(x + 2) = f(x) + f(2) holds for all x, but row 1 fails first
+        assert cli.main(["verify", "--perm", "0,1,4,5,2,3"]) == 2
+        assert capsys.readouterr().out == (
+            "not a skew morphism of Z_6: no power exponent exists for element 1\n"
+        )
+
     def test_oracle(self, tmp_path, capsys):
         store_dir = str(tmp_path / "s")
         assert cli.main(["oracle", "--n", "6", "--store", store_dir]) == 0
