@@ -11,9 +11,17 @@ total at odd prime powers.
 
 Every law runs on every morphism of every order, except the quotient laws
 for all generators, which run for n <= ALL_GENERATORS_MAX_N (generator 1
-is checked everywhere).  The pair-model laws and the periodicity-power
-law run per record, on stacks of morphisms of one order
+is checked everywhere).  The pair-model laws, the periodicity-power law
+and the quotient laws run per record, on stacks of morphisms of one order
 (`_check_pair_model`).
+
+The quotient laws are read off the same pair tables: column g of
+`prefix` is the quotient Q^(g) of f for the generator g, and column g of
+`powers` the orbit f^i(g), i < m.  Proof: prefix[i, g] = s_i(g) =
+sum_{t<i} pi(f^t(g)) mod m, which is the partial sum that `quotient_of`
+takes along the orbit of g.  So one pass per stack decides every
+(morphism, generator) pair, and only a pair that fails goes through the
+scalar `check_quotient_laws`, which words the violation.
 
 Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
@@ -39,6 +47,8 @@ from .skew_core import (
     NoPowerExponentError,
     SkewMorphism,
     SkewMorphismError,
+    _verified_once,
+    automorphism_of,
     equivalence_classes,
     induced_on_quotient,
     power,
@@ -94,17 +104,16 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
             bad("fixed points lie in the kernel", f"a={a}")
             break
 
+    # at most n steps: when the images are not a permutation, 1 need not recur
     orbit = {1}
     x = phi.images[1]
-    while x != 1:
+    for _ in range(n):
+        if x == 1:
+            break
         orbit.add(x)
         x = phi.images[x]
-    if len(orbit) != phi.order:
+    if x != 1 or len(orbit) != phi.order:
         bad("generating orbit has size ord", f"|orbit|={len(orbit)}")
-
-    # quotient compatibility laws (generator 1)
-    for failure in _quotient_law_failures(phi, 1):
-        bad("quotient law", failure)
 
     # largest-prime divisibility of the kernel order
     if n >= 4:
@@ -126,12 +135,103 @@ def _quotient_law_failures(phi: SkewMorphism, g: int) -> list[str]:
         return [str(exc)]
 
 
-def _check_generator_sweep(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
-    for g in units(n) or [1]:
-        for failure in _quotient_law_failures(phi, g):
-            out.append(
-                Violation(n, "quotient law (all generators)", f"[{phi.canonical_str()}] g={g}: {failure}")
-            )
+def _sweep_generators(n: int) -> list[int]:
+    """The generators whose quotient laws are checked on Z_n: every unit
+    for n <= ALL_GENERATORS_MAX_N, else 1 alone."""
+    return (units(n) if n <= ALL_GENERATORS_MAX_N else []) or [1]
+
+
+def _quotient_flags(
+    stack: Sequence[SkewMorphism], tables: _PairTables, gens: Sequence[int]
+) -> np.ndarray:
+    """Per morphism k of the stack and generator gens[j], whether
+    `_quotient_law_failures(stack[k], gens[j])` is non-empty, decided on the
+    pair tables.
+
+    The orbit f^i(g), i < m, is column g of `tables.powers` and the
+    quotient Q^(g) column g of `tables.prefix` (see the module docstring).
+    Each distinct quotient is verified once; `quotient_of`'s orbit and
+    postcondition checks and laws (a)-(c) are whole-array comparisons.  In
+    law (c), r = ord Q is n/|kernel|; a pair whose r does not divide n (a
+    stored kernel order that is no divisor) is flagged, so for the others
+    g^{-1} mod r is (g^{-1} mod n) mod r.
+    """
+    n, m = tables.n, tables.m
+    cols = np.array(gens) % n
+    orbits = tables.powers[:, :, cols].transpose(0, 2, 1)  # [k, j, i] = f_k^i(g_j)
+    ok = (np.diff(np.sort(orbits, axis=2), axis=2) != 0).all(axis=2)  # the orbit has m elements
+
+    # the distinct quotients, numbered, keyed by the bytes of their images
+    sums = np.ascontiguousarray(tables.prefix[:, :, cols].transpose(0, 2, 1))
+    ids: dict[bytes, int] = {}
+    rows = sums.view(np.dtype((np.void, sums.itemsize * m))).ravel().tolist()
+    qid = np.array([ids.setdefault(row, len(ids)) for row in rows]).reshape(ok.shape)
+    needed = set(qid[ok].tolist())  # quotient_of verifies only after the orbit check
+    verified = []
+    for i, row in enumerate(ids):
+        images = tuple(np.frombuffer(row, dtype=sums.dtype).tolist())
+        try:
+            verified.append(_verified_once(m, images) if i in needed else None)
+        except SkewMorphismError:
+            verified.append(None)
+    skew = np.array([q is not None for q in verified])[qid]
+    quotients = [q or automorphism_of(m, 1) for q in verified]  # stand-ins fail by `skew`
+
+    def per_quotient(values, dtype=None) -> np.ndarray:
+        return np.array(list(values), dtype=dtype)[qid]
+
+    def per_morphism(field: str) -> np.ndarray:
+        return np.array([getattr(phi, field) for phi in stack])[:, None]
+
+    order = per_quotient((q.order for q in quotients), np.int32)
+    auto = per_morphism("automorphism")
+    q_auto = per_quotient(q.automorphism for q in quotients)
+    ok &= skew & (order == n // per_morphism("kernel_order")) & (n % order == 0)
+    ok &= per_quotient(q.is_identity for q in quotients) == auto
+    ok &= auto | (q_auto == per_morphism("coset_preserving"))
+    q_period = m // per_quotient(q.kernel_order for q in quotients)
+    ok &= q_period == per_morphism("periodicity")  # law (b)
+
+    pi = np.array([phi.pi for phi in stack], dtype=np.int32)
+    if m == 1:  # law (a)
+        ok &= (pi == 1).all(axis=1)[:, None]
+    else:
+        walks = per_quotient((_orbit_of_one(q, n) for q in quotients), np.int32)
+        ok &= (pi[:, np.arange(n) * cols[:, None] % n] % m == walks).all(axis=2)
+    g_inv = np.array([pow(g, -1, n) for g in gens], dtype=np.int32)[:, None]  # law (c)
+    r = order[:, :, None]
+    q_pi = per_quotient((q.pi for q in quotients), np.int32)
+    ok &= (orbits * g_inv % r == q_pi % r).all(axis=2)
+    return ~ok
+
+
+def _orbit_of_one(q: SkewMorphism, count: int) -> list[int]:
+    """q^k(1) for k < count, as law (a) walks it."""
+    walk, z = [], 1
+    for _ in range(count):
+        walk.append(z)
+        z = q.images[z]
+    return walk
+
+
+def _check_generator_sweep(
+    n: int, stack: Sequence[SkewMorphism], tables: _PairTables
+) -> list[list[tuple[str, str]]]:
+    """The quotient-law violations of each morphism of a pair-model stack,
+    as (law, detail): "quotient law" for the generator 1 and, for
+    n <= ALL_GENERATORS_MAX_N, "quotient law (all generators)" for every
+    unit, in ascending order.  Only the pairs that `_quotient_flags`
+    flags go through `check_quotient_laws`, which words the details."""
+    gens = _sweep_generators(n)
+    found: list[list[tuple[str, str]]] = [[] for _ in stack]
+    for k, j in np.argwhere(_quotient_flags(stack, tables, gens)).tolist():
+        g = gens[j]
+        failures = _quotient_law_failures(stack[k], g)
+        if g == 1:
+            found[k] += [("quotient law", failure) for failure in failures]
+        if n <= ALL_GENERATORS_MAX_N:
+            found[k] += [("quotient law (all generators)", f"g={g}: {f}") for f in failures]
+    return found
 
 
 def _check_prime_comparison(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
@@ -173,8 +273,9 @@ def _periodicity_power_law(
 
 
 def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Violation]) -> None:
-    """The pair-model laws and the periodicity-power law, for every listed
-    morphism of Z_n, on one stack of pair tables per order at a time.
+    """The pair-model laws, the periodicity-power law and the quotient laws
+    (`_check_generator_sweep`), for every listed morphism of Z_n, on one
+    stack of pair tables per order at a time.
 
     A stack holds at most `_STACK_ELEMENTS` table entries.  The
     periodicity-power law asks that f^p, p the periodicity, be a
@@ -183,7 +284,7 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
     off row p of its tables (the proof is there); any other morphism has
     f^p verified from scratch.  Violations are listed in the order of
     `morphisms`, each morphism's in the order core, group axioms,
-    periodicity power.
+    periodicity power, quotient laws.
     """
     found: list[list[Violation]] = [[] for _ in morphisms]
     by_order: dict[int, list[int]] = {}
@@ -201,6 +302,7 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
             rows = np.flatnonzero(read)
             witness, coset_preserving = tables.power_verdicts(rows, periods[rows])
             verdicts = dict(zip(rows.tolist(), zip(witness.tolist(), coset_preserving.tolist())))
+            swept = _check_generator_sweep(n, stack, tables)
             for k, (phi, report, core) in enumerate(zip(stack, reports, tables.cores().tolist())):
                 laws = []
                 if core != phi.kernel_order:
@@ -210,6 +312,7 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
                 broken = _periodicity_power_law(phi, verdicts.get(k))
                 if broken:
                     laws.append(broken)
+                laws += swept[k]
                 if laws:
                     name = phi.canonical_str()
                     found[chunk[k]] = [
@@ -285,8 +388,6 @@ def check_record(record: CensusRecord) -> list[Violation]:
     n = record.n
     for phi in record.morphisms:
         _check_morphism(n, phi, out)
-        if n <= ALL_GENERATORS_MAX_N:
-            _check_generator_sweep(n, phi, out)
         _check_prime_comparison(n, phi, out)
     _check_pair_model(n, record.morphisms, out)
     _check_record_level(record, out)

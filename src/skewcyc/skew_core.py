@@ -121,26 +121,19 @@ class SkewMorphism:
         )
 
 
-def _cycles(images: tuple[int, ...]) -> tuple[list[list[int]], int]:
-    """The cycles of a permutation of [0, n), each listed from its least
-    element and in order of that element, and the order of the
-    permutation: the lcm of the cycle lengths."""
-    n = len(images)
-    seen = bytearray(n)
-    cycles = []
+def _cycle_order(images: tuple[int, ...]) -> int:
+    """The order of a permutation of [0, n): the lcm of its cycle lengths."""
+    seen = bytearray(len(images))
     order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = []
-        x = start
+    for start in range(len(images)):
+        length, x = 0, start
         while not seen[x]:
             seen[x] = 1
-            cycle.append(x)
             x = images[x]
-        cycles.append(cycle)
-        order = lcm(order, len(cycle))
-    return cycles, order
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
 
 
 def _check_permutation(n: int, images: tuple[int, ...]) -> None:
@@ -180,6 +173,12 @@ def verify(n: int, images) -> SkewMorphism:
     ord(f) are distinct, so at most one candidate matches; normalised
     into [1, ord], it is pi[a].
 
+    The order is read off the orbit of 1 alone: if f^L1 = 1, then ord(f)
+    divides L1, and L1 divides ord(f) since f^ord(1) = 1, so ord(f) = L1.
+    For a skew morphism that test always passes (its orbit of 1 has
+    ord(f) points); a permutation that fails it takes the lcm of its cycle
+    lengths (`_cycle_order`).
+
     Rows are checked for a = 0, 1, 2, ... and the first a = d >= 1 with
     pi[d] = 1 ends the loop.  Proof that rows 0..d-1 decide the rest:
     K = {a : f(a + x) = f(a) + f(x) for all x} is closed under addition
@@ -202,18 +201,20 @@ def verify(n: int, images) -> SkewMorphism:
     except TypeError:
         raise NotPermutationError(f"images are not a permutation of [0, {n})") from None
     _check_permutation(n, images)
-    cycles, order = _cycles(images)
     iterate = _iterates(images)
     if n == 1:  # the identity of Z_1; the row check below needs n >= 2, where
         # itemgetter returns tuples
-        return _finish(n, images, (1,), order, iterate)
+        return _finish(n, images, (1,), 1, iterate)
 
-    # cycles[1] is the orbit 1, f(1), f^2(1), ...; steps[y] = t for y = f^t(1)
+    # the orbit 1, f(1), f^2(1), ...; steps[y] = t for y = f^t(1)
     steps = [-1] * n
-    for t, y in enumerate(cycles[1]):
-        steps[y] = t
-    l1 = len(cycles[1])
+    y, l1 = 1, 0
+    while steps[y] < 0:
+        steps[y] = l1
+        y = images[y]
+        l1 += 1
     add = tuple(range(n)) * 2
+    order = l1 if iterate(l1) == add[:n] else _cycle_order(images)
     img2 = images + images
     # checks[i](add[c:c+n]) is the row (c + f^i(x)) mod n over x in [0, n), so the
     # identity holds at a with exponent i iff it equals img2[a:a+n], the row f(a+x)

@@ -231,9 +231,10 @@ class TestKernelCosetRows:
 
         monkeypatch.setattr(skew_core, "itemgetter", counting)
         assert verify(12, images).pi == (1,) * 12
-        # the rows 0 and 1, and the periodicity check in _finish: one gather
-        # each, where a check of all twelve rows would make thirteen
-        assert len(gathers) == 3
+        # the order test f^2 = 1 (the orbit of 1 has two points), the rows 0
+        # and 1, and the periodicity check in _finish: one gather each, where
+        # a check of all twelve rows would make fourteen
+        assert len(gathers) == 4
 
 
 class TestPeriodicity:
