@@ -48,12 +48,14 @@ candidate is a bijection iff gcd(T, n) equals the kernel index, and the
 whole orbit of 1 can be walked with O(1) evaluations.  The base search
 compares that walk, step by step, with the closed-form orbit its
 candidate was built from, as a guard behind a closed form of the same
-test.  The lift runs these checks on all seed combinations of a stepper
-at once (`_batched_seed_survivors`).  Its prefix sums are separable, one
-table of partial sums per thread, and every orbit value has a residue
-mod R = ord(rho) that no seed choice changes (psi fixes residues, each
-seed pool is one coset, R divides T), so each walk step reads one prefix
-column for all combinations.
+test.  The lift runs these checks on all seed combinations of all the
+steppers of a task at once (`_batched_seed_survivors`): the stepper is a
+leading axis of its tables, flattened into their columns.  Its prefix
+sums are separable, one table of partial sums per thread and stepper,
+and every orbit value has a residue mod R = ord(rho) that neither the
+seeds nor the stepper change (every stepper fixes residues, each seed
+pool is one coset, R divides T), so each walk step reads one prefix
+column for all rows.
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -454,6 +456,12 @@ def lift(rho: SkewMorphism, n: int, cp_list: list[SkewMorphism]) -> list[SkewMor
     return _lift_with_psis(rho, n, psi_candidates(rho, n, cp_list))
 
 
+def _free_threads(orbit_l: list[int], p: int) -> list[int]:
+    """The threads whose seeds are free choices: those other than thread 0
+    that hold a needed orbit position (an exponent in orbit_l)."""
+    return sorted({e % p for e in orbit_l} - {0})
+
+
 def _lift_with_psis(
     rho: SkewMorphism, n: int, psis: list[SkewMorphism]
 ) -> list[SkewMorphism]:
@@ -482,59 +490,65 @@ def _lift_with_psis(
         return []
 
     needed = frozenset(orbit_l)
-    threads = sorted({e % p for e in orbit_l})
-    free = [j for j in threads if j != 0]
+    free = _free_threads(orbit_l, p)
     # seed of thread j sits in the kernel coset given by pi_rho at j
     pools = [[(rho.pi[j] + t * big_r) % n for t in range(kord)] for j in free]
 
+    qmax = max(e // p for e in orbit_l)
+    tables = [power_table(psi.images, qmax + 1) for psi in psis]
+    if free and len(psis) * kord ** len(free) >= _BATCH_MIN:
+        survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l)
+    else:
+        survivors = ((k, combo) for k in range(len(psis)) for combo in product(*pools))
     results: dict[tuple[int, ...], SkewMorphism] = {}
-    for psi in psis:
-        qmax = max(e // p for e in orbit_l)
-        rows = power_table(psi.images, qmax + 1)
-        if kord ** len(free) >= _BATCH_MIN:
-            combos = _batched_seed_survivors(
-                n, m, big_r, p, psi, free, pools, rows, orbit_l
+    for k, combo in survivors:
+        psi, rows = psis[k], tables[k]
+        seeds = dict(zip(free, combo))
+        seeds[0] = 1
+        value_at = {e: rows[e // p][seeds[e % p]] for e in needed}
+        sk = _realize_lift(n, m, big_r, p, psi, seeds, value_at, orbit_l)
+        if sk is None:
+            continue
+        if quotient_of(sk).images != rho.images:
+            continue
+        if power(sk, p) != psi.images:
+            continue
+        _require(not sk.coset_preserving, "lift produced a coset-preserving map")
+        template = OrbitTemplate(
+            m=m,
+            p=p,
+            psi=psi,
+            x=tuple(sorted((j + 1, seeds[j]) for j in free)),
+            needed_positions=needed,
+        )
+        _require(
+            all(template.orbit_value(e) == value_at[e] for e in needed),
+            "orbit template disagrees with realized orbit",
+        )
+        if sk.images in results:
+            raise DuplicateFoundError(
+                f"lift of {rho.canonical_str()} repeated {sk.canonical_str()}"
             )
-        else:
-            combos = product(*pools)
-        for combo in combos:
-            seeds = dict(zip(free, combo))
-            seeds[0] = 1
-            value_at = {e: rows[e // p][seeds[e % p]] for e in needed}
-            sk = _realize_lift(n, m, big_r, p, psi, seeds, value_at, orbit_l)
-            if sk is None:
-                continue
-            if quotient_of(sk).images != rho.images:
-                continue
-            if power(sk, p) != psi.images:
-                continue
-            _require(not sk.coset_preserving, "lift produced a coset-preserving map")
-            template = OrbitTemplate(
-                m=m,
-                p=p,
-                psi=psi,
-                x=tuple(sorted((j + 1, seeds[j]) for j in free)),
-                needed_positions=needed,
-            )
-            _require(
-                all(template.orbit_value(e) == value_at[e] for e in needed),
-                "orbit template disagrees with realized orbit",
-            )
-            if sk.images in results:
-                raise DuplicateFoundError(
-                    f"lift of {rho.canonical_str()} repeated {sk.canonical_str()}"
-                )
-            results[sk.images] = sk
+        results[sk.images] = sk
     return sorted(results.values(), key=lambda q: q.images)
 
 
-# Below this many seed combinations the plain loop is faster.  Measured per
-# stepper on the lift tasks of census(n), n in {54, 64, 72, 80, 81, 96, 100}
-# (2 cores, best of 3; plain vs batched): 9 combinations 834 vs 1008 us,
-# 16: 293 vs 315, 25 to 36: within 3%, 64: 1045 vs 686, 81: 1120 vs 533,
-# 729: 10118 vs 1304.  None of these tasks has 37 to 63 combinations.
+# Below this many seed combinations in a task's whole stack of steppers the
+# plain loop is taken.  Measured per task with a free thread, lift and
+# acceptance together, on census(n), n in {54, 64, 72, 80, 81, 96, 100}
+# (2 cores, best of 9, mean us; plain vs batched): 50 combinations 260 vs
+# 250, 54: 710 vs 700, 64: 1116 vs 1319, 72: 676 vs 729, 80: 714 vs 906,
+# 96: 962 vs 830, 128 to 162: within 8%, 192: 2151 vs 1731, 288: 1632 vs
+# 701; best of 3, 2916: 40094 vs 3850, 39366: 900419 vs 14234.  None of
+# these tasks has fewer than 50.  From 64 to 95 the plain loop is ahead by
+# 0.2 ms a task or less, and the pass sends far fewer seed choices to the
+# scalar acceptance (census(81): 762 `_realize_lift` calls, 832 from 96).
 _BATCH_MIN = 64
-_CHUNK = 1 << 16  # seed combinations per pre-filter pass; bounds its working set
+# (stepper, seed combination) rows per pre-filter pass; bounds its working
+# set.  Peak RSS of census(81): 32.8 MB, against 34.3 MB with 1 << 15 and
+# 34.5 MB when each stepper had a pass of its own; 1 << 15 walks the
+# largest stack of census(81) (39,366 rows) about 10% faster.
+_CHUNK = 1 << 14
 
 
 def _batched_seed_survivors(
@@ -542,82 +556,92 @@ def _batched_seed_survivors(
     m: int,
     big_r: int,
     p: int,
-    psi: SkewMorphism,
+    psis: list[SkewMorphism],
     free: list[int],
     pools: list[list[int]],
-    rows: list[tuple[int, ...]],
+    tables: list[list[tuple[int, ...]]],
     orbit_l: list[int],
 ):
-    """Vectorised pre-filter over all seed combinations for one stepper.
+    """Vectorised pre-filter over all seed combinations of every stepper of a task.
 
     Applies exactly the checks of `_realize_lift` (one-period total with
     the right gcd, orbit walk with first return at m, seed replay, psi
-    thread relation) to every combination at once and yields the
-    survivors in `product(*pools)` order; each survivor is then rebuilt
-    and fully verified by the scalar path, so this stage can only
-    discard, never admit.
+    thread relation) to every (stepper, combination) row at once and
+    yields the survivors as (index into psis, combination), stepper by
+    stepper in `product(*pools)` order; `tables[k]` is the power table of
+    psis[k].  Each survivor is then rebuilt and fully verified by the
+    scalar path, so this stage can only discard, never admit.
 
     The prefix sums are separable.  Period term i depends only on the
-    seed of thread orbit_l[i] % p, so prefix column c is the part of
-    thread 0 plus one per-thread partial sum for each free thread, read
-    from an (R+1) x nfree x kord table.  Those are folded into two tables
-    over the seed digits of the first and the second half of the free
-    threads, so a column costs two gathers per combination.  The period
+    stepper and the seed of thread orbit_l[i] % p, so prefix column c is
+    the part of thread 0 plus one per-thread partial sum for each free
+    thread, read from an (R+1) x nfree x kord table per stepper.  Those are
+    folded into two tables over the seed digits of the first and the
+    second half of the free threads, and the stepper axis is flattened
+    into their columns, so a column costs two gathers per row.  The period
     total T is column R; the gcd(T, n) = R filter runs first.
 
-    Every orbit value has the same residue mod R in all combinations:
-    psi fixes each residue mod R (see `psi_candidates`), each seed pool
-    lies in one coset of R, and R | T.  So each walk step reads a single
-    prefix column, built on the rows still alive, and the rows that fail
-    a check are dropped at once.
+    Every orbit value has the same residue mod R in all rows, whatever the
+    stepper: every psi from `psi_candidates` fixes each residue mod R, so
+    psi^q(s) = s (mod R) and each period term has the residue of its
+    thread's seed; each seed pool lies in one coset of R; and R | T.  So
+    the residues of the prefix sums are shared by the whole stack, each
+    walk step reads a single prefix column, built on the rows still alive,
+    and the rows that fail a check are dropped at once.  Every value is
+    below n^2 (two sums mod n plus (o // R) * T < n^2 / 2), so the tables
+    are int32 unless n is large.
     """
-    nfree = len(free)
-    kord = len(pools[0])
+    nfree, kord, stack = len(free), len(pools[0]), len(psis)
+    dtype = np.int32 if n < 1 << 15 else np.int64
     thread_of = {j: k for k, j in enumerate(free)}
-    # terms[i, k, d]: what period step i adds when free thread k has seed
-    # digit d; slot nfree holds the steps of thread 0, whose seed is 1
-    terms = np.zeros((big_r, nfree + 1, kord), dtype=np.int64)
+    # terms[s, i, k, d]: what period step i adds under stepper s when free
+    # thread k has seed digit d; slot nfree holds the steps of thread 0,
+    # whose seed is 1
+    terms = np.zeros((stack, big_r, nfree + 1, kord), dtype=np.int64)
     for i, e in enumerate(orbit_l):
-        row = rows[e // p]
+        powers = np.array([table[e // p] for table in tables])  # psi_s^(e // p) for each s
         if e % p == 0:
-            terms[i, nfree] = row[1]
+            terms[:, i, nfree] = powers[:, 1, None]
         else:
             k = thread_of[e % p]
-            terms[i, k] = [row[s] for s in pools[k]]
-    sums = np.zeros((big_r + 1, nfree + 1, kord), dtype=np.int64)
-    np.cumsum(terms, axis=0, out=sums[1:])
+            terms[:, i, k] = powers[:, pools[k]]
+    sums = np.zeros((stack, big_r + 1, nfree + 1, kord), dtype=np.int64)
+    np.cumsum(terms, axis=1, out=sums[:, 1:])
     sums %= n
     _require(
-        bool((sums % big_r == sums[:, :, :1] % big_r).all()),
-        "prefix residues mod R must not depend on the seeds",
+        bool((sums % big_r == sums[:1, :, :, :1] % big_r).all()),
+        "prefix residues mod R must not depend on the stepper or the seeds",
     )
     # a step that reads prefix column c lands on residue next_residue[c]
-    next_residue = (sums[:, :, 0].sum(axis=1) % big_r).tolist()
+    next_residue = (sums[0, :, :, 0].sum(axis=1) % big_r).tolist()
 
-    # column c of combination hi * lo_size + lo is hi_sums[c, hi] + lo_sums[c, lo] (mod n)
+    # row (s * hi_size + h) * lo_size + l, for stepper s and the seed digits
+    # h, l of the first and the second half of the free threads, reads
+    # column c as hi_sums[c, s * hi_size + h] + lo_sums[c, s * lo_size + l] (mod n)
     def fold(acc, threads):
         for k in threads:
-            acc = (acc[:, :, None] + sums[:, k, None, :]).reshape(big_r + 1, -1)
-        return acc
+            acc = (acc[:, :, :, None] + sums[:, :, k, None, :]).reshape(stack, big_r + 1, -1)
+        return (acc % n).astype(dtype).transpose(1, 0, 2).reshape(big_r + 1, -1)
 
     half = nfree // 2
-    lo_size = kord ** (nfree - half)
-    hi_sums = fold(sums[:, nfree, :1], range(half))
-    lo_sums = fold(np.zeros((big_r + 1, 1), dtype=np.int64), range(half, nfree))
-    place = [kord ** (nfree - 1 - k) for k in range(nfree)]  # digit k = combo // place[k] % kord
-    pools_np = np.asarray(pools, dtype=np.int64)
-    psi_np = np.asarray(psi.images, dtype=np.int64)
+    hi_size, lo_size = kord**half, kord ** (nfree - half)
+    hi_sums = fold(sums[:, :, nfree, :1], range(half))
+    lo_sums = fold(np.zeros((stack, big_r + 1, 1), dtype=np.int64), range(half, nfree))
+    # seed digit k of a row is hi // place[k] % kord for k < half, else lo // place[k] % kord
+    place = [kord ** ((half if k < half else nfree) - 1 - k) for k in range(nfree)]
+    pools_np = np.asarray(pools, dtype=dtype)
+    psis_np = np.asarray([psi.images for psi in psis], dtype=dtype).ravel()  # psis[s] at s * n
     valid_total = np.gcd(np.arange(n), n) == big_r
 
-    total_combos = kord**nfree
-    for start in range(0, total_combos, _CHUNK):
-        hi, lo = np.divmod(np.arange(start, min(start + _CHUNK, total_combos)), lo_size)
+    rows = stack * hi_size * lo_size
+    for start in range(0, rows, _CHUNK):
+        hi, lo = np.divmod(np.arange(start, min(start + _CHUNK, rows)), lo_size)
+        lo += hi // hi_size * lo_size  # hi // hi_size is the stepper
         tot = (hi_sums[big_r, hi] + lo_sums[big_r, lo]) % n
         live = valid_total[tot]
         hi, lo, tot = hi[live], lo[live], tot[live]
         o = np.ones_like(tot)
-        last = np.empty((p, len(tot)), dtype=np.int64)  # latest orbit value per thread
-        last[0] = 1
+        last = [o]  # latest orbit value of each thread reached so far
         residue = 1
         for t in range(1, m + 1):
             if not len(tot):
@@ -629,15 +653,20 @@ def _batched_seed_survivors(
             else:
                 live = o != 1
                 if t >= p:
-                    live &= o == psi_np[last[t % p]]
-                elif t in thread_of:
-                    k = thread_of[t]
-                    live &= o == pools_np[k, (hi * lo_size + lo) // place[k] % kord]
-                last[t % p] = o
+                    live &= o == psis_np[hi // hi_size * n + last[t % p]]
+                    last[t % p] = o
+                else:
+                    if t in thread_of:
+                        k = thread_of[t]
+                        digits = hi if k < half else lo
+                        live &= o == pools_np[k, digits // place[k] % kord]
+                    last.append(o)
             if not live.all():
-                hi, lo, tot, o, last = hi[live], lo[live], tot[live], o[live], last[:, live]
-        for combo in (hi * lo_size + lo).tolist():
-            yield tuple(pools[k][combo // place[k] % kord] for k in range(nfree))
+                hi, lo, tot, o = hi[live], lo[live], tot[live], o[live]
+                last = [a[live] for a in last]
+        for h, l in zip(hi.tolist(), lo.tolist()):
+            digits = [(h if k < half else l) // place[k] % kord for k in range(nfree)]
+            yield h // hi_size, tuple(pool[d] for pool, d in zip(pools, digits))
 
 
 def _realize_lift(
@@ -731,7 +760,9 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
 
     Only one quotient per conjugation orbit (`_lift_orbits`) is lifted; its
     lifts are closed into conjugation classes by `conjugates`, and each
-    class is checked to have exactly the quotients of the orbit.  Those
+    class is checked to have exactly the quotients of the orbit (a member
+    the lift returned counts as rho's, which `_lift_with_psis` checked;
+    every other member has its quotient built).  Those
     classes and the coset-preserving ones (`_coset_preserving`) are all the
     classes of proper morphisms, and number the class ids.  With an
     executor, the independent base-search and lift tasks run on worker
@@ -751,9 +782,14 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
         batches = map(_lift_task, tasks)
     else:
         batches = executor.map(_lift_task, tasks)
-    for (_rho, orbit), batch in zip(orbits, batches):
+    for (rho, orbit), batch in zip(orbits, batches):
         message = "a class of lifts must have exactly the quotients of its source's orbit"
-        lifted = _closed(batch, lambda g: quotient_of(g).images, orbit, message)
+        checked = {sk.images for sk in batch}  # `_lift_with_psis` checked their quotient is rho
+
+        def key(g: SkewMorphism) -> tuple[int, ...]:
+            return rho.images if g.images in checked else quotient_of(g).images
+
+        lifted = _closed(batch, key, orbit, message)
         _merge(collected, lifted, f"census of Z_{n}")
         classes += lifted
 

@@ -27,8 +27,10 @@ Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
 wrong.  A law whose check cannot even be computed on a record (a quotient
 that is not skew, a kernel subgroup outside the kernel) is reported as a
-violation of that law, with the error as its witness.  A clean run over
-a census is the package's acceptance gate.
+violation of that law, with the error as its witness.  A stored kernel
+order that no subgroup of Z_n has is reported as "kernel order divides
+n", and the laws that need the kernel subgroup are skipped for that
+morphism.  A clean run over a census is the package's acceptance gate.
 """
 
 from __future__ import annotations
@@ -71,12 +73,21 @@ class Violation:
         return f"n={self.n}: {self.law}: {self.witness}"
 
 
+def _kernel_divides(n: int, phi: SkewMorphism) -> bool:
+    """Whether Z_n has a subgroup of phi's stored kernel order.  The laws
+    that need that subgroup are skipped for a morphism without one, which
+    `_check_morphism` reports as "kernel order divides n"."""
+    return phi.kernel_order >= 1 and n % phi.kernel_order == 0
+
+
 def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
     def bad(law: str, detail: str = "") -> None:
         out.append(Violation(n, law, f"[{phi.canonical_str()}] {detail}".strip()))
 
     k = phi.kernel_order
-    step = n // k
+    kernel_ok = _kernel_divides(n, phi)
+    if not kernel_ok:
+        bad("kernel order divides n", f"kernel={k}")
 
     if n >= 2 and not phi.order < n:
         bad("order below group order", f"order={phi.order}")
@@ -90,14 +101,16 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
     # kernel: non-trivial, subgroup-shaped, power function constant exactly on cosets
     if n >= 2 and k < 2:
         bad("kernel non-trivial")
-    members = {a for a in range(n) if phi.pi[a] == 1}
-    if members != set(range(0, n, step)):
-        bad("kernel is the subgroup of its order", f"members={sorted(members)}")
-    coset_values = [phi.pi[c] for c in range(step)]
-    if any(phi.pi[a] != coset_values[a % step] for a in range(n)):
-        bad("power function constant on kernel cosets")
-    if len(set(coset_values)) != step:
-        bad("power function distinct across kernel cosets")
+    if kernel_ok:
+        step = n // k
+        members = {a for a in range(n) if phi.pi[a] == 1}
+        if members != set(range(0, n, step)):
+            bad("kernel is the subgroup of its order", f"members={sorted(members)}")
+        coset_values = [phi.pi[c] for c in range(step)]
+        if any(phi.pi[a] != coset_values[a % step] for a in range(n)):
+            bad("power function constant on kernel cosets")
+        if len(set(coset_values)) != step:
+            bad("power function distinct across kernel cosets")
 
     for a in range(n):
         if phi.images[a] == a and phi.pi[a] != 1:
@@ -186,7 +199,9 @@ def _quotient_flags(
     order = per_quotient((q.order for q in quotients), np.int32)
     auto = per_morphism("automorphism")
     q_auto = per_quotient(q.automorphism for q in quotients)
-    ok &= skew & (order == n // per_morphism("kernel_order")) & (n % order == 0)
+    kernel = per_morphism("kernel_order")
+    index = np.where(kernel > 0, n // np.maximum(kernel, 1), 0)  # no quotient has order 0
+    ok &= skew & (order == index) & (n % order == 0)
     ok &= per_quotient(q.is_identity for q in quotients) == auto
     ok &= auto | (q_auto == per_morphism("coset_preserving"))
     q_period = m // per_quotient(q.kernel_order for q in quotients)
@@ -221,10 +236,14 @@ def _check_generator_sweep(
     as (law, detail): "quotient law" for the generator 1 and, for
     n <= ALL_GENERATORS_MAX_N, "quotient law (all generators)" for every
     unit, in ascending order.  Only the pairs that `_quotient_flags`
-    flags go through `check_quotient_laws`, which words the details."""
+    flags go through `check_quotient_laws`, which words the details; a
+    morphism whose kernel order does not divide n has none (see
+    `_kernel_divides`)."""
     gens = _sweep_generators(n)
     found: list[list[tuple[str, str]]] = [[] for _ in stack]
     for k, j in np.argwhere(_quotient_flags(stack, tables, gens)).tolist():
+        if not _kernel_divides(n, stack[k]):
+            continue
         g = gens[j]
         failures = _quotient_law_failures(stack[k], g)
         if g == 1:
@@ -235,7 +254,10 @@ def _check_generator_sweep(
 
 
 def _check_prime_comparison(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
-    """Prime comparison through the induced quotient by each order-q subgroup."""
+    """Prime comparison through the induced quotient by each order-q subgroup
+    (none when the kernel order does not divide n; see `_kernel_divides`)."""
+    if not _kernel_divides(n, phi):
+        return
     k = phi.kernel_order
     for q in factorize(k):
         try:

@@ -21,7 +21,7 @@ from skewcyc.enumeration import (
 )
 from skewcyc.quotient import quotient_of
 from skewcyc.skew_core import InternalCheckError, equivalence_classes, verify
-from skewcyc.store import MemoryStore
+from skewcyc.store import MemoryStore, Store
 
 from naive import naive_census, naive_coset_preserving, naive_cp_base_search
 
@@ -266,46 +266,140 @@ def prefilter_calls(store):
         mp.setattr(enum, "_BATCH_MIN", 1)
         mp.setattr(enum, "_batched_seed_survivors", record)
         census(54, store)
-    # a few tasks of each shape (m, R, p, free threads, kernel order)
+    # a few tasks of each shape (m, R, p, steppers, free threads, kernel order)
     by_shape = {}
     for args in calls:
-        _n, m, big_r, p, _psi, free, pools, _rows, _orbit_l = args
+        _n, m, big_r, p, psis, free, pools, _tables, _orbit_l = args
         if len(free) >= 2 and len(pools[0]) >= 3:
-            by_shape.setdefault((m, big_r, p, len(free), len(pools[0])), []).append(args)
+            shape = (m, big_r, p, len(psis), len(free), len(pools[0]))
+            by_shape.setdefault(shape, []).append(args)
     return [args for group in by_shape.values() for args in group[:3]]
+
+
+def _scalar_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l):
+    """(stepper index, combination) for every seed choice of every stepper
+    that `_realize_lift` keeps, stepper by stepper in `product` order."""
+    kept = []
+    for k, (psi, rows) in enumerate(zip(psis, tables)):
+        for combo in product(*pools):
+            seeds = dict(zip(free, combo))
+            seeds[0] = 1
+            value_at = {e: rows[e // p][seeds[e % p]] for e in orbit_l}
+            if enum._realize_lift(n, m, big_r, p, psi, seeds, value_at, orbit_l) is not None:
+                kept.append((k, combo))
+    return kept
 
 
 def test_prefilter_matches_scalar_walk(prefilter_calls, monkeypatch):
     # the pre-filter runs every check of _realize_lift except the final
     # verification, which runs on its survivors; with verification
     # stubbed out the scalar path must keep exactly the same combinations
+    # of each stepper of the stack
     monkeypatch.setattr(enum, "_verified_of_order", lambda *args: True)
     assert len({args[1:4] for args in prefilter_calls}) >= 4
-    kept = 0
+    kept = stacked = 0
     for args in prefilter_calls:
-        n, m, big_r, p, psi, free, pools, rows, orbit_l = args
-        expected = []
-        for combo in product(*pools):
-            seeds = dict(zip(free, combo))
-            seeds[0] = 1
-            value_at = {e: rows[e // p][seeds[e % p]] for e in orbit_l}
-            if enum._realize_lift(n, m, big_r, p, psi, seeds, value_at, orbit_l) is not None:
-                expected.append(combo)
+        expected = _scalar_survivors(*args)
         assert list(enum._batched_seed_survivors(*args)) == expected
         kept += len(expected)
+        stacked += len({k for k, _combo in expected}) > 1
     assert kept > 0
+    assert stacked > 0  # some stack has survivors under two steppers
 
 
 def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
-    # calls beyond one chunk first occur at n = 126; shrink the chunk instead
+    # calls beyond one chunk first occur at n = 81; shrink the chunk instead
     whole = [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls]
     monkeypatch.setattr(enum, "_CHUNK", 7)
     assert [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls] == whole
     spread = 0
     for args, found in zip(prefilter_calls, whole):
-        index = {combo: i for i, combo in enumerate(product(*args[6]))}
-        spread = max(spread, len({index[combo] // 7 for combo in found}))
+        psis, pools = args[4], args[6]
+        index = {
+            (k, combo): i
+            for i, (k, combo) in enumerate(product(range(len(psis)), product(*pools)))
+        }
+        spread = max(spread, len({index[row] // 7 for row in found}))
     assert spread > 1  # some call yields survivors from several chunks
+
+
+def test_prefilter_chunk_boundaries_inside_and_between_steppers(prefilter_calls, monkeypatch):
+    # a chunk of kord rows divides each stepper's kord**nfree rows into
+    # several chunks: boundaries fall inside a stepper and between two
+    stacked = [args for args in prefilter_calls if len(args[4]) >= 2]
+    whole = [list(enum._batched_seed_survivors(*args)) for args in stacked]
+    for args, found in zip(stacked, whole):
+        kord, nfree = len(args[6][0]), len(args[5])
+        assert kord < kord**nfree  # a boundary at kord, inside stepper 0
+        monkeypatch.setattr(enum, "_CHUNK", kord)
+        assert list(enum._batched_seed_survivors(*args)) == found
+    assert sum(len({k for k, _combo in found}) > 1 for found in whole) > 0
+
+
+def test_census_builds_no_quotient_the_lift_checked(monkeypatch):
+    # the lift checks that each lift it returns has the quotient rho; the
+    # class check of census builds the quotient of every other member only
+    store = MemoryStore()
+    for n in range(2, 54):
+        census(n, store)
+    returned: set[tuple[int, ...]] = set()
+    built: list[tuple[int, ...]] = []
+    searching = False
+    quotient = enum.quotient_of
+
+    def in_search(search):
+        def run(*args):
+            nonlocal searching
+            searching = True
+            try:
+                return search(*args)
+            finally:
+                searching = False
+
+        return run
+
+    def counted(phi, *args):
+        if not searching:
+            built.append(phi.images)
+        return quotient(phi, *args)
+
+    lift_with_psis = in_search(enum._lift_with_psis)
+
+    def lifted(*args):
+        batch = lift_with_psis(*args)
+        returned.update(sk.images for sk in batch)
+        return batch
+
+    monkeypatch.setattr(enum, "_lift_with_psis", lifted)
+    monkeypatch.setattr(enum, "_cp_base_search", in_search(enum._cp_base_search))
+    monkeypatch.setattr(enum, "quotient_of", counted)
+    record = census(54, store)
+    lifts = {phi.images for phi in record.proper() if not phi.coset_preserving}
+    assert returned and returned < lifts
+    assert sorted(built) == sorted(lifts - returned)
+
+
+def test_needed_thread_pruning_is_sound(monkeypatch, tmp_path):
+    # seed every thread 1..p-1, not only those that hold a needed orbit
+    # position; the stored census of 2..48 must not change by a byte
+    def run(directory):
+        store = Store(directory)
+        for n in range(2, 49):
+            census(n, store)
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    expected = run(tmp_path / "pruned")
+    widened = 0
+    pruned = enum._free_threads
+
+    def every_thread(orbit_l, p):
+        nonlocal widened
+        widened += p - 1 - len(pruned(orbit_l, p))
+        return list(range(1, p))
+
+    monkeypatch.setattr(enum, "_free_threads", every_thread)
+    assert run(tmp_path / "every") == expected
+    assert widened > 0
 
 
 def test_cp_base_search_matches_orbit_walk(monkeypatch):

@@ -265,6 +265,22 @@ class TestViolationDetection:
         assert {"quotient law", "prime comparison via induced quotient"} <= laws
         assert "pair-model group axioms" in laws
 
+    @pytest.mark.parametrize("n, kernel", [(5, 2), (5, 0), (5, 6), (12, 24), (12, 5), (12, -3)])
+    def test_a_kernel_order_with_no_subgroup_is_reported_not_raised(self, store, n, kernel):
+        # no subgroup of Z_n has that order, so the laws that need the
+        # kernel subgroup are skipped for the morphism and the order is
+        # reported as a law of its own
+        record = store.load(n)
+        index = next((i for i, phi in enumerate(record.morphisms) if phi.proper), 0)
+        morphisms = list(record.morphisms)
+        bad = dataclasses.replace(morphisms[index], kernel_order=kernel)
+        morphisms[index] = bad
+        tampered = CensusRecord(n=n, morphisms=tuple(morphisms), class_ids=record.class_ids)
+        out = check_record(tampered)
+        law = Violation(n, "kernel order divides n", f"[{bad.canonical_str()}] kernel={kernel}")
+        assert law in out
+        assert check_record(record) == []
+
     def test_violation_formatting(self, store):
         record = store.load(6)
         autos = [phi for phi in record.morphisms if phi.automorphism]
