@@ -12,8 +12,8 @@ total at odd prime powers.
 Every law runs on every morphism of every order, except the quotient laws
 for all generators, which run for n <= ALL_GENERATORS_MAX_N (generator 1
 is checked everywhere).  The pair-model laws, the periodicity-power law
-and the quotient laws run per record, on stacks of morphisms of one order
-(`_check_pair_model`).
+and the quotient laws run per record, on stacks that mix the orders of
+Z_n, padded to the largest order of each stack (`_check_pair_model`).
 
 The quotient laws are read off the same pair tables: column g of
 `prefix` is the quotient Q^(g) of f for the generator g, and column g of
@@ -21,7 +21,9 @@ The quotient laws are read off the same pair tables: column g of
 sum_{t<i} pi(f^t(g)) mod m, which is the partial sum that `quotient_of`
 takes along the orbit of g.  So one pass per stack decides every
 (morphism, generator) pair, and only a pair that fails goes through the
-scalar `check_quotient_laws`, which words the violation.
+scalar `check_quotient_laws`, which words the violation.  Each law
+reads a morphism's tables below its own order m, so a stack's verdicts
+on a morphism are those of a stack of one.
 
 Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
@@ -30,14 +32,21 @@ that is not skew, a kernel subgroup outside the kernel) is reported as a
 violation of that law, with the error as its witness.  A stored kernel
 order that no subgroup of Z_n has is reported as "kernel order divides
 n", and the laws that need the kernel subgroup are skipped for that
-morphism.  A clean run over a census is the package's acceptance gate.
+morphism.  In the same way, images outside Z_n and an order below 1 are
+laws of their own, and the laws that index by the images or the order
+are skipped (see `_check_morphism`).  An automorphism is checked against its
+closed form a -> f(1)*a, so that no law leans on `Store.load`'s
+`verify`.  A clean run over a census is the package's acceptance gate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd
+from operator import eq
 
 import numpy as np
 
@@ -49,6 +58,7 @@ from .skew_core import (
     NoPowerExponentError,
     SkewMorphism,
     SkewMorphismError,
+    _unit_gathers,
     _verified_once,
     automorphism_of,
     equivalence_classes,
@@ -80,7 +90,32 @@ def _kernel_divides(n: int, phi: SkewMorphism) -> bool:
     return phi.kernel_order >= 1 and n % phi.kernel_order == 0
 
 
-def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
+def _image_fault(n: int, phi: SkewMorphism) -> str | None:
+    """Why phi's images are not n values in Z_n, or None when they are."""
+    images = phi.images
+    if len(images) != n:
+        return f"{len(images)} images"
+    if min(images) >= 0 and max(images) < n:
+        return None
+    a = next(a for a, x in enumerate(images) if not 0 <= x < n)
+    return f"f({a})={images[a]}"
+
+
+@lru_cache(maxsize=1)
+def _scalings(n: int) -> dict[int, tuple[int, ...]]:
+    """The images of a -> t*a for each unit t of Z_n, n >= 2, keyed by t
+    (shared with the conjugations of the class-id law)."""
+    return {times[1]: times for times, _ in _unit_gathers(n)}
+
+
+def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
+    """The laws of one morphism on its own.  Returns whether phi is well
+    formed: of order at least 1, with n images in Z_n.  The laws that index
+    by the images or the order (the orbit walk, the automorphism's closed
+    form here; the pair model and the class ids in `check_record`) run on
+    well-formed morphisms only, and the others are reported as "order at
+    least 1" or "images lie in Z_n"."""
+
     def bad(law: str, detail: str = "") -> None:
         out.append(Violation(n, law, f"[{phi.canonical_str()}] {detail}".strip()))
 
@@ -88,10 +123,15 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
     kernel_ok = _kernel_divides(n, phi)
     if not kernel_ok:
         bad("kernel order divides n", f"kernel={k}")
+    fault = _image_fault(n, phi)
+    if fault:
+        bad("images lie in Z_n", fault)
 
     if n >= 2 and not phi.order < n:
         bad("order below group order", f"order={phi.order}")
-    if n * euler_phi(n) % phi.order != 0:
+    if phi.order < 1:
+        bad("order at least 1", f"order={phi.order}")
+    elif n * euler_phi(n) % phi.order != 0:
         bad("order divides n*phi(n)", f"order={phi.order}")
     if phi.proper and gcd(phi.order, n) == 1:
         bad("proper order shares a factor with n", f"order={phi.order}")
@@ -103,30 +143,38 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
         bad("kernel non-trivial")
     if kernel_ok:
         step = n // k
-        members = {a for a in range(n) if phi.pi[a] == 1}
-        if members != set(range(0, n, step)):
-            bad("kernel is the subgroup of its order", f"members={sorted(members)}")
-        coset_values = [phi.pi[c] for c in range(step)]
-        if any(phi.pi[a] != coset_values[a % step] for a in range(n)):
+        members = list(compress(range(n), map(eq, phi.pi, repeat(1))))
+        if members != list(range(0, n, step)):
+            bad("kernel is the subgroup of its order", f"members={members}")
+        coset_values = phi.pi[:step]
+        if phi.pi != coset_values * k:
             bad("power function constant on kernel cosets")
         if len(set(coset_values)) != step:
             bad("power function distinct across kernel cosets")
 
-    for a in range(n):
-        if phi.images[a] == a and phi.pi[a] != 1:
+    for a in compress(range(n), map(eq, phi.images, range(n))):
+        if phi.pi[a] != 1:
             bad("fixed points lie in the kernel", f"a={a}")
             break
 
-    # at most n steps: when the images are not a permutation, 1 need not recur
-    orbit = {1}
-    x = phi.images[1]
-    for _ in range(n):
-        if x == 1:
-            break
-        orbit.add(x)
-        x = phi.images[x]
-    if x != 1 or len(orbit) != phi.order:
-        bad("generating orbit has size ord", f"|orbit|={len(orbit)}")
+    if fault is None:
+        # at most n steps: when the images are not a permutation, 1 need not recur
+        orbit = {1}
+        x = phi.images[1]
+        for _ in range(n):
+            if x == 1:
+                break
+            orbit.add(x)
+            x = phi.images[x]
+        if x != 1 or len(orbit) != phi.order:
+            bad("generating orbit has size ord", f"|orbit|={len(orbit)}")
+
+        # an automorphism is a -> s*a with s = f(1) a unit, as `Store.load` builds it
+        s = phi.images[1]
+        if phi.automorphism and phi.images != _scalings(n).get(s):
+            a = next((a for a in range(n) if phi.images[a] != s * a % n), None)
+            detail = f"f(1)={s} is no unit" if a is None else f"f({a})={phi.images[a]}"
+            bad("automorphism is a -> f(1)*a", detail)
 
     # largest-prime divisibility of the kernel order
     if n >= 4:
@@ -136,6 +184,7 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
                 bad("kernel order divisible by 4 (2-power case)", f"kernel={k}")
         elif k % p != 0:
             bad("kernel order divisible by largest prime", f"p={p}, kernel={k}")
+    return fault is None and phi.order >= 1
 
 
 def _quotient_law_failures(phi: SkewMorphism, g: int) -> list[str]:
@@ -162,33 +211,39 @@ def _quotient_flags(
     pair tables.
 
     The orbit f^i(g), i < m, is column g of `tables.powers` and the
-    quotient Q^(g) column g of `tables.prefix` (see the module docstring).
-    Each distinct quotient is verified once; `quotient_of`'s orbit and
-    postcondition checks and laws (a)-(c) are whole-array comparisons.  In
-    law (c), r = ord Q is n/|kernel|; a pair whose r does not divide n (a
-    stored kernel order that is no divisor) is flagged, so for the others
-    g^{-1} mod r is (g^{-1} mod n) mod r.
+    quotient Q^(g) column g of `tables.prefix` (see the module docstring),
+    both read on the rows below the morphism's own order m.  Each distinct
+    quotient is verified once; `quotient_of`'s orbit and postcondition
+    checks and laws (a)-(c) are whole-array comparisons, with the padding
+    rows of the stack masked.  In law (c), r = ord Q is n/|kernel|; a pair
+    whose r does not divide n (a stored kernel order that is no divisor) is
+    flagged, so for the others g^{-1} mod r is (g^{-1} mod n) mod r.
     """
-    n, m = tables.n, tables.m
+    n = tables.n
+    padding = ~tables.valid[:, None, :]  # [k, 0, i]: i lies past ord f_k
     cols = np.array(gens) % n
     orbits = tables.powers[:, :, cols].transpose(0, 2, 1)  # [k, j, i] = f_k^i(g_j)
-    ok = (np.diff(np.sort(orbits, axis=2), axis=2) != 0).all(axis=2)  # the orbit has m elements
+    distinct = np.where(padding, -1 - np.arange(tables.m), orbits)  # padding never repeats
+    ok = (np.diff(np.sort(distinct, axis=2), axis=2) != 0).all(axis=2)  # the orbit has m elements
 
-    # the distinct quotients, numbered, keyed by the bytes of their images
-    sums = np.ascontiguousarray(tables.prefix[:, :, cols].transpose(0, 2, 1))
+    # the distinct quotients, numbered, keyed by the bytes of their images;
+    # padded with -1, a key also tells the order m of the group Z_m they act on
+    sums = np.where(padding, -1, tables.prefix[:, :, cols].transpose(0, 2, 1))
     ids: dict[bytes, int] = {}
-    rows = sums.view(np.dtype((np.void, sums.itemsize * m))).ravel().tolist()
+    rows = sums.view(np.dtype((np.void, sums.itemsize * tables.m))).ravel().tolist()
     qid = np.array([ids.setdefault(row, len(ids)) for row in rows]).reshape(ok.shape)
     needed = set(qid[ok].tolist())  # quotient_of verifies only after the orbit check
-    verified = []
+    quotients, skew = [], []
     for i, row in enumerate(ids):
-        images = tuple(np.frombuffer(row, dtype=sums.dtype).tolist())
+        images = np.frombuffer(row, dtype=sums.dtype)
+        images = tuple(images[images >= 0].tolist())
         try:
-            verified.append(_verified_once(m, images) if i in needed else None)
+            q = _verified_once(len(images), images) if i in needed else None
         except SkewMorphismError:
-            verified.append(None)
-    skew = np.array([q is not None for q in verified])[qid]
-    quotients = [q or automorphism_of(m, 1) for q in verified]  # stand-ins fail by `skew`
+            q = None
+        skew.append(q is not None)
+        quotients.append(q or automorphism_of(len(images), 1))  # stand-ins fail by `skew`
+    skew = np.array(skew)[qid]
 
     def per_quotient(values, dtype=None) -> np.ndarray:
         return np.array(list(values), dtype=dtype)[qid]
@@ -204,29 +259,32 @@ def _quotient_flags(
     ok &= skew & (order == index) & (n % order == 0)
     ok &= per_quotient(q.is_identity for q in quotients) == auto
     ok &= auto | (q_auto == per_morphism("coset_preserving"))
-    q_period = m // per_quotient(q.kernel_order for q in quotients)
+    q_period = per_quotient(q.n // q.kernel_order for q in quotients)
     ok &= q_period == per_morphism("periodicity")  # law (b)
 
+    # law (a); Q on Z_1 has no orbit of 1, and its law reads pi == 1
     pi = np.array([phi.pi for phi in stack], dtype=np.int32)
-    if m == 1:  # law (a)
-        ok &= (pi == 1).all(axis=1)[:, None]
-    else:
-        walks = per_quotient((_orbit_of_one(q, n) for q in quotients), np.int32)
-        ok &= (pi[:, np.arange(n) * cols[:, None] % n] % m == walks).all(axis=2)
+    walks = per_quotient((_orbit_of_one(q, n) for q in quotients), np.int32)
+    residues = pi[:, np.arange(n) * cols[:, None] % n] % tables.orders[:, None, None]
+    law_a = (residues == walks).all(axis=2)
+    ok &= np.where(tables.orders[:, None] == 1, (pi == 1).all(axis=1)[:, None], law_a)
     g_inv = np.array([pow(g, -1, n) for g in gens], dtype=np.int32)[:, None]  # law (c)
     r = order[:, :, None]
-    q_pi = per_quotient((q.pi for q in quotients), np.int32)
-    ok &= (orbits * g_inv % r == q_pi % r).all(axis=2)
+    q_pi = per_quotient((q.pi + (0,) * (tables.m - q.n) for q in quotients), np.int32)
+    ok &= (orbits * g_inv % r == q_pi % r).all(axis=2, where=~padding)
     return ~ok
 
 
 def _orbit_of_one(q: SkewMorphism, count: int) -> list[int]:
-    """q^k(1) for k < count, as law (a) walks it."""
-    walk, z = [], 1
-    for _ in range(count):
-        walk.append(z)
+    """q^k(1) for k < count, as law (a) walks it, for a permutation q: the
+    orbit of 1, repeated (zeros on Z_1, which law (a) does not walk)."""
+    if q.n == 1:
+        return [0] * count
+    orbit, z = [1], q.images[1]
+    while z != 1:
+        orbit.append(z)
         z = q.images[z]
-    return walk
+    return (orbit * (count // len(orbit) + 1))[:count]
 
 
 def _check_generator_sweep(
@@ -283,7 +341,7 @@ def _periodicity_power_law(
     if verdict is None:
         try:
             coset_preserving = verify(phi.n, power(phi, phi.periodicity)).coset_preserving
-        except SkewMorphismError as exc:
+        except (SkewMorphismError, ValueError) as exc:  # ValueError: a periodicity below 0
             return "periodicity power is skew", str(exc)
     else:
         witness, coset_preserving = verdict
@@ -296,11 +354,15 @@ def _periodicity_power_law(
 
 def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Violation]) -> None:
     """The pair-model laws, the periodicity-power law and the quotient laws
-    (`_check_generator_sweep`), for every listed morphism of Z_n, on one
-    stack of pair tables per order at a time.
+    (`_check_generator_sweep`), for every listed morphism of Z_n, on stacks
+    of pair tables that mix orders.
 
-    A stack holds at most `_STACK_ELEMENTS` table entries.  The
-    periodicity-power law asks that f^p, p the periodicity, be a
+    The morphisms are taken in ascending order of their orders and cut
+    greedily into stacks whose padded tables hold at most `_STACK_ELEMENTS`
+    entries (or one morphism).  Every listed morphism must be well formed
+    (see `_check_morphism`), or its tables cannot be built.
+
+    The periodicity-power law asks that f^p, p the periodicity, be a
     coset-preserving skew morphism.  For a morphism that passes the group
     check and has p | m, p < m, `_PairTables.power_verdicts` reads that
     off row p of its tables (the proof is there); any other morphism has
@@ -309,41 +371,49 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
     periodicity power, quotient laws.
     """
     found: list[list[Violation]] = [[] for _ in morphisms]
-    by_order: dict[int, list[int]] = {}
-    for index, phi in enumerate(morphisms):
-        by_order.setdefault(phi.order, []).append(index)
-    for m, indices in by_order.items():
-        size = max(1, _STACK_ELEMENTS // (m * n))
-        for start in range(0, len(indices), size):
-            chunk = indices[start : start + size]
-            stack = [morphisms[i] for i in chunk]
-            tables = _PairTables(stack)
-            reports = tables.group_reports()
-            periods = np.array([phi.periodicity for phi in stack])
-            read = np.array([rep.passed for rep in reports]) & (m % periods == 0) & (periods < m)
-            rows = np.flatnonzero(read)
-            witness, coset_preserving = tables.power_verdicts(rows, periods[rows])
-            verdicts = dict(zip(rows.tolist(), zip(witness.tolist(), coset_preserving.tolist())))
-            swept = _check_generator_sweep(n, stack, tables)
-            for k, (phi, report, core) in enumerate(zip(stack, reports, tables.cores().tolist())):
-                laws = []
-                if core != phi.kernel_order:
-                    detail = "pair-model core differs from kernel order"
-                    laws.append(("pair-model core equals kernel", detail))
-                laws += [("pair-model group axioms", failure) for failure in report.failures]
-                broken = _periodicity_power_law(phi, verdicts.get(k))
-                if broken:
-                    laws.append(broken)
-                laws += swept[k]
-                if laws:
-                    name = phi.canonical_str()
-                    found[chunk[k]] = [
-                        Violation(n, law, f"[{name}] {detail}".strip()) for law, detail in laws
-                    ]
+    indices = sorted(range(len(morphisms)), key=lambda i: morphisms[i].order)
+    while indices:
+        size = 1
+        while size < len(indices) and (
+            (size + 1) * morphisms[indices[size]].order * n <= _STACK_ELEMENTS
+        ):
+            size += 1
+        chunk, indices = indices[:size], indices[size:]
+        stack = [morphisms[i] for i in chunk]
+        tables = _PairTables(stack)
+        reports = tables.group_reports()
+        rows = [
+            k
+            for k, (phi, report) in enumerate(zip(stack, reports))
+            if report.passed and 0 < phi.periodicity < phi.order
+            and phi.order % phi.periodicity == 0
+        ]
+        periods = np.array([stack[k].periodicity for k in rows], dtype=np.intp)
+        witness, coset_preserving = tables.power_verdicts(np.array(rows, dtype=np.intp), periods)
+        verdicts = dict(zip(rows, zip(witness.tolist(), coset_preserving.tolist())))
+        swept = _check_generator_sweep(n, stack, tables)
+        for k, (phi, report, core) in enumerate(zip(stack, reports, tables.cores().tolist())):
+            laws = []
+            if core != phi.kernel_order:
+                detail = "pair-model core differs from kernel order"
+                laws.append(("pair-model core equals kernel", detail))
+            laws += [("pair-model group axioms", failure) for failure in report.failures]
+            broken = _periodicity_power_law(phi, verdicts.get(k))
+            if broken:
+                laws.append(broken)
+            laws += swept[k]
+            if laws:
+                name = phi.canonical_str()
+                found[chunk[k]] = [
+                    Violation(n, law, f"[{name}] {detail}".strip()) for law, detail in laws
+                ]
     out.extend(v for violations in found for v in violations)
 
 
-def _check_record_level(record: CensusRecord, out: list[Violation]) -> None:
+def _check_record_level(record: CensusRecord, out: list[Violation], well_formed: bool) -> None:
+    """The laws of the whole record.  The class ids are rebuilt only when
+    every morphism is well formed (see `_check_morphism`), since
+    conjugation indexes by the images."""
     n = record.n
 
     # exactly one of: automorphism / proper coset-preserving / not coset-preserving,
@@ -385,10 +455,14 @@ def _check_record_level(record: CensusRecord, out: list[Violation]) -> None:
         if law and record.total != fit:
             out.append(Violation(n, law, f"total={record.total}, fit={fit}"))
 
-    classes = [[phi.images for phi in cls.members] for cls in equivalence_classes(record.proper())]
-    rebuilt = _finalize_census(n, list(record.morphisms), classes)
-    if rebuilt.class_ids != record.class_ids:
-        out.append(Violation(n, "equivalence class ids", "stored ids differ from recomputation"))
+    if well_formed:
+        proper = equivalence_classes(record.proper())
+        classes = [[phi.images for phi in cls.members] for cls in proper]
+        rebuilt = _finalize_census(n, list(record.morphisms), classes)
+        if rebuilt.class_ids != record.class_ids:
+            out.append(
+                Violation(n, "equivalence class ids", "stored ids differ from recomputation")
+            )
 
     if n in PROP62_ORDERS:
         p = n // 4
@@ -408,11 +482,13 @@ def check_record(record: CensusRecord) -> list[Violation]:
     """All invariant checks for one stored census."""
     out: list[Violation] = []
     n = record.n
+    well_formed = []
     for phi in record.morphisms:
-        _check_morphism(n, phi, out)
+        if _check_morphism(n, phi, out):
+            well_formed.append(phi)
         _check_prime_comparison(n, phi, out)
-    _check_pair_model(n, record.morphisms, out)
-    _check_record_level(record, out)
+    _check_pair_model(n, well_formed, out)
+    _check_record_level(record, out, len(well_formed) == record.total)
     return out
 
 

@@ -17,10 +17,12 @@ Algebraic Theory of Semigroups* I, 1.2) cut to its j = 0 slice, plus one
 row of triples; `check_group` proves that the two, with the identity
 law, give every triple.
 
-The tables are built for a stack of morphisms that share Z_n and the
-order m, and every law is one whole-array pass over the stack, so the
-suite pays numpy's per-call cost once per (n, m) stack instead of once
-per morphism.  `check_group` and `core_of_B` are stacks of one.
+The tables are built for a stack of morphisms that share Z_n, of any
+orders: each morphism's tables are padded to the largest order of the
+stack, and every law is one whole-array pass over the stack with the
+padding masked, so the suite pays numpy's per-call cost once per stack
+of Z_n instead of once per morphism.  `check_group` and `core_of_B` are
+stacks of one.
 """
 
 from __future__ import annotations
@@ -61,21 +63,31 @@ def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 class _PairTables:
-    """K x m x n tables for a stack of K morphisms f_0, ..., f_{K-1} of Z_n
-    that share the order m: powers[k, i, b] = f_k^i(b) and
-    prefix[k, i, b] = s_i(b) mod m for f_k.
+    """K x M x n tables for a stack of K morphisms f_0, ..., f_{K-1} of Z_n
+    of orders m_k = `orders[k]`, M = `m` the largest: powers[k, i, b] =
+    f_k^i(b) and prefix[k, i, b] = s_i(b) mod m_k for f_k.
+
+    Row k's group is read off its rows i < m_k (`valid`).  The rows above
+    are padding: every law masks them and reads no witness from them, so
+    each row's verdicts are those of a stack of one.
 
     `powers` is built by doubling, f^(h+i) = f^h o f^i for i <= h, each step
     one gather of row h at the rows 1..h; `prefix` is one cumsum of pi read
-    at the rows 0..m-2.  Both are int32, which halves the memory traffic of
-    the whole-array passes.
+    at the rows 0..M-2, reduced mod each row's order.  Both are int32,
+    which halves the memory traffic of the whole-array passes.  Every order
+    must be at least 1 and every image lie in Z_n.
     """
 
     def __init__(self, stack: Sequence[SkewMorphism]):
-        n, m = stack[0].n, stack[0].order
-        if any(phi.n != n or phi.order != m for phi in stack):
-            raise ValueError("a stack of pair tables needs one group Z_n and one order")
-        self.n, self.m = n, m
+        n = stack[0].n
+        if any(phi.n != n for phi in stack):
+            raise ValueError("a stack of pair tables needs one group Z_n")
+        self.n = n
+        self.orders = np.array([phi.order for phi in stack], dtype=np.int32)
+        if self.orders.min() < 1:
+            raise ValueError("a stack of pair tables needs orders of at least 1")
+        self.m = m = int(self.orders.max())
+        self.valid = np.arange(m) < self.orders[:, None]
         depth = len(stack)
         self.powers = np.empty((depth, m, n), dtype=np.int32)
         self.powers[:, 0] = np.arange(n)
@@ -91,30 +103,29 @@ class _PairTables:
         pi = np.array([phi.pi for phi in stack], dtype=np.int32)
         self.prefix = np.zeros_like(self.powers)
         np.cumsum(_gather(pi, self.powers[:, :-1]), axis=1, out=self.prefix[:, 1:])
-        self.prefix %= m
+        self.prefix %= self.orders[:, None, None]
         self._k = np.arange(depth)[:, None]
 
     def products(self, a, i, b, j):
         """(a, i) * (b, j) in every group of the stack at once, for integers or
         integer arrays that broadcast against a (K, 1) stack index."""
         k = self._k
-        return (a + self.powers[k, i, b]) % self.n, (self.prefix[k, i, b] + j) % self.m
+        return (a + self.powers[k, i, b]) % self.n, (self.prefix[k, i, b] + j) % self.orders[k]
 
     def group_reports(self) -> list[GroupCheckReport]:
         """The `check_group` report of every morphism of the stack."""
-        n, m = self.n, self.m
         failures: list[list[str]] = [[] for _ in self.powers]
         for law in (self._identity_failures, self._inverse_failures, self._associativity_failures):
             for k, failure in law():  # each law frees its temporaries before the next
                 failures[k].append(failure)
         return [
             GroupCheckReport(
-                group_order=n * m,
+                group_order=self.n * m,
                 associativity_mode="full",
-                triples_checked=2 * (n * m) ** 2,
+                triples_checked=2 * (self.n * m) ** 2,
                 failures=failed,
             )
-            for failed in failures
+            for m, failed in zip(self.orders.tolist(), failures)
         ]
 
     def _identity_failures(self):
@@ -122,10 +133,10 @@ class _PairTables:
         law, read off column 0 and row 0 (see `check_group`); the witness is
         the first failing (i, a) in row-major order."""
         powers, prefix = self.powers, self.prefix
-        column = (powers[:, :, 0] == 0) & (prefix[:, :, 0] == np.arange(self.m))
+        column = (powers[:, :, 0] == 0) & (prefix[:, :, 0] == np.arange(self.m)) | ~self.valid
         row = (powers[:, 0] == np.arange(self.n)) & (prefix[:, 0] == 0)
         for k in np.flatnonzero(~(column.all(axis=1) & row.all(axis=1))):
-            bad_i, bad_a = _first(~(column[k][:, None] & row[k]))
+            bad_i, bad_a = _first(~(column[k, : self.orders[k], None] & row[k]))
             yield k, f"identity fails at ({bad_a},{bad_i})"
 
     def _inverse_failures(self):
@@ -137,24 +148,29 @@ class _PairTables:
         bijection, so it is checked over (i, b); the witness is the first
         failing (i, a) in row-major order.
         """
-        powers, prefix, n, m = self.powers, self.prefix, self.n, self.m
+        powers, prefix, n = self.powers, self.prefix, self.n
         depth = len(powers)
-        minus_n, minus_m = -np.arange(n) % n, -np.arange(m)[:, None] % m
+        mod = self.orders[:, None, None]
+        minus_n = -np.arange(n) % n
         a = minus_n[powers]
-        at = minus_m[prefix, 0] * n + a  # the flat index of (j, a)
+        j = mod - prefix  # -s_i(b) mod m, without a whole-array %
+        j[j == mod] = 0
+        at = j * n + a  # the flat index of (j, a)
         f_j_a = _gather(powers.reshape(depth, -1), at)
         s_j_a = _gather(prefix.reshape(depth, -1), at)
-        inverse_ok = (f_j_a == minus_n) & (s_j_a == minus_m)
-        for k in np.flatnonzero(~inverse_ok.all(axis=(1, 2))):
+        minus_i = -np.arange(self.m)[:, None] % mod
+        inverse_ok = (f_j_a == minus_n) & (s_j_a == minus_i)
+        for k in np.flatnonzero(~(inverse_ok.all(axis=2) | ~self.valid).all(axis=1)):
+            m = self.orders[k]
             ok = np.ones((m, n), dtype=bool)  # the same verdicts over (i, a)
-            np.put_along_axis(ok, a[k], inverse_ok[k], axis=1)
+            np.put_along_axis(ok, a[k, :m], inverse_ok[k, :m], axis=1)
             bad_i, bad_a = _first(~ok)
             yield k, f"inverse fails at ({bad_a},{bad_i})"
 
     def _associativity_failures(self):
         """(k, failure) for each morphism of the stack that fails the slice of
         Light's test or, where the slice passes, the row (see `check_group`)."""
-        powers, prefix, n, m = self.powers, self.prefix, self.n, self.m
+        powers, prefix, n = self.powers, self.prefix, self.n
 
         # the slice, all (i, b) at once: np.roll puts column b + 1 at b, d in
         # (-2n, n) is 0 mod n exactly when it is 0 or -n, and e in (-m, m) is
@@ -165,17 +181,19 @@ class _PairTables:
         d = np.roll(powers, -1, axis=2) - powers - f_k_1
         e = np.roll(prefix, -1, axis=2) - s_k_1
         slice_ok = ((d == 0) | (d == -n)) & (e == 0)
-        slice_passed = slice_ok.all(axis=(1, 2))
+        slice_passed = (slice_ok.all(axis=2) | ~self.valid).all(axis=1)
         for k in np.flatnonzero(~slice_passed):
-            bad_i, bad_b = _first(~slice_ok[k])
+            bad_i, bad_b = _first(~slice_ok[k, : self.orders[k]])
             yield k, "associativity fails at {},{},{}".format((0, bad_i), (bad_b, 0), (one, 0))
 
         # the row: (x y) z against x (y z) for x = (0, 1), y = (0, m - 1), z = (c, 0)
         c = np.arange(n)
-        lhs = self.products(*self.products(0, 1 % m, 0, m - 1), c, 0)
-        rhs = self.products(0, 1 % m, *self.products(0, m - 1, c, 0))
+        one_m, last = 1 % self.orders[:, None], self.orders[:, None] - 1
+        lhs = self.products(*self.products(0, one_m, 0, last), c, 0)
+        rhs = self.products(0, one_m, *self.products(0, last, c, 0))
         row_ok = (lhs[0] == rhs[0]) & (lhs[1] == rhs[1])
         for k in np.flatnonzero(slice_passed & ~row_ok.all(axis=1)):
+            m = int(self.orders[k])
             witness = (0, 1 % m), (0, m - 1), (int(np.argmin(row_ok[k])), 0)
             yield k, "associativity fails at {},{},{}".format(*witness)
 
@@ -183,8 +201,9 @@ class _PairTables:
         """The pair-model core order of every morphism of the stack (see
         `core_of_B`): the order of the largest subgroup of Z_n inside
         {h : s_1(h) = 1 (mod m)}."""
-        n, m = self.n, self.m
-        stays_in_b = self.prefix[:, 1 % m] == 1 % m
+        n = self.n
+        one = 1 % self.orders
+        stays_in_b = self.prefix[self._k[:, 0], one] == one[:, None]
         core = np.ones(len(stays_in_b), dtype=np.intp)
         for d in divisors(n):  # the subgroup generated by d has order n // d
             core = np.maximum(core, np.where(stays_in_b[:, ::d].all(axis=1), n // d, 1))
@@ -196,9 +215,9 @@ class _PairTables:
         """`verify`'s verdict on f^p, read off row p of the tables, for the
         morphisms f of the stack at `rows` and their exponents p.
 
-        Each f must pass `check_group`, and each p must divide m and lie
-        below it.  Returns, per row, the least element a for which f^p has
-        no power exponent (-1 when f^p is skew), and whether f^p is
+        Each f must pass `check_group`, and each p must divide f's order m
+        and lie below it.  Returns, per row, the least element a for which
+        f^p has no power exponent (-1 when f^p is skew), and whether f^p is
         coset-preserving (meaningful when it is skew).
 
         Proof.  Step 1 of `check_group`'s proof gives, for i = p < m,

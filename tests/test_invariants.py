@@ -1,13 +1,16 @@
 import dataclasses
 import faulthandler
+import random
 from collections import Counter
+from itertools import zip_longest
 
+import numpy as np
 import pytest
 
 import skewcyc.invariants
 import skewcyc.skew_core
 from skewcyc.cyclic_arith import divisors, units
-from skewcyc.enumeration import CensusRecord, census
+from skewcyc.enumeration import CensusRecord, brute_force, census
 from skewcyc.invariants import (
     Violation,
     _check_pair_model,
@@ -130,7 +133,7 @@ def _damaged_copies(n, phi):
     yield phi
     for a in sorted({0, 1, n - 1, n // 2}):
         pi = list(phi.pi)
-        pi[a] = pi[a] % phi.order + 1
+        pi[a] = pi[a] % phi.order + 1 if phi.order > 1 else 2
         yield dataclasses.replace(phi, pi=tuple(pi))
     yield dataclasses.replace(phi, periodicity=phi.periodicity % phi.order + 1)
     yield dataclasses.replace(phi, kernel_order=phi.kernel_order % n + 1)
@@ -143,30 +146,131 @@ def _damaged_copies(n, phi):
             yield dataclasses.replace(phi, images=tuple(images))
 
 
+_FIELDS = (
+    "pi", "images", "order", "kernel_order", "periodicity", "coset_preserving", "automorphism"
+)
+
+
+def _damaged_record(record, rng):
+    """(record with one field of one morphism changed, that field), or None
+    when the change gives two morphisms the same images.  Integers are drawn
+    from -1..n + 1, each one other than the value it replaces; a flipped
+    automorphism flag moves the morphism to class -1 or to a new class."""
+    n, index = record.n, rng.randrange(record.total)
+    phi, field = record.morphisms[index], rng.choice(_FIELDS)
+    class_ids = list(record.class_ids)
+    old = getattr(phi, field)
+    if field in ("pi", "images"):
+        value, a = list(old), rng.randrange(n)
+        value[a] = rng.choice([v for v in range(-1, n + 2) if v != old[a]])
+        value = tuple(value)
+    elif field in ("coset_preserving", "automorphism"):
+        value = not old
+        if field == "automorphism":
+            class_ids[index] = -1 if value else max(class_ids) + 1
+    else:
+        value = rng.choice([v for v in range(-1, n + 2) if v != old])
+    morphisms = list(record.morphisms)
+    morphisms[index] = dataclasses.replace(phi, **{field: value})
+    if len({other.images for other in morphisms}) < len(morphisms):
+        return None
+    order = sorted(range(len(morphisms)), key=lambda i: morphisms[i].images)
+    morphisms = tuple(morphisms[i] for i in order)
+    return CensusRecord(n, morphisms, tuple(class_ids[i] for i in order)), field
+
+
+def test_damaged_records_are_reported_never_raised(store):
+    """A seeded damage harness over the records 2..40: every record with one
+    field of one morphism changed gets at least one violation from
+    `check_record`, which never raises (images outside Z_n, orders below 1
+    and an identity with other images included)."""
+    rng = random.Random(17)
+    fields, laws = Counter(), set()
+    for n in range(2, 41):
+        record = census(n, store)
+        assert check_record(record) == []
+        made = 0
+        while made < 38:
+            damaged = _damaged_record(record, rng)
+            if damaged is None:
+                continue
+            bad, field = damaged
+            out = check_record(bad)
+            assert out, (field, bad)
+            fields[field] += 1
+            laws.update(v.law for v in out)
+            made += 1
+    assert sum(fields.values()) == 39 * 38 and set(fields) == set(_FIELDS)
+    assert {"images lie in Z_n", "order at least 1", "automorphism is a -> f(1)*a"} <= laws
+
+
 def test_the_table_pass_flags_exactly_the_pairs_the_scalar_laws_fail(store):
     """`_quotient_flags` marks (phi, g) exactly when `check_quotient_laws`
     fails or cannot build the quotient, on clean and damaged copies of the
-    morphisms of 2..32, stacked by order as the pair model stacks them."""
+    morphisms of 2..32, in one stack of all orders per n, as the pair model
+    stacks them."""
     failed = Counter()
     for n in range(2, 33):
         gens = _sweep_generators(n)
-        by_order = {}
-        for phi in store.load(n).morphisms:
-            for copy in _damaged_copies(n, phi):
-                by_order.setdefault(copy.order, []).append(copy)
-        for stack in by_order.values():
-            scalar = [[_quotient_law_failures(phi, g) for g in gens] for phi in stack]
-            flags = _quotient_flags(stack, _PairTables(stack), gens)
-            assert flags.tolist() == [[bool(f) for f in row] for row in scalar], n
-            failed.update(" ".join(f[0].split()[:2]) for row in scalar for f in row if f)
-            failed["passed"] += sum(not f for row in scalar for f in row)
+        stack = [copy for phi in store.load(n).morphisms for copy in _damaged_copies(n, phi)]
+        scalar = [[_quotient_law_failures(phi, g) for g in gens] for phi in stack]
+        flags = _quotient_flags(stack, _PairTables(stack), gens)
+        assert flags.tolist() == [[bool(f) for f in row] for row in scalar], n
+        failed.update(" ".join(f[0].split()[:2]) for row in scalar for f in row if f)
+        failed["passed"] += sum(not f for row in scalar for f in row)
     # every way to fail occurs as a pair's first failure: the orbit check, a
     # quotient that is not skew, each postcondition of quotient_of and each
-    # law; and many pairs pass
+    # law, law (a) in both its forms ("law (a):" is the trivial quotient's);
+    # and many pairs pass
     ways = {"generator orbit", "quotient of", "ord of", "identity quotient"}
-    ways |= {"automorphism quotient", "law (a)", "law (b)", "law (c)"}
+    ways |= {"automorphism quotient", "law (a)", "law (a):", "law (b)", "law (c)"}
     assert set(failed) == ways | {"passed"}
     assert failed["passed"] > 10_000
+
+
+def test_a_mixed_order_stack_checks_each_row_alone():
+    """All orders of Z_n, n <= 9, in one stack: the brute-force morphisms and
+    their damaged copies, interleaved across orders.  Each row's group
+    report, core and periodicity-power verdicts are those of a stack of one,
+    the quotient flags are the scalar verdicts, and `_check_pair_model`
+    reports each morphism as alone, in any order of the list."""
+    mixed = 0
+    for n in range(2, 10):
+        by_order = {}
+        for phi in brute_force(n):
+            by_order.setdefault(phi.order, []).extend(_damaged_copies(n, phi))
+        cases = [c for group in zip_longest(*by_order.values()) for c in group if c]
+        mixed += len(by_order) > 1
+        tables = _PairTables(cases)
+        reports, cores = tables.group_reports(), tables.cores()
+        alone = [_PairTables([case]) for case in cases]
+        assert reports == [t.group_reports()[0] for t in alone]
+        assert cores.tolist() == [t.cores()[0] for t in alone]
+        pairs = [
+            (k, p)
+            for k, (case, rep) in enumerate(zip(cases, reports))
+            if rep.passed
+            for p in divisors(case.order)[:-1]
+        ]
+        rows, exponents = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        got = zip(*(a.tolist() for a in tables.power_verdicts(rows, exponents)))
+        want = [
+            tuple(a.item() for a in alone[k].power_verdicts(np.array([0]), np.array([p])))
+            for k, p in pairs
+        ]
+        assert list(got) == want, n
+
+        gens = _sweep_generators(n)
+        scalar = [[bool(_quotient_law_failures(phi, g)) for g in gens] for phi in cases]
+        assert _quotient_flags(cases, tables, gens).tolist() == scalar, n
+
+        out, one_by_one, in_sorted_order = [], [], []
+        _check_pair_model(n, cases, out)
+        for case in cases:
+            _check_pair_model(n, [case], one_by_one)
+        _check_pair_model(n, sorted(cases, key=lambda phi: phi.order), in_sorted_order)
+        assert out == one_by_one and Counter(out) == Counter(in_sorted_order), n
+    assert mixed == 7  # every n but 2
 
 
 def test_a_non_permutation_off_the_orbit_of_one_is_reported_not_hung(store):

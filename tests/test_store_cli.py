@@ -284,17 +284,23 @@ class TestCli:
         ],
     )
     def test_show_reports_malformed_store_line(self, tmp_path, capsys, damage):
+        # show, table and check each read the damaged file from a new Store
         store_dir = tmp_path / "s"
         assert cli.main(["census", "--max", "13", "--store", str(store_dir)]) == 0
         path = store_dir / "census_13.jsonl"
         path.write_text(damage(path.read_text()))
         capsys.readouterr()
-        assert cli.main(["show", "--n", "13", "--store", str(store_dir)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "census_13.jsonl:" in lines[0]
+        for argv in (
+            ["show", "--n", "13"],
+            ["table", "--from", "2", "--to", "13"],
+            ["check", "--max", "13"],
+        ):
+            assert cli.main([*argv, "--store", str(store_dir)]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
+            assert "census_13.jsonl:" in lines[0], argv
 
     @pytest.mark.parametrize(
         "damage, expect",
