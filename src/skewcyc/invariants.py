@@ -9,21 +9,41 @@ the prime-comparison theorem for induced quotients, the skew-product
 cross-checks, the order/kernel constraints on Z_{4p}, and the census
 total at odd prime powers.
 
-Every law runs on every morphism of every order, except the quotient laws
-for all generators, which run for n <= ALL_GENERATORS_MAX_N (generator 1
-is checked everywhere).  The pair-model laws, the periodicity-power law
-and the quotient laws run per record, on stacks that mix the orders of
-Z_n, padded to the largest order of each stack (`_check_pair_model`).
+Every law runs on every morphism of every order.  The pair-model laws,
+the periodicity-power law and the quotient laws run per record, on stacks
+that mix the orders of Z_n, padded to the largest order of each stack
+(`_check_pair_model`).
 
-The quotient laws are read off the same pair tables: column g of
-`prefix` is the quotient Q^(g) of f for the generator g, and column g of
-`powers` the orbit f^i(g), i < m.  Proof: prefix[i, g] = s_i(g) =
-sum_{t<i} pi(f^t(g)) mod m, which is the partial sum that `quotient_of`
-takes along the orbit of g.  So one pass per stack decides every
-(morphism, generator) pair, and only a pair that fails goes through the
-scalar `check_quotient_laws`, which words the violation.  Each law
-reads a morphism's tables below its own order m, so a stack's verdicts
-on a morphism are those of a stack of one.
+The quotient laws are checked for the generator 1 and read off the same
+pair tables: column 1 of `prefix` is the quotient Q of f and column 1 of
+`powers` the orbit f^i(1), i < m.  Proof: prefix[i, 1] = s_i(1) =
+sum_{t<i} pi(f^t(1)) mod m, the partial sum that `quotient_of` takes
+along the orbit of 1.  So one pass per stack decides every morphism, and
+only a morphism that fails goes through the scalar `check_quotient_laws`,
+which words the violation.  Each law reads a morphism's tables below its
+own order m, so a stack's verdicts on a morphism are those of a stack of
+one.
+
+The record law "census closed under conjugation" covers every other
+generator: from the least well-formed proper morphism not yet placed,
+every member of its `conjugates` orbit must be listed, equal in every
+field.  Proof that every listed f of a record that passes every law then
+passes the quotient laws for every unit g.  (1) For t = g^{-1},
+h = t*f*t^{-1} has h^i(x) = t*f^i(t^{-1} x), pi_h(a) = pi(g*a) and the
+other fields of f (`conjugates`).  (2) So f fails for g exactly as h
+fails for 1, law by law: the orbit h^i(1) = g^{-1} f^i(g) is as large as
+the orbit of g; Q_h(k) = sum_{i<k} pi(f^i(g)) is the quotient of f for g,
+so its verification and `quotient_of`'s postconditions agree; law (a)
+reads pi_h(k) = pi(k*g) against the same Q^k(1), law (b) the same fields,
+and law (c) h^k(1) = g^{-1} f^k(g) mod r = n/|kernel|, the coset index of
+f^k(g).  Only the repr of f in "quotient of <f> failed verification"
+differs.  (3) A unit that `conjugates` drops gives the same images and,
+for a morphism that passes the pair model, the same pi, which the images
+decide within [1, ord f]; so h is listed, with the fields whose
+generator-1 laws were checked.  (4) An automorphism a -> s*a is its own
+conjugate: its quotient has order n/|kernel| = 1, so the kernel law makes
+pi = 1, and the closure law skips it.  The class-id law numbers the same
+orbits.
 
 Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
@@ -50,7 +70,7 @@ from operator import eq
 
 import numpy as np
 
-from .cyclic_arith import euler_phi, factorize, largest_prime_divisor, units
+from .cyclic_arith import euler_phi, factorize, largest_prime_divisor
 from .enumeration import CensusRecord, _finalize_census
 from .quotient import check_quotient_laws
 from .skew_core import (
@@ -61,14 +81,13 @@ from .skew_core import (
     _unit_gathers,
     _verified_once,
     automorphism_of,
-    equivalence_classes,
+    conjugates,
     induced_on_quotient,
     power,
     verify,
 )
 from .skew_product import _PairTables
 
-ALL_GENERATORS_MAX_N = 30
 _STACK_ELEMENTS = 1 << 16  # table entries per pair-model stack; bounds its working set
 PROP62_ORDERS = (12, 20, 28)
 
@@ -104,7 +123,7 @@ def _image_fault(n: int, phi: SkewMorphism) -> str | None:
 @lru_cache(maxsize=1)
 def _scalings(n: int) -> dict[int, tuple[int, ...]]:
     """The images of a -> t*a for each unit t of Z_n, n >= 2, keyed by t
-    (shared with the conjugations of the class-id law)."""
+    (shared with the conjugations of the closure law)."""
     return {times[1]: times for times, _ in _unit_gathers(n)}
 
 
@@ -112,9 +131,9 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
     """The laws of one morphism on its own.  Returns whether phi is well
     formed: of order at least 1, with n images in Z_n.  The laws that index
     by the images or the order (the orbit walk, the automorphism's closed
-    form here; the pair model and the class ids in `check_record`) run on
-    well-formed morphisms only, and the others are reported as "order at
-    least 1" or "images lie in Z_n"."""
+    form here; the pair model, the closure and the class ids in
+    `check_record`) run on well-formed morphisms only, and the others are
+    reported as "order at least 1" or "images lie in Z_n"."""
 
     def bad(law: str, detail: str = "") -> None:
         out.append(Violation(n, law, f"[{phi.canonical_str()}] {detail}".strip()))
@@ -133,6 +152,8 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
         bad("order at least 1", f"order={phi.order}")
     elif n * euler_phi(n) % phi.order != 0:
         bad("order divides n*phi(n)", f"order={phi.order}")
+    if phi.order >= 1 and not 1 <= min(phi.pi) <= max(phi.pi) <= phi.order:
+        bad("power function values lie in [1, ord]", f"min={min(phi.pi)}, max={max(phi.pi)}")
     if phi.proper and gcd(phi.order, n) == 1:
         bad("proper order shares a factor with n", f"order={phi.order}")
     if phi.proper and gcd(phi.order, k) == 1:
@@ -187,51 +208,29 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
     return fault is None and phi.order >= 1
 
 
-def _quotient_law_failures(phi: SkewMorphism, g: int) -> list[str]:
-    """`check_quotient_laws(phi, g)`'s failures, or the error that keeps
-    the quotient from being built (`quotient_of` checks that it is skew,
-    of order n/|kernel|, and trivial or an automorphism as phi's flags say)."""
-    try:
-        return check_quotient_laws(phi, g).failures
-    except InternalCheckError as exc:
-        return [str(exc)]
+def _quotient_flags(stack: Sequence[SkewMorphism], tables: _PairTables) -> np.ndarray:
+    """Per morphism of the stack, whether `check_quotient_laws` fails on
+    it or cannot build its quotient, decided on the pair tables.
 
-
-def _sweep_generators(n: int) -> list[int]:
-    """The generators whose quotient laws are checked on Z_n: every unit
-    for n <= ALL_GENERATORS_MAX_N, else 1 alone."""
-    return (units(n) if n <= ALL_GENERATORS_MAX_N else []) or [1]
-
-
-def _quotient_flags(
-    stack: Sequence[SkewMorphism], tables: _PairTables, gens: Sequence[int]
-) -> np.ndarray:
-    """Per morphism k of the stack and generator gens[j], whether
-    `_quotient_law_failures(stack[k], gens[j])` is non-empty, decided on the
-    pair tables.
-
-    The orbit f^i(g), i < m, is column g of `tables.powers` and the
-    quotient Q^(g) column g of `tables.prefix` (see the module docstring),
+    The orbit f^i(1), i < m, is column 1 of `tables.powers` and the
+    quotient Q column 1 of `tables.prefix` (see the module docstring),
     both read on the rows below the morphism's own order m.  Each distinct
     quotient is verified once; `quotient_of`'s orbit and postcondition
     checks and laws (a)-(c) are whole-array comparisons, with the padding
-    rows of the stack masked.  In law (c), r = ord Q is n/|kernel|; a pair
-    whose r does not divide n (a stored kernel order that is no divisor) is
-    flagged, so for the others g^{-1} mod r is (g^{-1} mod n) mod r.
+    rows of the stack masked.
     """
     n = tables.n
-    padding = ~tables.valid[:, None, :]  # [k, 0, i]: i lies past ord f_k
-    cols = np.array(gens) % n
-    orbits = tables.powers[:, :, cols].transpose(0, 2, 1)  # [k, j, i] = f_k^i(g_j)
+    padding = ~tables.valid  # [k, i]: i lies past ord f_k
+    orbits = tables.powers[:, :, 1 % n]  # [k, i] = f_k^i(1); Z_1 has 0 alone
     distinct = np.where(padding, -1 - np.arange(tables.m), orbits)  # padding never repeats
-    ok = (np.diff(np.sort(distinct, axis=2), axis=2) != 0).all(axis=2)  # the orbit has m elements
+    ok = (np.diff(np.sort(distinct, axis=1), axis=1) != 0).all(axis=1)  # the orbit has m elements
 
     # the distinct quotients, numbered, keyed by the bytes of their images;
     # padded with -1, a key also tells the order m of the group Z_m they act on
-    sums = np.where(padding, -1, tables.prefix[:, :, cols].transpose(0, 2, 1))
+    sums = np.where(padding, -1, tables.prefix[:, :, 1 % n])
     ids: dict[bytes, int] = {}
     rows = sums.view(np.dtype((np.void, sums.itemsize * tables.m))).ravel().tolist()
-    qid = np.array([ids.setdefault(row, len(ids)) for row in rows]).reshape(ok.shape)
+    qid = np.array([ids.setdefault(row, len(ids)) for row in rows])
     needed = set(qid[ok].tolist())  # quotient_of verifies only after the orbit check
     quotients, skew = [], []
     for i, row in enumerate(ids):
@@ -249,14 +248,14 @@ def _quotient_flags(
         return np.array(list(values), dtype=dtype)[qid]
 
     def per_morphism(field: str) -> np.ndarray:
-        return np.array([getattr(phi, field) for phi in stack])[:, None]
+        return np.array([getattr(phi, field) for phi in stack])
 
     order = per_quotient((q.order for q in quotients), np.int32)
     auto = per_morphism("automorphism")
     q_auto = per_quotient(q.automorphism for q in quotients)
     kernel = per_morphism("kernel_order")
     index = np.where(kernel > 0, n // np.maximum(kernel, 1), 0)  # no quotient has order 0
-    ok &= skew & (order == index) & (n % order == 0)
+    ok &= skew & (order == index)
     ok &= per_quotient(q.is_identity for q in quotients) == auto
     ok &= auto | (q_auto == per_morphism("coset_preserving"))
     q_period = per_quotient(q.n // q.kernel_order for q in quotients)
@@ -265,13 +264,11 @@ def _quotient_flags(
     # law (a); Q on Z_1 has no orbit of 1, and its law reads pi == 1
     pi = np.array([phi.pi for phi in stack], dtype=np.int32)
     walks = per_quotient((_orbit_of_one(q, n) for q in quotients), np.int32)
-    residues = pi[:, np.arange(n) * cols[:, None] % n] % tables.orders[:, None, None]
-    law_a = (residues == walks).all(axis=2)
-    ok &= np.where(tables.orders[:, None] == 1, (pi == 1).all(axis=1)[:, None], law_a)
-    g_inv = np.array([pow(g, -1, n) for g in gens], dtype=np.int32)[:, None]  # law (c)
-    r = order[:, :, None]
+    law_a = (pi % tables.orders[:, None] == walks).all(axis=1)
+    ok &= np.where(tables.orders == 1, (pi == 1).all(axis=1), law_a)
+    r = order[:, None]  # law (c)
     q_pi = per_quotient((q.pi + (0,) * (tables.m - q.n) for q in quotients), np.int32)
-    ok &= (orbits * g_inv % r == q_pi % r).all(axis=2, where=~padding)
+    ok &= (orbits % r == q_pi % r).all(axis=1, where=~padding)
     return ~ok
 
 
@@ -290,24 +287,20 @@ def _orbit_of_one(q: SkewMorphism, count: int) -> list[int]:
 def _check_generator_sweep(
     n: int, stack: Sequence[SkewMorphism], tables: _PairTables
 ) -> list[list[tuple[str, str]]]:
-    """The quotient-law violations of each morphism of a pair-model stack,
-    as (law, detail): "quotient law" for the generator 1 and, for
-    n <= ALL_GENERATORS_MAX_N, "quotient law (all generators)" for every
-    unit, in ascending order.  Only the pairs that `_quotient_flags`
-    flags go through `check_quotient_laws`, which words the details; a
-    morphism whose kernel order does not divide n has none (see
-    `_kernel_divides`)."""
-    gens = _sweep_generators(n)
+    """The "quotient law" violations of each morphism of a pair-model stack,
+    as (law, detail), for the generator 1 (the closure law covers the
+    others).  Only the morphisms that `_quotient_flags` flags go through
+    `check_quotient_laws`, which words the details or raises the error
+    that keeps the quotient from being built; a morphism whose kernel
+    order does not divide n has none (see `_kernel_divides`)."""
     found: list[list[tuple[str, str]]] = [[] for _ in stack]
-    for k, j in np.argwhere(_quotient_flags(stack, tables, gens)).tolist():
-        if not _kernel_divides(n, stack[k]):
-            continue
-        g = gens[j]
-        failures = _quotient_law_failures(stack[k], g)
-        if g == 1:
-            found[k] += [("quotient law", failure) for failure in failures]
-        if n <= ALL_GENERATORS_MAX_N:
-            found[k] += [("quotient law (all generators)", f"g={g}: {f}") for f in failures]
+    for k in np.flatnonzero(_quotient_flags(stack, tables)).tolist():
+        if _kernel_divides(n, stack[k]):
+            try:
+                failures = check_quotient_laws(stack[k]).failures
+            except InternalCheckError as exc:
+                failures = [str(exc)]
+            found[k] = [("quotient law", failure) for failure in failures]
     return found
 
 
@@ -410,34 +403,29 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
     out.extend(v for violations in found for v in violations)
 
 
-def _check_record_level(record: CensusRecord, out: list[Violation], well_formed: bool) -> None:
-    """The laws of the whole record.  The class ids are rebuilt only when
-    every morphism is well formed (see `_check_morphism`), since
-    conjugation indexes by the images."""
+def _check_record_level(
+    record: CensusRecord, out: list[Violation], well_formed: Sequence[SkewMorphism]
+) -> None:
+    """The laws of the whole record.  Conjugation indexes by the images, so
+    the closure law (see the module docstring) runs on the `well_formed`
+    morphisms, and the class ids are rebuilt only when that is all of them."""
     n = record.n
 
+    def bad(law: str, witness: str) -> None:
+        out.append(Violation(n, law, witness))
+
     # exactly one of: automorphism / proper coset-preserving / not coset-preserving,
-    # matched by the quotient trichotomy checked per morphism above
+    # matched by the quotient trichotomy checked per morphism above; the flags
+    # miss all three only for an automorphism that is not coset-preserving
     for phi in record.morphisms:
-        cats = [
-            phi.automorphism and phi.coset_preserving,
-            phi.proper and phi.coset_preserving,
-            phi.proper and not phi.coset_preserving,
-        ]
-        if sum(cats) != 1:
-            out.append(
-                Violation(n, "classification partition", f"[{phi.canonical_str()}] {cats}")
-            )
+        if phi.automorphism and not phi.coset_preserving:
+            witness = f"[{phi.canonical_str()}] automorphism, not coset-preserving"
+            bad("classification partition", witness)
 
     no_proper_expected = n == 4 or gcd(n, euler_phi(n)) == 1
     if (record.proper_count == 0) != no_proper_expected:
-        out.append(
-            Violation(
-                n,
-                "proper morphisms exist except for n=4 or gcd(n, phi(n))=1",
-                f"proper={record.proper_count}",
-            )
-        )
+        law = "proper morphisms exist except for n=4 or gcd(n, phi(n))=1"
+        bad(law, f"proper={record.proper_count}")
 
     # fits to the census, not cited theorems: at every odd prime power
     # p^e <= 161 the total is (p-1)(p^(2e-1) - p^(2e-2) + 2)/(p+1), which
@@ -453,29 +441,37 @@ def _check_record_level(record: CensusRecord, out: list[Violation], well_formed:
             law = "census total at a power of two (census fit)"
             fit = (14 * 4 ** (e - 3) + 4) // 3
         if law and record.total != fit:
-            out.append(Violation(n, law, f"total={record.total}, fit={fit}"))
+            bad(law, f"total={record.total}, fit={fit}")
 
-    if well_formed:
-        proper = equivalence_classes(record.proper())
-        classes = [[phi.images for phi in cls.members] for cls in proper]
+    listed = {phi.images: phi for phi in well_formed}
+    unplaced = {images: phi for images, phi in listed.items() if phi.proper}
+    classes = []  # the listed proper members of each orbit
+    for least in list(unplaced.values()):
+        if least.images not in unplaced:
+            continue  # placed with an earlier orbit
+        orbit, where = conjugates(least), f"orbit of [{least.canonical_str()}]"
+        classes.append([key for key in orbit if unplaced.pop(key, None) is not None])
+        for key, conjugate in orbit.items():
+            other = listed.get(key)
+            if other != conjugate:
+                detail = "is not listed" if other is None else "differs in " + ", ".join(
+                    name for name, value in vars(other).items() if value != vars(conjugate)[name]
+                )
+                witness = f"[{conjugate.canonical_str()}] {detail} ({where})"
+                bad("census closed under conjugation", witness)
+
+    if len(well_formed) == record.total:
         rebuilt = _finalize_census(n, list(record.morphisms), classes)
         if rebuilt.class_ids != record.class_ids:
-            out.append(
-                Violation(n, "equivalence class ids", "stored ids differ from recomputation")
-            )
+            bad("equivalence class ids", "stored ids differ from recomputation")
 
     if n in PROP62_ORDERS:
         p = n // 4
         allowed = {(p, p), (2 * p, p), (2 * p, 2 * p)}
         for phi in record.morphisms:
             if phi.proper and (phi.kernel_order, phi.order) not in allowed:
-                out.append(
-                    Violation(
-                        n,
-                        "kernel/order pairs on Z_4p",
-                        f"[{phi.canonical_str()}] ({phi.kernel_order}, {phi.order})",
-                    )
-                )
+                pair = f"({phi.kernel_order}, {phi.order})"
+                bad("kernel/order pairs on Z_4p", f"[{phi.canonical_str()}] {pair}")
 
 
 def check_record(record: CensusRecord) -> list[Violation]:
@@ -488,7 +484,7 @@ def check_record(record: CensusRecord) -> list[Violation]:
             well_formed.append(phi)
         _check_prime_comparison(n, phi, out)
     _check_pair_model(n, well_formed, out)
-    _check_record_level(record, out, len(well_formed) == record.total)
+    _check_record_level(record, out, well_formed)
     return out
 
 

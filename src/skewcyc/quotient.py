@@ -10,7 +10,7 @@ form by partial sums of power-function values:
 With the prefix table of the pair model (`skew_product._PairTables`),
 prefix[i, b] = s_i(b) = sum_{t<i} pi(f^t(b)) mod m, column g is Q^(g)
 itself, because Q^(g)(i) is that same sum along the orbit of g; the
-invariant suite reads all quotients of a stack of morphisms off it.
+invariant suite reads column 1 of a whole stack of morphisms off it.
 
 The quotient classifies f: it is the identity exactly when f is an
 automorphism, and (for proper f) a non-trivial automorphism exactly

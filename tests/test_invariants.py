@@ -1,6 +1,7 @@
 import dataclasses
 import faulthandler
 import random
+import re
 from collections import Counter
 from itertools import zip_longest
 
@@ -15,13 +16,11 @@ from skewcyc.invariants import (
     Violation,
     _check_pair_model,
     _quotient_flags,
-    _quotient_law_failures,
-    _sweep_generators,
     check_record,
     run_suite,
 )
 from skewcyc.quotient import check_quotient_laws, quotient_of
-from skewcyc.skew_core import SkewMorphismError, power, verify
+from skewcyc.skew_core import InternalCheckError, SkewMorphismError, power, verify
 from skewcyc.skew_product import _PairTables
 from skewcyc.store import MemoryStore
 
@@ -43,10 +42,10 @@ class TestCleanData:
         assert check_record(store.load(32)) == []
 
     def test_morphism_laws_build_the_quotient_once(self, store, monkeypatch):
-        # the quotient laws of a morphism, for generator 1 and every unit,
-        # verify each of its distinct quotients exactly once
+        # the quotient laws, for the generator 1, verify the quotient of a
+        # morphism exactly once, and each distinct quotient of a stack once
         morphisms = store.load(18).morphisms
-        distinct = [{quotient_of(phi, g).images for g in units(18)} for phi in morphisms]
+        quotients = [(phi.order, quotient_of(phi).images) for phi in morphisms]
         calls = []
         verify = skewcyc.skew_core.verify
 
@@ -55,14 +54,18 @@ class TestCleanData:
             return verify(n, images)
 
         monkeypatch.setattr(skewcyc.skew_core, "verify", counted)
-        for phi, quotients in zip(morphisms, distinct):
+        for phi, quotient in zip(morphisms, quotients):
             # morphisms share quotients, so start each one from a cold cache
             skewcyc.skew_core._verified_once.cache_clear()
             calls.clear()
             out = []
             _check_pair_model(18, [phi], out)
-            assert out == [] and sorted(calls) == sorted((phi.order, q) for q in quotients)
-        assert any(len(quotients) > 1 for quotients in distinct)
+            assert out == [] and calls == [quotient]
+        skewcyc.skew_core._verified_once.cache_clear()
+        calls.clear()
+        _check_pair_model(18, morphisms, out)
+        assert out == [] and sorted(calls) == sorted(set(quotients))
+        assert len(set(quotients)) < len(quotients)
 
     def test_quotient_laws_on_a_warm_cache_verify_nothing(self, store, monkeypatch):
         phi = next(phi for phi in store.load(12).morphisms if phi.proper)
@@ -128,6 +131,15 @@ def test_periodicity_power_from_the_tables_matches_verify(store):
     assert laws == {"periodicity power is skew", "periodicity power is coset-preserving"}
 
 
+def _quotient_law_failures(phi, g=1):
+    """`check_quotient_laws(phi, g)`'s failures, or the error that keeps the
+    quotient from being built, as `check_record` reports them for g = 1."""
+    try:
+        return check_quotient_laws(phi, g).failures
+    except InternalCheckError as exc:
+        return [str(exc)]
+
+
 def _damaged_copies(n, phi):
     """phi, and copies of it damaged the ways a stored record can be."""
     yield phi
@@ -144,6 +156,10 @@ def _damaged_copies(n, phi):
             images = list(phi.images)
             images[b] = images[a]
             yield dataclasses.replace(phi, images=tuple(images))
+    if n >= 4:  # f(2) and f(3) swapped: still a permutation
+        images = list(phi.images)
+        images[2], images[3] = images[3], images[2]
+        yield dataclasses.replace(phi, images=tuple(images))
 
 
 _FIELDS = (
@@ -204,28 +220,56 @@ def test_damaged_records_are_reported_never_raised(store):
     assert {"images lie in Z_n", "order at least 1", "automorphism is a -> f(1)*a"} <= laws
 
 
-def test_the_table_pass_flags_exactly_the_pairs_the_scalar_laws_fail(store):
-    """`_quotient_flags` marks (phi, g) exactly when `check_quotient_laws`
-    fails or cannot build the quotient, on clean and damaged copies of the
-    morphisms of 2..32, in one stack of all orders per n, as the pair model
-    stacks them."""
+# every way to fail, as a first failure: the orbit check, a quotient that is
+# not skew, each postcondition of quotient_of and each law, law (a) in both
+# its forms ("law (a):" is the trivial quotient's)
+_FIRST_FAILURES = {"generator orbit", "quotient of", "ord of", "identity quotient"}
+_FIRST_FAILURES |= {"automorphism quotient", "law (a)", "law (a):", "law (b)", "law (c)"}
+
+
+def test_the_table_pass_flags_exactly_the_morphisms_the_scalar_laws_fail(store):
+    """`_quotient_flags` marks phi exactly when `check_quotient_laws` fails
+    for the generator 1 or cannot build the quotient, on clean and damaged
+    copies of the morphisms of 2..32, in one stack of all orders per n, as
+    the pair model stacks them."""
     failed = Counter()
     for n in range(2, 33):
-        gens = _sweep_generators(n)
         stack = [copy for phi in store.load(n).morphisms for copy in _damaged_copies(n, phi)]
-        scalar = [[_quotient_law_failures(phi, g) for g in gens] for phi in stack]
-        flags = _quotient_flags(stack, _PairTables(stack), gens)
-        assert flags.tolist() == [[bool(f) for f in row] for row in scalar], n
-        failed.update(" ".join(f[0].split()[:2]) for row in scalar for f in row if f)
-        failed["passed"] += sum(not f for row in scalar for f in row)
-    # every way to fail occurs as a pair's first failure: the orbit check, a
-    # quotient that is not skew, each postcondition of quotient_of and each
-    # law, law (a) in both its forms ("law (a):" is the trivial quotient's);
-    # and many pairs pass
-    ways = {"generator orbit", "quotient of", "ord of", "identity quotient"}
-    ways |= {"automorphism quotient", "law (a)", "law (a):", "law (b)", "law (c)"}
-    assert set(failed) == ways | {"passed"}
-    assert failed["passed"] > 10_000
+        scalar = [_quotient_law_failures(phi) for phi in stack]
+        flags = _quotient_flags(stack, _PairTables(stack))
+        assert flags.tolist() == [bool(f) for f in scalar], n
+        failed.update(" ".join(f[0].split()[:2]) for f in scalar if f)
+        failed["passed"] += sum(not f for f in scalar)
+    assert set(failed) == _FIRST_FAILURES | {"passed"}
+    assert failed["passed"] > 2_500  # of 9,159 copies; 655 are clean
+
+
+def test_a_generator_g_fails_as_the_generator_1_of_the_conjugate(store):
+    """The theorem behind the closure law: for every unit g, the quotient
+    laws of f for g fail exactly as those of h = t*f*t^{-1}, t = g^{-1}, for
+    the generator 1, on clean and damaged copies of the morphisms of 2..32.
+    h is built here point by point: h(a) = t*f(g*a), pi_h(a) = pi(g*a).
+    Only the repr of f in an unverifiable quotient's message differs."""
+
+    def worded(failures):
+        return [re.sub(r"quotient of <.*?> failed", "quotient of <f> failed", f) for f in failures]
+
+    pairs, failing = 0, Counter()
+    for n in range(2, 33):
+        for phi in (c for f in store.load(n).morphisms for c in _damaged_copies(n, f)):
+            for g in units(n):
+                t = pow(g, -1, n)
+                h = dataclasses.replace(
+                    phi,
+                    images=tuple(t * phi.images[g * a % n] % n for a in range(n)),
+                    pi=tuple(phi.pi[g * a % n] for a in range(n)),
+                )
+                want = worded(_quotient_law_failures(phi, g))
+                assert worded(_quotient_law_failures(h)) == want, (phi, g)
+                pairs += 1
+                failing.update(" ".join(f.split()[:2]) for f in want[:1])
+    assert pairs == 132_159
+    assert set(failing) == _FIRST_FAILURES
 
 
 def test_a_mixed_order_stack_checks_each_row_alone():
@@ -260,9 +304,8 @@ def test_a_mixed_order_stack_checks_each_row_alone():
         ]
         assert list(got) == want, n
 
-        gens = _sweep_generators(n)
-        scalar = [[bool(_quotient_law_failures(phi, g)) for g in gens] for phi in cases]
-        assert _quotient_flags(cases, tables, gens).tolist() == scalar, n
+        scalar = [bool(_quotient_law_failures(phi)) for phi in cases]
+        assert _quotient_flags(cases, tables).tolist() == scalar, n
 
         out, one_by_one, in_sorted_order = [], [], []
         _check_pair_model(n, cases, out)
@@ -325,6 +368,50 @@ class TestViolationDetection:
             morphisms=tuple(phi for phi, _ in kept),
             class_ids=tuple(cid for _, cid in kept),
         )
+
+    @pytest.mark.parametrize("n", [12, 20, 36, 42])
+    def test_a_record_that_lacks_a_conjugate_or_changes_one_is_caught(self, store, n):
+        # the last member of the largest class dropped, or one of its other
+        # members with pi changed at one point: every other law still holds
+        # for the first record, and the closure law catches both
+        record = census(n, store)
+        largest, _ = Counter(cid for cid in record.class_ids if cid != -1).most_common(1)[0]
+        members = [i for i, cid in enumerate(record.class_ids) if cid == largest]
+        least = record.morphisms[members[0]].canonical_str()
+        law = "census closed under conjugation"
+
+        kept = [i for i in range(record.total) if i != members[-1]]
+        dropped = CensusRecord(
+            n, tuple(record.morphisms[i] for i in kept), tuple(record.class_ids[i] for i in kept)
+        )
+        last = record.morphisms[members[-1]].canonical_str()
+        witness = f"[{last}] is not listed (orbit of [{least}])"
+        assert check_record(dropped) == [Violation(n, law, witness)]
+
+        morphisms = list(record.morphisms)
+        phi = morphisms[members[1]]
+        pi = list(phi.pi)
+        pi[1] = pi[1] % phi.order + 1
+        morphisms[members[1]] = dataclasses.replace(phi, pi=tuple(pi))
+        changed = CensusRecord(n, tuple(morphisms), record.class_ids)
+        witness = f"[{phi.canonical_str()}] differs in pi (orbit of [{least}])"
+        assert Violation(n, law, witness) in check_record(changed)
+        assert check_record(record) == []
+
+    @pytest.mark.parametrize("n", [12, 20, 18])
+    def test_a_power_function_raised_by_the_order_on_a_coset_is_caught(self, store, n):
+        # pi + ord on a whole non-kernel coset keeps the kernel shape and
+        # every law that reads pi mod ord (the pair model, the quotient laws)
+        record = store.load(n)
+        index = next(i for i, phi in enumerate(record.morphisms) if phi.proper)
+        morphisms = list(record.morphisms)
+        phi = morphisms[index]
+        step = n // phi.kernel_order
+        pi = tuple(p + phi.order * (a % step == 1) for a, p in enumerate(phi.pi))
+        morphisms[index] = dataclasses.replace(phi, pi=pi)
+        out = check_record(CensusRecord(n, tuple(morphisms), record.class_ids))
+        witness = f"[{phi.canonical_str()}] min=1, max={max(pi)}"
+        assert Violation(n, "power function values lie in [1, ord]", witness) in out
 
     @pytest.mark.parametrize("n", [25, 27])
     def test_an_odd_prime_power_census_without_its_last_class_is_caught(self, store, n):
