@@ -9,20 +9,13 @@ the prime-comparison theorem for induced quotients, the skew-product
 cross-checks, the order/kernel constraints on Z_{4p}, and the census
 total at odd prime powers.
 
-Every law runs on every morphism of every order.  The pair-model laws,
-the periodicity-power law and the quotient laws run per record, on stacks
-that mix the orders of Z_n, padded to the largest order of each stack
-(`_check_pair_model`).
+Every law runs on every morphism of every order.  The pair-model laws and
+the periodicity-power law run per record, on stacks that mix the orders
+of Z_n, padded to the largest order of each stack (`_check_pair_model`).
 
-The quotient laws are checked for the generator 1 and read off the same
-pair tables: column 1 of `prefix` is the quotient Q of f and column 1 of
-`powers` the orbit f^i(1), i < m.  Proof: prefix[i, 1] = s_i(1) =
-sum_{t<i} pi(f^t(1)) mod m, the partial sum that `quotient_of` takes
-along the orbit of 1.  So one pass per stack decides every morphism, and
-only a morphism that fails goes through the scalar `check_quotient_laws`,
-which words the violation.  Each law reads a morphism's tables below its
-own order m, so a stack's verdicts on a morphism are those of a stack of
-one.
+The quotient laws are checked for the generator 1, once per morphism,
+through `check_quotient_laws` (`_check_generator_sweep`); `verify` runs
+once per distinct quotient, which the morphisms of a census share.
 
 The record law "census closed under conjugation" covers every other
 generator: from the least well-formed proper morphism not yet placed,
@@ -52,9 +45,10 @@ that is not skew, a kernel subgroup outside the kernel) is reported as a
 violation of that law, with the error as its witness.  A stored kernel
 order that no subgroup of Z_n has is reported as "kernel order divides
 n", and the laws that need the kernel subgroup are skipped for that
-morphism.  In the same way, images outside Z_n and an order below 1 are
-laws of their own, and the laws that index by the images or the order
-are skipped (see `_check_morphism`).  An automorphism is checked against its
+morphism.  In the same way, images outside Z_n, a power function without
+n values and an order below 1 are laws of their own, and the laws that
+index by the images, the power function or the order are skipped (see
+`_check_morphism`).  An automorphism is checked against its
 closed form a -> f(1)*a, so that no law leans on `Store.load`'s
 `verify`.  A clean run over a census is the package's acceptance gate.
 """
@@ -79,8 +73,6 @@ from .skew_core import (
     SkewMorphism,
     SkewMorphismError,
     _unit_gathers,
-    _verified_once,
-    automorphism_of,
     conjugates,
     induced_on_quotient,
     power,
@@ -129,11 +121,13 @@ def _scalings(n: int) -> dict[int, tuple[int, ...]]:
 
 def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
     """The laws of one morphism on its own.  Returns whether phi is well
-    formed: of order at least 1, with n images in Z_n.  The laws that index
-    by the images or the order (the orbit walk, the automorphism's closed
-    form here; the pair model, the closure and the class ids in
-    `check_record`) run on well-formed morphisms only, and the others are
-    reported as "order at least 1" or "images lie in Z_n"."""
+    formed: of order at least 1, with n images in Z_n and n values of the
+    power function, each a law of its own ("order at least 1", "images lie
+    in Z_n", "power function has n values").  A law that indexes by a field
+    that fails is skipped: here the orbit walk and the automorphism's closed
+    form (images), the range law and the fixed points (power function); the
+    pair model, the closure and the class ids in `check_record` run on
+    well-formed morphisms only."""
 
     def bad(law: str, detail: str = "") -> None:
         out.append(Violation(n, law, f"[{phi.canonical_str()}] {detail}".strip()))
@@ -145,6 +139,9 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
     fault = _image_fault(n, phi)
     if fault:
         bad("images lie in Z_n", fault)
+    pi_ok = len(phi.pi) == n
+    if not pi_ok:
+        bad("power function has n values", f"{len(phi.pi)} values")
 
     if n >= 2 and not phi.order < n:
         bad("order below group order", f"order={phi.order}")
@@ -152,7 +149,7 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
         bad("order at least 1", f"order={phi.order}")
     elif n * euler_phi(n) % phi.order != 0:
         bad("order divides n*phi(n)", f"order={phi.order}")
-    if phi.order >= 1 and not 1 <= min(phi.pi) <= max(phi.pi) <= phi.order:
+    if pi_ok and phi.order >= 1 and not 1 <= min(phi.pi) <= max(phi.pi) <= phi.order:
         bad("power function values lie in [1, ord]", f"min={min(phi.pi)}, max={max(phi.pi)}")
     if phi.proper and gcd(phi.order, n) == 1:
         bad("proper order shares a factor with n", f"order={phi.order}")
@@ -173,10 +170,11 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
         if len(set(coset_values)) != step:
             bad("power function distinct across kernel cosets")
 
-    for a in compress(range(n), map(eq, phi.images, range(n))):
-        if phi.pi[a] != 1:
-            bad("fixed points lie in the kernel", f"a={a}")
-            break
+    if pi_ok:
+        for a in compress(range(n), map(eq, phi.images, range(n))):
+            if phi.pi[a] != 1:
+                bad("fixed points lie in the kernel", f"a={a}")
+                break
 
     if fault is None:
         # at most n steps: when the images are not a permutation, 1 need not recur
@@ -205,109 +203,32 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
                 bad("kernel order divisible by 4 (2-power case)", f"kernel={k}")
         elif k % p != 0:
             bad("kernel order divisible by largest prime", f"p={p}, kernel={k}")
-    return fault is None and phi.order >= 1
+    return fault is None and pi_ok and phi.order >= 1
 
 
-def _quotient_flags(stack: Sequence[SkewMorphism], tables: _PairTables) -> np.ndarray:
-    """Per morphism of the stack, whether `check_quotient_laws` fails on
-    it or cannot build its quotient, decided on the pair tables.
-
-    The orbit f^i(1), i < m, is column 1 of `tables.powers` and the
-    quotient Q column 1 of `tables.prefix` (see the module docstring),
-    both read on the rows below the morphism's own order m.  Each distinct
-    quotient is verified once; `quotient_of`'s orbit and postcondition
-    checks and laws (a)-(c) are whole-array comparisons, with the padding
-    rows of the stack masked.
-    """
-    n = tables.n
-    padding = ~tables.valid  # [k, i]: i lies past ord f_k
-    orbits = tables.powers[:, :, 1 % n]  # [k, i] = f_k^i(1); Z_1 has 0 alone
-    distinct = np.where(padding, -1 - np.arange(tables.m), orbits)  # padding never repeats
-    ok = (np.diff(np.sort(distinct, axis=1), axis=1) != 0).all(axis=1)  # the orbit has m elements
-
-    # the distinct quotients, numbered, keyed by the bytes of their images;
-    # padded with -1, a key also tells the order m of the group Z_m they act on
-    sums = np.where(padding, -1, tables.prefix[:, :, 1 % n])
-    ids: dict[bytes, int] = {}
-    rows = sums.view(np.dtype((np.void, sums.itemsize * tables.m))).ravel().tolist()
-    qid = np.array([ids.setdefault(row, len(ids)) for row in rows])
-    needed = set(qid[ok].tolist())  # quotient_of verifies only after the orbit check
-    quotients, skew = [], []
-    for i, row in enumerate(ids):
-        images = np.frombuffer(row, dtype=sums.dtype)
-        images = tuple(images[images >= 0].tolist())
-        try:
-            q = _verified_once(len(images), images) if i in needed else None
-        except SkewMorphismError:
-            q = None
-        skew.append(q is not None)
-        quotients.append(q or automorphism_of(len(images), 1))  # stand-ins fail by `skew`
-    skew = np.array(skew)[qid]
-
-    def per_quotient(values, dtype=None) -> np.ndarray:
-        return np.array(list(values), dtype=dtype)[qid]
-
-    def per_morphism(field: str) -> np.ndarray:
-        return np.array([getattr(phi, field) for phi in stack])
-
-    order = per_quotient((q.order for q in quotients), np.int32)
-    auto = per_morphism("automorphism")
-    q_auto = per_quotient(q.automorphism for q in quotients)
-    kernel = per_morphism("kernel_order")
-    index = np.where(kernel > 0, n // np.maximum(kernel, 1), 0)  # no quotient has order 0
-    ok &= skew & (order == index)
-    ok &= per_quotient(q.is_identity for q in quotients) == auto
-    ok &= auto | (q_auto == per_morphism("coset_preserving"))
-    q_period = per_quotient(q.n // q.kernel_order for q in quotients)
-    ok &= q_period == per_morphism("periodicity")  # law (b)
-
-    # law (a); Q on Z_1 has no orbit of 1, and its law reads pi == 1
-    pi = np.array([phi.pi for phi in stack], dtype=np.int32)
-    walks = per_quotient((_orbit_of_one(q, n) for q in quotients), np.int32)
-    law_a = (pi % tables.orders[:, None] == walks).all(axis=1)
-    ok &= np.where(tables.orders == 1, (pi == 1).all(axis=1), law_a)
-    r = order[:, None]  # law (c)
-    q_pi = per_quotient((q.pi + (0,) * (tables.m - q.n) for q in quotients), np.int32)
-    ok &= (orbits % r == q_pi % r).all(axis=1, where=~padding)
-    return ~ok
-
-
-def _orbit_of_one(q: SkewMorphism, count: int) -> list[int]:
-    """q^k(1) for k < count, as law (a) walks it, for a permutation q: the
-    orbit of 1, repeated (zeros on Z_1, which law (a) does not walk)."""
-    if q.n == 1:
-        return [0] * count
-    orbit, z = [1], q.images[1]
-    while z != 1:
-        orbit.append(z)
-        z = q.images[z]
-    return (orbit * (count // len(orbit) + 1))[:count]
-
-
-def _check_generator_sweep(
-    n: int, stack: Sequence[SkewMorphism], tables: _PairTables
-) -> list[list[tuple[str, str]]]:
-    """The "quotient law" violations of each morphism of a pair-model stack,
-    as (law, detail), for the generator 1 (the closure law covers the
-    others).  Only the morphisms that `_quotient_flags` flags go through
-    `check_quotient_laws`, which words the details or raises the error
-    that keeps the quotient from being built; a morphism whose kernel
-    order does not divide n has none (see `_kernel_divides`)."""
-    found: list[list[tuple[str, str]]] = [[] for _ in stack]
-    for k in np.flatnonzero(_quotient_flags(stack, tables)).tolist():
-        if _kernel_divides(n, stack[k]):
-            try:
-                failures = check_quotient_laws(stack[k]).failures
-            except InternalCheckError as exc:
-                failures = [str(exc)]
-            found[k] = [("quotient law", failure) for failure in failures]
-    return found
+def _check_generator_sweep(n: int, phi: SkewMorphism) -> list[tuple[str, str]]:
+    """The "quotient law" violations of phi, as (law, detail), for the
+    generator 1 (the closure law covers the others): the failures of
+    `check_quotient_laws`, or the error that keeps the quotient from being
+    built.  A morphism whose kernel order does not divide n has none (see
+    `_kernel_divides`).  The name is kept from the sweep over every
+    generator that this replaced, because the layer timings of the
+    benchmark wrap this function by that name."""
+    if not _kernel_divides(n, phi):
+        return []
+    try:
+        failures = check_quotient_laws(phi).failures
+    except InternalCheckError as exc:
+        failures = [str(exc)]
+    return [("quotient law", failure) for failure in failures]
 
 
 def _check_prime_comparison(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
     """Prime comparison through the induced quotient by each order-q subgroup
-    (none when the kernel order does not divide n; see `_kernel_divides`)."""
-    if not _kernel_divides(n, phi):
+    (none when the kernel order does not divide n, see `_kernel_divides`, or
+    when the power function or the images, which it indexes, have other than
+    n values)."""
+    if not _kernel_divides(n, phi) or len(phi.pi) != n or len(phi.images) != n:
         return
     k = phi.kernel_order
     for q in factorize(k):
@@ -346,9 +267,9 @@ def _periodicity_power_law(
 
 
 def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Violation]) -> None:
-    """The pair-model laws, the periodicity-power law and the quotient laws
-    (`_check_generator_sweep`), for every listed morphism of Z_n, on stacks
-    of pair tables that mix orders.
+    """The pair-model laws and the periodicity-power law, on stacks of pair
+    tables that mix orders, and the quotient laws (`_check_generator_sweep`),
+    for every listed morphism of Z_n.
 
     The morphisms are taken in ascending order of their orders and cut
     greedily into stacks whose padded tables hold at most `_STACK_ELEMENTS`
@@ -384,7 +305,6 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
         periods = np.array([stack[k].periodicity for k in rows], dtype=np.intp)
         witness, coset_preserving = tables.power_verdicts(np.array(rows, dtype=np.intp), periods)
         verdicts = dict(zip(rows, zip(witness.tolist(), coset_preserving.tolist())))
-        swept = _check_generator_sweep(n, stack, tables)
         for k, (phi, report, core) in enumerate(zip(stack, reports, tables.cores().tolist())):
             laws = []
             if core != phi.kernel_order:
@@ -394,7 +314,7 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
             broken = _periodicity_power_law(phi, verdicts.get(k))
             if broken:
                 laws.append(broken)
-            laws += swept[k]
+            laws += _check_generator_sweep(n, phi)
             if laws:
                 name = phi.canonical_str()
                 found[chunk[k]] = [

@@ -7,11 +7,6 @@ form by partial sums of power-function values:
 
     Q(k) = sum_{i<k} pi(t_i)   (mod m),   k in [0, m).
 
-With the prefix table of the pair model (`skew_product._PairTables`),
-prefix[i, b] = s_i(b) = sum_{t<i} pi(f^t(b)) mod m, column g is Q^(g)
-itself, because Q^(g)(i) is that same sum along the orbit of g; the
-invariant suite reads column 1 of a whole stack of morphisms off it.
-
 The quotient classifies f: it is the identity exactly when f is an
 automorphism, and (for proper f) a non-trivial automorphism exactly
 when f is coset-preserving.  `check_quotient_laws` exposes the three
@@ -69,7 +64,7 @@ def quotient_of(phi: SkewMorphism, g: int = 1) -> SkewMorphism:
         acc += phi.pi[orbit[i]]
     try:
         q = _verified_once(m, tuple(imgs))
-    except SkewMorphismError as exc:  # pragma: no cover - guaranteed skew
+    except SkewMorphismError as exc:
         raise QuotientNotSkewError(f"quotient of {phi!r} failed verification: {exc}") from exc
 
     _require(q.order == n // phi.kernel_order, "ord of quotient must be n/|kernel|")

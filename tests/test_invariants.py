@@ -15,7 +15,7 @@ from skewcyc.enumeration import CensusRecord, brute_force, census
 from skewcyc.invariants import (
     Violation,
     _check_pair_model,
-    _quotient_flags,
+    _kernel_divides,
     check_record,
     run_suite,
 )
@@ -227,17 +227,25 @@ _FIRST_FAILURES = {"generator orbit", "quotient of", "ord of", "identity quotien
 _FIRST_FAILURES |= {"automorphism quotient", "law (a)", "law (a):", "law (b)", "law (c)"}
 
 
-def test_the_table_pass_flags_exactly_the_morphisms_the_scalar_laws_fail(store):
-    """`_quotient_flags` marks phi exactly when `check_quotient_laws` fails
-    for the generator 1 or cannot build the quotient, on clean and damaged
-    copies of the morphisms of 2..32, in one stack of all orders per n, as
-    the pair model stacks them."""
+def test_the_pair_model_reports_exactly_the_scalar_quotient_law_failures(store):
+    """`_check_pair_model` reports, as "quotient law", exactly the failures
+    of `check_quotient_laws` for the generator 1, or the error that keeps the
+    quotient from being built, and none when the kernel order does not
+    divide n: on clean and damaged copies of the morphisms of 2..32, in one
+    call of all orders per n."""
     failed = Counter()
     for n in range(2, 33):
         stack = [copy for phi in store.load(n).morphisms for copy in _damaged_copies(n, phi)]
         scalar = [_quotient_law_failures(phi) for phi in stack]
-        flags = _quotient_flags(stack, _PairTables(stack))
-        assert flags.tolist() == [bool(f) for f in scalar], n
+        out = []
+        _check_pair_model(n, stack, out)
+        want = [
+            Violation(n, "quotient law", f"[{phi.canonical_str()}] {failure}")
+            for phi, failures in zip(stack, scalar)
+            if _kernel_divides(n, phi)
+            for failure in failures
+        ]
+        assert [v for v in out if v.law == "quotient law"] == want, n
         failed.update(" ".join(f[0].split()[:2]) for f in scalar if f)
         failed["passed"] += sum(not f for f in scalar)
     assert set(failed) == _FIRST_FAILURES | {"passed"}
@@ -276,8 +284,8 @@ def test_a_mixed_order_stack_checks_each_row_alone():
     """All orders of Z_n, n <= 9, in one stack: the brute-force morphisms and
     their damaged copies, interleaved across orders.  Each row's group
     report, core and periodicity-power verdicts are those of a stack of one,
-    the quotient flags are the scalar verdicts, and `_check_pair_model`
-    reports each morphism as alone, in any order of the list."""
+    and `_check_pair_model` reports each morphism as alone, in any order of
+    the list."""
     mixed = 0
     for n in range(2, 10):
         by_order = {}
@@ -303,9 +311,6 @@ def test_a_mixed_order_stack_checks_each_row_alone():
             for k, p in pairs
         ]
         assert list(got) == want, n
-
-        scalar = [bool(_quotient_law_failures(phi)) for phi in cases]
-        assert _quotient_flags(cases, tables).tolist() == scalar, n
 
         out, one_by_one, in_sorted_order = [], [], []
         _check_pair_model(n, cases, out)
@@ -471,6 +476,33 @@ class TestViolationDetection:
         law = Violation(n, "kernel order divides n", f"[{bad.canonical_str()}] kernel={kernel}")
         assert law in out
         assert check_record(record) == []
+
+    @pytest.mark.parametrize("length", [11, 0, 13])
+    def test_a_power_function_without_n_values_is_reported_not_raised(self, store, length):
+        # such a morphism is not well formed: the law carries the length,
+        # and the laws that index by pi (the range law, the fixed points,
+        # prime comparison, the pair model) are skipped for it
+        record = store.load(12)
+        index = next(i for i, phi in enumerate(record.morphisms) if phi.proper)
+        morphisms = list(record.morphisms)
+        phi = morphisms[index]
+        morphisms[index] = dataclasses.replace(phi, pi=(phi.pi * 2)[:length])
+        out = check_record(CensusRecord(12, tuple(morphisms), record.class_ids))
+        witness = f"[{phi.canonical_str()}] {length} values"
+        assert Violation(12, "power function has n values", witness) in out
+        assert check_record(record) == []
+
+    @pytest.mark.parametrize("length", [0, 5])
+    def test_images_without_n_values_are_reported_not_raised(self, store, length):
+        # prime comparison indexes the images too: on the identity of Z_12
+        # it reads them on the subgroups of orders 2 and 3, at 0, 4, 6 and 8
+        record = store.load(12)
+        identity = record.morphisms[0]
+        assert identity.images == tuple(range(12))
+        bad = dataclasses.replace(identity, images=identity.images[:length])
+        out = check_record(CensusRecord(12, (bad, *record.morphisms[1:]), record.class_ids))
+        witness = f"[{bad.canonical_str()}] {length} images"
+        assert Violation(12, "images lie in Z_n", witness) in out
 
     def test_violation_formatting(self, store):
         record = store.load(6)
