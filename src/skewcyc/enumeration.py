@@ -67,7 +67,8 @@ import contextlib
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from itertools import accumulate, permutations
+from itertools import product  # unused here; perfbench/layers.py traces enumeration.product
 from math import gcd
 
 import numpy as np
@@ -365,10 +366,11 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
             group = {pow(s, v, m) for v in units(mult_order(s, m))}
             placed.update((m, sv) for sv in group)
             groups.append((m, s, group))
+    tasks = [(n, m, s) for m, s, _group in groups]
     if executor is None:
-        batches = (_cp_base_search(n, m, s) for m, s, _group in groups)
+        batches = map(_cp_task, tasks)
     else:
-        batches = executor.map(_cp_task, [(n, m, s) for m, s, _group in groups])
+        batches = executor.map(_cp_task, tasks)
     classes = []
     for (m, _s, group), batch in zip(groups, batches):
         classes += _closed(
@@ -458,7 +460,11 @@ def lift(rho: SkewMorphism, n: int, cp_list: list[SkewMorphism]) -> list[SkewMor
 
 def _free_threads(orbit_l: list[int], p: int) -> list[int]:
     """The threads whose seeds are free choices: those other than thread 0
-    that hold a needed orbit position (an exponent in orbit_l)."""
+    that hold a needed orbit position (an exponent in orbit_l).
+
+    Thread 1 is always among them: orbit_l[0] = 1, and 1 % p = 1 because
+    p = m/|ker rho| >= 2 for a proper rho, whose kernel is a proper
+    subgroup of Z_m.  So every lift task has a free thread."""
     return sorted({e % p for e in orbit_l} - {0})
 
 
@@ -496,10 +502,7 @@ def _lift_with_psis(
 
     qmax = max(e // p for e in orbit_l)
     tables = [power_table(psi.images, qmax + 1) for psi in psis]
-    if free and len(psis) * kord ** len(free) >= _BATCH_MIN:
-        survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l)
-    else:
-        survivors = ((k, combo) for k in range(len(psis)) for combo in product(*pools))
+    survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l)
     results: dict[tuple[int, ...], SkewMorphism] = {}
     for k, combo in survivors:
         psi, rows = psis[k], tables[k]
@@ -533,17 +536,6 @@ def _lift_with_psis(
     return sorted(results.values(), key=lambda q: q.images)
 
 
-# Below this many seed combinations in a task's whole stack of steppers the
-# plain loop is taken.  Measured per task with a free thread, lift and
-# acceptance together, on census(n), n in {54, 64, 72, 80, 81, 96, 100}
-# (2 cores, best of 9, mean us; plain vs batched): 50 combinations 260 vs
-# 250, 54: 710 vs 700, 64: 1116 vs 1319, 72: 676 vs 729, 80: 714 vs 906,
-# 96: 962 vs 830, 128 to 162: within 8%, 192: 2151 vs 1731, 288: 1632 vs
-# 701; best of 3, 2916: 40094 vs 3850, 39366: 900419 vs 14234.  None of
-# these tasks has fewer than 50.  From 64 to 95 the plain loop is ahead by
-# 0.2 ms a task or less, and the pass sends far fewer seed choices to the
-# scalar acceptance (census(81): 762 `_realize_lift` calls, 832 from 96).
-_BATCH_MIN = 64
 # (stepper, seed combination) rows per pre-filter pass; bounds its working
 # set.  Peak RSS of census(81): 32.8 MB, against 34.3 MB with 1 << 15 and
 # 34.5 MB when each stepper had a pass of its own; 1 << 15 walks the

@@ -128,8 +128,9 @@ class StoreEntry:
             raise SchemaMismatchError(
                 f"schema_version {raw.get('schema_version')!r} != {SCHEMA_VERSION}"
             )
-        if type(raw.get("class_id")) is not int:  # JSON true/false load as bool, an int subclass
-            raise SchemaMismatchError(f"class_id {raw.get('class_id')!r} is not an integer")
+        for key in ("n", "class_id"):  # JSON true/false load as bool, an int subclass
+            if type(raw.get(key)) is not int:
+                raise SchemaMismatchError(f"{key} {raw.get(key)!r} is not an integer")
         try:
             return cls(
                 n=raw["n"],

@@ -7,6 +7,7 @@ over all pairs, so these can serve as ground truth for small n.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 
 from skewcyc.cyclic_arith import mult_order, units
@@ -251,3 +252,14 @@ def naive_census(n: int, store):
     proper = [sk for sk in collected.values() if sk.proper]
     classes = [members for _key, members in naive_classes(proper)]
     return _finalize_census(n, list(collected.values()), classes)
+
+
+def naive_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l):
+    """Every (stepper index, seed combination) of a lift task, stepper by
+    stepper in `product(*pools)` order: `_batched_seed_survivors`' signature
+    with no filtering, so the scalar acceptance sees every seed choice.
+
+    Unlike the pre-filter it assumes nothing of the steppers (the pre-filter
+    requires each to fix every residue mod R = ord(rho)).
+    """
+    return ((k, combo) for k in range(len(psis)) for combo in product(*pools))

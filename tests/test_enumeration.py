@@ -23,7 +23,12 @@ from skewcyc.quotient import quotient_of
 from skewcyc.skew_core import InternalCheckError, equivalence_classes, verify
 from skewcyc.store import MemoryStore, Store
 
-from naive import naive_census, naive_coset_preserving, naive_cp_base_search
+from naive import (
+    naive_census,
+    naive_coset_preserving,
+    naive_cp_base_search,
+    naive_seed_survivors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -241,20 +246,11 @@ def test_cp_search_tasks_examples():
     assert cp_search_tasks(7) == []
 
 
-def test_batched_and_plain_lift_agree(monkeypatch):
-    # force every seed search through the vectorised pre-filter and compare
-    def run():
-        store = MemoryStore()
-        return [phi.images for phi in census(32, store).morphisms]
-
-    plain = run()
-    monkeypatch.setattr(enum, "_BATCH_MIN", 1)
-    assert run() == plain
-
-
 @pytest.fixture(scope="module")
-def prefilter_calls(store):
-    """Arguments of the pre-filter calls of census(54), batching forced on."""
+def prefilter_calls():
+    """Arguments of the pre-filter calls of census(54) from an empty store
+    (the lifts of 9, 16, 18, 27, 36 and 54): every lift task takes one,
+    down to one free thread and stacks of fewer than 64 rows."""
     calls = []
     batched = enum._batched_seed_survivors
 
@@ -263,16 +259,14 @@ def prefilter_calls(store):
         return batched(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enum, "_BATCH_MIN", 1)
         mp.setattr(enum, "_batched_seed_survivors", record)
-        census(54, store)
-    # a few tasks of each shape (m, R, p, steppers, free threads, kernel order)
+        census(54, MemoryStore())
+    # a few tasks of each shape (n, m, R, p, steppers, free threads, kernel order)
     by_shape = {}
     for args in calls:
-        _n, m, big_r, p, psis, free, pools, _tables, _orbit_l = args
-        if len(free) >= 2 and len(pools[0]) >= 3:
-            shape = (m, big_r, p, len(psis), len(free), len(pools[0]))
-            by_shape.setdefault(shape, []).append(args)
+        n, m, big_r, p, psis, free, pools, _tables, _orbit_l = args
+        shape = (n, m, big_r, p, len(psis), len(free), len(pools[0]))
+        by_shape.setdefault(shape, []).append(args)
     return [args for group in by_shape.values() for args in group[:3]]
 
 
@@ -297,6 +291,9 @@ def test_prefilter_matches_scalar_walk(prefilter_calls, monkeypatch):
     # of each stepper of the stack
     monkeypatch.setattr(enum, "_verified_of_order", lambda *args: True)
     assert len({args[1:4] for args in prefilter_calls}) >= 4
+    # the shapes a task of one free thread or a small stack has
+    assert any(len(args[5]) == 1 for args in prefilter_calls)
+    assert any(len(args[4]) * len(args[6][0]) ** len(args[5]) < 64 for args in prefilter_calls)
     kept = stacked = 0
     for args in prefilter_calls:
         expected = _scalar_survivors(*args)
@@ -326,7 +323,7 @@ def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
 def test_prefilter_chunk_boundaries_inside_and_between_steppers(prefilter_calls, monkeypatch):
     # a chunk of kord rows divides each stepper's kord**nfree rows into
     # several chunks: boundaries fall inside a stepper and between two
-    stacked = [args for args in prefilter_calls if len(args[4]) >= 2]
+    stacked = [args for args in prefilter_calls if len(args[4]) >= 2 and len(args[5]) >= 2]
     whole = [list(enum._batched_seed_survivors(*args)) for args in stacked]
     for args, found in zip(stacked, whole):
         kord, nfree = len(args[6][0]), len(args[5])
@@ -570,8 +567,8 @@ def test_cp_order_bound_is_pruning_only(monkeypatch):
 
 def test_coset_fixing_stepper_filter_is_sound(monkeypatch):
     # keep every stepper of order m/p, not only those fixing each residue
-    # mod ord(rho); the plain seed loop runs, since the batched pre-filter
-    # requires the residue property
+    # mod ord(rho); every seed choice goes to the scalar acceptance, since
+    # the pre-filter requires the residue property
     orders = range(2, 49)
 
     def run():
@@ -590,6 +587,6 @@ def test_coset_fixing_stepper_filter_is_sound(monkeypatch):
         return kept
 
     monkeypatch.setattr(enum, "psi_candidates", loose)
-    monkeypatch.setattr(enum, "_BATCH_MIN", float("inf"))
+    monkeypatch.setattr(enum, "_batched_seed_survivors", naive_seed_survivors)
     assert run() == expected
     assert extra > 0

@@ -271,6 +271,7 @@ class TestCli:
             lambda text: _edit_lines(text, lambda lines: lines.insert(3, lines[3])),
             lambda text: _edit_entry(text, 1, "class_id", 0),
             lambda text: _edit_entry(text, 1, "class_id", "-1"),
+            lambda text: _edit_entry(text, 1, "n", 13.0),
         ],
         ids=[
             "truncated",
@@ -281,6 +282,7 @@ class TestCli:
             "duplicate-line",
             "automorphism-with-class-id",
             "class-id-not-an-integer",
+            "n-not-an-integer",
         ],
     )
     def test_show_reports_malformed_store_line(self, tmp_path, capsys, damage):
@@ -314,6 +316,7 @@ class TestCli:
             (lambda lines: _set(lines, 6, float_image=2), ":7: stored images are not"),
             (lambda lines: _set(lines, _members(lines)[0], float_image=2), ":5: stored images"),
             (lambda lines: _set(lines, 1, class_id=False), ":2: class_id False is not an integer"),
+            (lambda lines: lines[1].update(n=18.0), ":2: n 18.0 is not an integer"),
         ],
         ids=[
             "wrong-class-id",
@@ -325,6 +328,7 @@ class TestCli:
             "float-image-in-automorphism",
             "float-image-in-member",
             "class-id-is-a-bool",
+            "float-n-on-first-line-of-class",
         ],
     )
     def test_class_damage_fails_on_load(self, tmp_path, capsys, damage, expect):
