@@ -20,7 +20,13 @@ from skewcyc.invariants import (
     run_suite,
 )
 from skewcyc.quotient import check_quotient_laws, quotient_of
-from skewcyc.skew_core import InternalCheckError, SkewMorphismError, power, verify
+from skewcyc.skew_core import (
+    InternalCheckError,
+    SkewMorphismError,
+    conjugates,
+    power,
+    verify,
+)
 from skewcyc.skew_product import _PairTables
 from skewcyc.store import MemoryStore
 
@@ -195,12 +201,11 @@ def _damaged_record(record, rng):
     return CensusRecord(n, morphisms, tuple(class_ids[i] for i in order)), field
 
 
-def test_damaged_records_are_reported_never_raised(store):
-    """A seeded damage harness over the records 2..40: every record with one
-    field of one morphism changed gets at least one violation from
-    `check_record`, which never raises (images outside Z_n, orders below 1
-    and an identity with other images included)."""
-    rng = random.Random(17)
+def _damage_harness(store, seed):
+    """Every record 2..40 with one field of one morphism changed, 38 per n
+    drawn with `seed`, gets at least one violation from `check_record`,
+    which never raises; returns the laws they broke."""
+    rng = random.Random(seed)
     fields, laws = Counter(), set()
     for n in range(2, 41):
         record = census(n, store)
@@ -217,7 +222,70 @@ def test_damaged_records_are_reported_never_raised(store):
             laws.update(v.law for v in out)
             made += 1
     assert sum(fields.values()) == 39 * 38 and set(fields) == set(_FIELDS)
+    return laws
+
+
+def test_damaged_records_are_reported_never_raised(store):
+    """A seeded damage harness over the records 2..40: every record with one
+    field of one morphism changed gets at least one violation from
+    `check_record`, which never raises (images outside Z_n, orders below 1
+    and an identity with other images included)."""
+    laws = _damage_harness(store, 17)
     assert {"images lie in Z_n", "order at least 1", "automorphism is a -> f(1)*a"} <= laws
+    assert "census closed under conjugation" in laws
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_damaged_records_on_other_seeds_are_reported(store, seed):
+    """The damage harness on two more seeds: damage to a line that no law of
+    its own reads (every proper line but the leader of its orbit) is
+    reported by the closure law, never passed over."""
+    _damage_harness(store, seed)
+
+
+@pytest.mark.parametrize("n", [2, 12, 32])
+def test_a_damaged_automorphism_gets_one_closed_form_violation(store, n):
+    """Each field of each automorphism of Z_n changed in turn: `check_record`
+    reports exactly one violation, the closed-form law naming every field
+    that differs from `automorphism_of(n, f(1))`, or the well-formedness law
+    that keeps the closed form from being read (an order below 1).  No law
+    that the cut skips for automorphisms runs.  Clearing the automorphism
+    flag instead makes the line proper, a leader checked in full (the damage
+    harness covers it)."""
+    record = store.load(n)
+    cases = 0
+    for index, phi in enumerate(record.morphisms):
+        if phi.proper:
+            continue
+        images = list(phi.images)
+        images[-1] = (images[-1] + 1) % n  # for n = 2: f(1) = 0, no unit
+        pi = list(phi.pi)
+        pi[-1] = 2
+        law, name = "automorphism is a -> f(1)*a", phi.canonical_str()
+        damages = [
+            ("pi", tuple(pi), law, "differs in pi"),
+            ("order", phi.order + 1, law, "differs in order"),
+            ("order", 0, "order at least 1", "order=0"),
+            ("kernel_order", n - 1, law, "differs in kernel_order"),
+            ("periodicity", 2, law, "differs in periodicity"),
+            ("coset_preserving", False, law, "differs in coset_preserving"),
+            ("images", tuple(images), law, "differs in images" if n > 2 else "f(1)=0 is no unit"),
+        ]
+        for field, value, want, detail in damages:
+            bad = dataclasses.replace(phi, **{field: value})
+            morphisms = list(record.morphisms)
+            morphisms[index] = bad
+            assert len({other.images for other in morphisms}) == record.total
+            order = sorted(range(record.total), key=lambda i: morphisms[i].images)
+            tampered = CensusRecord(
+                n,
+                tuple(morphisms[i] for i in order),
+                tuple(record.class_ids[i] for i in order),
+            )
+            shown = bad.canonical_str() if field == "images" else name
+            assert check_record(tampered) == [Violation(n, want, f"[{shown}] {detail}")], field
+            cases += 1
+    assert cases == 7 * record.automorphism_count
 
 
 # every way to fail, as a first failure: the orbit check, a quotient that is
@@ -278,6 +346,88 @@ def test_a_generator_g_fails_as_the_generator_1_of_the_conjugate(store):
                 failing.update(" ".join(f.split()[:2]) for f in want[:1])
     assert pairs == 132_159
     assert set(failing) == _FIRST_FAILURES
+
+
+_GENERATOR_LAWS = ("generating orbit has size ord", "quotient law")
+
+
+def _leader_laws(n, stack):
+    """What `check_record` reports for each of `stack`, leaders of Z_n with
+    distinct images: (law, witness) lists, with each one's repr as [f]."""
+    out = []
+    for phi in stack:
+        skewcyc.invariants._check_morphism(n, phi, out)
+        skewcyc.invariants._check_prime_comparison(n, phi, out)
+    _check_pair_model(n, stack, out)
+    found = {phi.canonical_str(): [] for phi in stack}
+    for v in out:
+        name = v.witness[1 : v.witness.index("]")]
+        found[name].append((v.law, "[f]" + v.witness[len(name) + 2 :]))
+    return [found[phi.canonical_str()] for phi in stack]
+
+
+def test_each_conjugate_gets_the_verdicts_of_its_leader(store):
+    """The theorem behind checking one leader per class, on clean and
+    damaged copies f of the proper morphisms of 2..32 and every member
+    h = t*f*t^{-1} of `conjugates(f)`.  Each law that reads no generator
+    gives h the verdicts of f, in the same order, with witnesses equal but
+    for the repr of f and the points they name, which conjugation moves
+    ("distinct across kernel cosets" only where pi is constant on them).
+    The laws that read the generator 1 give h the verdicts of f for the
+    generator t^{-1}: the orbit of t^{-1} under f, and `check_quotient_laws`
+    of f for t^{-1} (up to the repr of f)."""
+
+    def worded(witness):
+        return re.sub(r"quotient of <.*?> failed", "quotient of <f> failed", witness)
+
+    def shape(laws):
+        skip = set(_GENERATOR_LAWS)
+        if any(law == "power function constant on kernel cosets" for law, _ in laws):
+            skip.add("power function distinct across kernel cosets")
+        return [(law, re.sub(r"-?\d+", "#", w)) for law, w in laws if law not in skip]
+
+    members, generator_read = 0, Counter()
+    for n in range(2, 33):
+        orbits, batches = [], []  # each batch a stack of distinct images
+        for phi in (c for f in store.load(n).morphisms for c in _damaged_copies(n, f)):
+            if phi.automorphism or not skewcyc.invariants._well_formed(n, phi, []):
+                continue
+            orbit = conjugates(phi)
+            unit_of = {}
+            for t in units(n):  # h built point by point, one unit per member
+                t_inv = pow(t, -1, n)
+                images = tuple(t * phi.images[t_inv * a % n] % n for a in range(n))
+                unit_of.setdefault(images, t)
+            assert unit_of.keys() == orbit.keys() and orbit[phi.images] == phi
+            batch = next((b for b in batches if b.keys().isdisjoint(orbit)), None)
+            if batch is None:
+                batch = {}
+                batches.append(batch)
+            batch.update(orbit)
+            orbits.append((phi, unit_of, batch))
+        found = {}  # the laws of each member, per batch
+        for batch in batches:
+            found[id(batch)] = dict(zip(batch, _leader_laws(n, list(batch.values()))))
+        for phi, unit_of, batch in orbits:
+            laws = found[id(batch)]
+            f_shape = shape(laws[phi.images])
+            for images, t in unit_of.items():
+                h_laws, g = laws[images], pow(t, -1, n)
+                assert shape(h_laws) == f_shape, (phi, images)
+                walk, x = [g], phi.images[g]
+                while x != g and len(walk) <= n:
+                    walk.append(x)
+                    x = phi.images[x]
+                size = len(set(walk))
+                want = [] if x == g and size == phi.order else [f"[f] |orbit|={size}"]
+                if _kernel_divides(n, phi):
+                    want += [f"[f] {worded(w)}" for w in _quotient_law_failures(phi, g)]
+                got = [worded(w) for law, w in h_laws if law in _GENERATOR_LAWS]
+                assert got == want, (phi, images)
+                generator_read.update(law for law, _ in h_laws if law in _GENERATOR_LAWS)
+                members += 1
+    assert members > 10_000
+    assert set(generator_read) == set(_GENERATOR_LAWS)
 
 
 def test_a_mixed_order_stack_checks_each_row_alone():
@@ -465,7 +615,8 @@ class TestViolationDetection:
     def test_a_kernel_order_with_no_subgroup_is_reported_not_raised(self, store, n, kernel):
         # no subgroup of Z_n has that order, so the laws that need the
         # kernel subgroup are skipped for the morphism and the order is
-        # reported as a law of its own
+        # reported as a law of its own; Z_5 has no proper morphism, and an
+        # automorphism is checked against its closed form alone
         record = store.load(n)
         index = next((i for i, phi in enumerate(record.morphisms) if phi.proper), 0)
         morphisms = list(record.morphisms)
@@ -473,8 +624,13 @@ class TestViolationDetection:
         morphisms[index] = bad
         tampered = CensusRecord(n=n, morphisms=tuple(morphisms), class_ids=record.class_ids)
         out = check_record(tampered)
-        law = Violation(n, "kernel order divides n", f"[{bad.canonical_str()}] kernel={kernel}")
-        assert law in out
+        name = bad.canonical_str()
+        if bad.automorphism:
+            law = Violation(n, "automorphism is a -> f(1)*a", f"[{name}] differs in kernel_order")
+            assert out == [law]
+        else:
+            law = Violation(n, "kernel order divides n", f"[{name}] kernel={kernel}")
+            assert law in out
         assert check_record(record) == []
 
     @pytest.mark.parametrize("length", [11, 0, 13])
