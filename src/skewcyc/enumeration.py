@@ -20,9 +20,9 @@ Strategy, for each n (recursively over smaller orders):
    Conjugating f by a unit t changes its quotient alpha_s to
    alpha_(s^(t^{-1})), so only the least s of each cyclic subgroup <s> is
    searched, and its solutions are closed into conjugation classes by
-   `conjugates`: the classes hold the solutions of every task of <s>,
-   built by gathers, not verified again, and each class is checked to
-   meet exactly those tasks.
+   `equivalence_classes`: the classes hold the solutions of every task of
+   <s>, built by gathers, not verified again, and each class is checked
+   to meet exactly those tasks.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -37,9 +37,9 @@ Strategy, for each n (recursively over smaller orders):
    `quotient_for_generator` computes from rho alone.  So the sources are
    grouped into conjugation orbits first, only one rho per orbit is
    lifted, and its lifts are closed into conjugation classes by
-   `conjugates`, which hold the lifts of the whole orbit, built by gathers
-   and not verified again; each class is checked to have exactly the
-   quotients of the orbit.  The census numbers its class ids from these
+   `equivalence_classes`, which hold the lifts of the whole orbit, built
+   by gathers and not verified again; each class is checked to have
+   exactly the quotients of the orbit.  The census numbers its class ids from these
    classes.
 
 Candidate filtering before full verification exploits the period-r
@@ -76,18 +76,19 @@ import numpy as np
 from .cyclic_arith import euler_phi, factorize, mult_order, units
 from .quotient import quotient_for_generator, quotient_of
 from .skew_core import (
+    Orbit,
     SkewMorphism,
     SkewMorphismError,
     _require,
     automorphism_of,
     conjugates,
+    equivalence_classes,
     power,
     power_table,
     verify,
 )
 
 BRUTE_FORCE_MAX_N = 10
-Orbit = dict[tuple[int, ...], SkewMorphism]  # conjugates of one morphism, keyed by images
 
 
 class DuplicateFoundError(AssertionError):
@@ -351,8 +352,8 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
     With r = ord_m(s), t^{-1} mod r runs over every unit v of Z_r, so the
     class of f meets exactly the tasks {(m, s^v) : v a unit of Z_r}, the
     group of s.  Only the least s of each group is searched, and its
-    solutions are closed into classes by `conjugates`; each class is
-    checked to meet exactly the tasks of its group.  The searches are
+    solutions are closed into classes by `equivalence_classes`; each class
+    is checked to meet exactly the tasks of its group.  The searches are
     independent; with an executor they fan out to worker processes and
     are merged back in task order, so the result does not depend on
     scheduling.
@@ -384,17 +385,11 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
 
 
 def _closed(batch, key, expected, message: str) -> list[Orbit]:
-    """The conjugation classes that `batch` meets, one `conjugates` orbit
-    each, in the order of their first morphism in `batch`; `key` must take
-    exactly the values `expected` on every class."""
-    classes: list[Orbit] = []
-    seen: set[tuple[int, ...]] = set()
-    for f in batch:
-        if f.images not in seen:
-            orbit = conjugates(f)
-            _require({key(g) for g in orbit.values()} == expected, message)
-            seen.update(orbit)
-            classes.append(orbit)
+    """The conjugation classes that `batch` meets (`equivalence_classes`);
+    `key` must take exactly the values `expected` on every class."""
+    classes = equivalence_classes(batch)
+    for orbit in classes:
+        _require({key(g) for g in orbit.values()} == expected, message)
     return classes
 
 
@@ -751,11 +746,11 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
     """All skew morphisms of Z_n, computing and persisting smaller orders on demand.
 
     Only one quotient per conjugation orbit (`_lift_orbits`) is lifted; its
-    lifts are closed into conjugation classes by `conjugates`, and each
-    class is checked to have exactly the quotients of the orbit (a member
-    the lift returned counts as rho's, which `_lift_with_psis` checked;
-    every other member has its quotient built).  Those
-    classes and the coset-preserving ones (`_coset_preserving`) are all the
+    lifts are closed into conjugation classes by `equivalence_classes`, and
+    each class is checked to have exactly the quotients of the orbit (a
+    member the lift returned counts as rho's, which `_lift_with_psis`
+    checked; every other member has its quotient built).  Those classes
+    and the coset-preserving ones (`_coset_preserving`) are all the
     classes of proper morphisms, and number the class ids.  With an
     executor, the independent base-search and lift tasks run on worker
     processes; merging happens in task order and the final record is

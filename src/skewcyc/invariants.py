@@ -17,13 +17,14 @@ those fields, so a line that breaks one is reported for it alone.  Then:
 - an automorphism is compared, field by field, with its closed form
   `automorphism_of(n, f(1))`, and no other law runs on it
   ("automorphism is a -> f(1)*a");
-- the proper lines are walked in conjugation orbits: from the least
-  well-formed proper line not yet placed, its `conjugates` orbit is built
-  once, and every member must be listed, equal in every field ("census
-  closed under conjugation").  That least line, the orbit's leader, gets
-  the laws of one morphism (`_check_morphism`, `_check_prime_comparison`)
-  and the pair model, with the periodicity-power law and the quotient
-  laws for the generator 1 (`_check_pair_model`); no other line does;
+- the well-formed proper lines are partitioned into conjugation orbits
+  by `equivalence_classes`, each built once from its first line in the
+  record (its least, in a sorted record), and every member of an orbit
+  must be listed, equal in every field ("census closed under
+  conjugation").  That first line, the orbit's leader, gets the laws of
+  one morphism (`_check_morphism`, `_check_prime_comparison`) and the
+  pair model, with the periodicity-power law and the quotient laws for
+  the generator 1 (`_check_pair_model`); no other line does;
 - the record laws (counts, census fits, class ids, Z_{4p}) read every line.
 
 Proof that every line of a record that passes all of this passes every
@@ -87,8 +88,8 @@ f^1 = f is skew and coset-preserving.  Its quotient for 1 is
 Q(k) = sum_{i<k} 1 = k, the identity of Z_m: of order 1 = n/|kernel|, as
 `quotient_of` requires; law (a) reads pi = 1 = Q^k(1), law (b)
 periodicity 1 = m/m, and law (c) has nothing to check.
-(6) The class-id law numbers the orbits of the walk, and the orbits of a
-record that passes are the conjugation classes.
+(6) The class-id law numbers the orbits of `equivalence_classes`, and the
+orbits of a record that passes are the conjugation classes.
 
 Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
@@ -121,7 +122,7 @@ from .skew_core import (
     SkewMorphism,
     SkewMorphismError,
     automorphism_of,
-    conjugates,
+    equivalence_classes,
     induced_on_quotient,
     power,
     verify,
@@ -385,10 +386,11 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
 def _check_record_level(
     record: CensusRecord, out: list[Violation], well_formed: Sequence[SkewMorphism]
 ) -> list[SkewMorphism]:
-    """The laws of the whole record, and the walk of the closure law (see
-    the module docstring) over the `well_formed` lines, which conjugation
-    indexes by.  Returns the leaders of the orbits, in the order of the
-    walk.  The class ids are rebuilt only when every line is well formed."""
+    """The laws of the whole record, and the closure law (see the module
+    docstring) over the orbits of the `well_formed` proper lines, which
+    conjugation indexes by.  Returns the leaders of the orbits, in the
+    order of the orbits.  The class ids are rebuilt only when every line
+    is well formed."""
     n = record.n
 
     def bad(law: str, witness: str) -> None:
@@ -416,14 +418,13 @@ def _check_record_level(
             bad(law, f"total={record.total}, fit={fit}")
 
     listed = {phi.images: phi for phi in well_formed}
-    unplaced = {images: phi for images, phi in listed.items() if phi.proper}
+    proper = {images: phi for images, phi in listed.items() if phi.proper}
     leaders, classes = [], []  # classes: the listed proper members of each orbit
-    for least in list(unplaced.values()):
-        if least.images not in unplaced:
-            continue  # placed with an earlier orbit
-        orbit, where = conjugates(least), f"orbit of [{least.canonical_str()}]"
-        leaders.append(least)
-        classes.append([key for key in orbit if unplaced.pop(key, None) is not None])
+    for orbit in equivalence_classes(proper.values()):
+        leader = listed[next(iter(orbit))]
+        where = f"orbit of [{leader.canonical_str()}]"
+        leaders.append(leader)
+        classes.append([key for key in orbit if key in proper])
         for key, conjugate in orbit.items():
             other = listed.get(key)
             if other != conjugate:

@@ -31,13 +31,13 @@ Conjugation by a unit of Z_n maps skew morphisms to skew morphisms with
 the same order, kernel order, periodicity and flags, so `conjugates`
 builds the whole orbit of a verified value by gathers, with no further
 `verify`; it is the one way conjugates are built, and
-`equivalence_classes` builds one such orbit per class.
+`equivalence_classes` is the one partition of a list into such orbits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd, lcm
 from operator import index, itemgetter
@@ -119,6 +119,9 @@ class SkewMorphism:
             f"<{kind} of Z_{self.n}: [{self.canonical_str()}], "
             f"order={self.order}, kernel={self.kernel_order}>"
         )
+
+
+Orbit = dict[tuple[int, ...], SkewMorphism]  # conjugates of one morphism, keyed by images
 
 
 def _cycle_order(images: tuple[int, ...]) -> int:
@@ -397,7 +400,7 @@ def _unit_gathers(n: int) -> list[tuple[tuple[int, ...], itemgetter]]:
     return [(times[t], itemgetter(*times[pow(t, -1, n)])) for t in times]
 
 
-def conjugates(phi: SkewMorphism) -> dict[tuple[int, ...], SkewMorphism]:
+def conjugates(phi: SkewMorphism) -> Orbit:
     """Every conjugate of phi under Aut(Z_n), keyed by image tuple.
 
     Theorem: for a unit t of Z_n, g(a) = t*f(t^{-1} a) is again a skew
@@ -411,7 +414,7 @@ def conjugates(phi: SkewMorphism) -> dict[tuple[int, ...], SkewMorphism]:
     """
     if phi.n == 1:
         return {phi.images: phi}
-    orbit: dict[tuple[int, ...], SkewMorphism] = {}
+    orbit: Orbit = {}
     for times_t, at_tinv in _unit_gathers(phi.n):
         images = itemgetter(*at_tinv(phi.images))(times_t)
         if images not in orbit:
@@ -428,36 +431,22 @@ def conjugates(phi: SkewMorphism) -> dict[tuple[int, ...], SkewMorphism]:
     return orbit
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
-    """An orbit under conjugation by Aut(Z_n), with its canonical key."""
+def equivalence_classes(morphisms: Iterable[SkewMorphism]) -> list[Orbit]:
+    """The conjugation orbits that `morphisms` meet, in the order of their
+    first listed morphism.
 
-    representative: tuple[int, ...]  # lexicographically least image tuple in the orbit
-    members: tuple[SkewMorphism, ...] = field(repr=False)
-
-
-def equivalence_classes(morphisms: list[SkewMorphism]) -> list[EquivalenceClass]:
-    """Partition into conjugation orbits, sorted by canonical representative.
-
-    Each orbit is built once by `conjugates`, from the least listed
-    morphism not yet placed, and every listed morphism in it joins that
-    class.  The representative is the least image tuple of the whole
-    orbit, which a list not closed under conjugation may lack; members are
-    the listed morphisms of the orbit, sorted by images, repeats kept.
+    Each orbit is built once by `conjugates`, from the first listed
+    morphism not in an earlier orbit, so that morphism's images are the
+    orbit's first key (`_unit_gathers` lists the unit 1 first).  An orbit
+    holds every conjugate, listed or not; the orbits are disjoint, since
+    conjugation by the units is a group action on image tuples, and images
+    of different lengths never meet.
     """
-    if not morphisms:
-        return []
-    n = morphisms[0].n
-    if any(phi.n != n for phi in morphisms):
-        raise ValueError("all morphisms must act on the same group")
-    unplaced: dict[tuple[int, ...], list[SkewMorphism]] = {}
-    for phi in sorted(morphisms, key=lambda m: m.images):
-        unplaced.setdefault(phi.images, []).append(phi)
-    classes = []
-    for least in list(unplaced):
-        if least not in unplaced:
-            continue  # placed with an earlier orbit
-        orbit = conjugates(unplaced[least][0])
-        members = [phi for key in sorted(orbit) if key in unplaced for phi in unplaced.pop(key)]
-        classes.append(EquivalenceClass(min(orbit), tuple(members)))
-    return sorted(classes, key=lambda c: c.representative)
+    orbits: list[Orbit] = []
+    placed: set[tuple[int, ...]] = set()
+    for phi in morphisms:
+        if phi.images not in placed:
+            orbit = conjugates(phi)
+            placed.update(orbit)
+            orbits.append(orbit)
+    return orbits

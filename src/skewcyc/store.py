@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .cyclic_arith import euler_phi
 from .enumeration import CensusRecord, automorphisms
-from .skew_core import SkewMorphism, SkewMorphismError, conjugates, verify
+from .skew_core import Orbit, SkewMorphism, SkewMorphismError, conjugates, verify
 
 SCHEMA_VERSION = 1
 ENV_STORE_DIR = "SKEWCYC_STORE"
@@ -245,7 +245,7 @@ class Store:
             lines.append((where, entry, images))
 
         autos = {phi.images: phi for phi in automorphisms(n)}
-        orbits: list[dict[tuple[int, ...], SkewMorphism]] = []  # unseen members
+        orbits: list[Orbit] = []  # unseen members
         opened_at: list[str] = []
         morphisms = []
         class_ids = []

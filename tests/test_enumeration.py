@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 import skewcyc.enumeration as enum
+import skewcyc.skew_core
 from skewcyc.cyclic_arith import euler_phi, mult_order, units
 from skewcyc.enumeration import (
     CensusRecord,
@@ -528,8 +529,9 @@ def test_grouped_tasks_match_per_task_search(jobs, monkeypatch):
 
 def test_a_conjugate_in_the_wrong_task_trips_the_check(monkeypatch):
     # (7, 2) and (7, 4) are one group in Z_21; a one-member orbit of a
-    # solution of (7, 2) never reaches (7, 4)
-    monkeypatch.setattr(enum, "conjugates", lambda phi: {phi.images: phi})
+    # solution of (7, 2) never reaches (7, 4).  The classes are closed by
+    # `equivalence_classes`, which reads `conjugates` in skew_core.
+    monkeypatch.setattr(skewcyc.skew_core, "conjugates", lambda phi: {phi.images: phi})
     with pytest.raises(InternalCheckError, match="exactly the tasks of its group"):
         enumerate_coset_preserving(21)
 
@@ -537,12 +539,12 @@ def test_a_conjugate_in_the_wrong_task_trips_the_check(monkeypatch):
 def test_a_class_of_lifts_that_misses_a_quotient_trips_the_check(monkeypatch):
     # the coset-preserving classes stay whole; a one-member orbit of a lift
     # has one quotient, not every quotient of its source's orbit
-    conjugates = enum.conjugates
+    conjugates = skewcyc.skew_core.conjugates
 
     def lifts_alone(phi):
         return conjugates(phi) if phi.coset_preserving else {phi.images: phi}
 
-    monkeypatch.setattr(enum, "conjugates", lifts_alone)
+    monkeypatch.setattr(skewcyc.skew_core, "conjugates", lifts_alone)
     with pytest.raises(InternalCheckError, match="exactly the quotients of its source's orbit"):
         census(9, MemoryStore())
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from skewcyc import skew_core
 from skewcyc.enumeration import census
 from skewcyc.skew_core import (
-    EquivalenceClass,
     IdentityNotFixedError,
     InternalCheckError,
     NoPowerExponentError,
@@ -37,6 +36,7 @@ from naive import (
     naive_units,
     naive_witness,
 )
+from test_invariants import _damaged_copies
 
 PHI6 = (0, 3, 2, 5, 4, 1)  # the canonical proper skew morphism of Z_6
 
@@ -360,43 +360,92 @@ class TestConjugate:
 
 
 class TestEquivalenceClasses:
+    """`equivalence_classes` returns conjugation orbits.  Read as classes,
+    against `naive_classes`: a class's representative is the least key of
+    its orbit, its members the listed images in the orbit."""
+
     def test_two_proper_of_z6_form_one_class(self):
         pair = [verify(6, PHI6), verify(6, (0, 5, 2, 1, 4, 3))]
-        classes = equivalence_classes(pair)
-        assert len(classes) == 1
-        assert classes[0].representative == PHI6
-        assert len(classes[0].members) == 2
+        (orbit,) = equivalence_classes(pair)
+        assert list(orbit) == [PHI6, (0, 5, 2, 1, 4, 3)]
+        assert orbit == conjugates(pair[0])
 
     def test_automorphisms_are_singletons(self):
         autos = [automorphism_of(12, s) for s in (1, 5, 7, 11)]
-        classes = equivalence_classes(autos)
-        assert len(classes) == 4
-        assert all(len(c.members) == 1 for c in classes)
+        assert equivalence_classes(autos) == [{phi.images: phi} for phi in autos]
 
     def test_empty(self):
         assert equivalence_classes([]) == []
 
     @staticmethod
-    def as_images(classes):
-        return [(c.representative, [m.images for m in c.members]) for c in classes]
+    def as_images(morphisms):
+        """The classes of `morphisms`, read off their orbits, in the form
+        of `naive_classes`: repeats kept, members sorted, classes sorted."""
+        listed = [phi.images for phi in morphisms]
+        return sorted(
+            (min(orbit), sorted(images for images in listed if images in orbit))
+            for orbit in equivalence_classes(morphisms)
+        )
+
+    @staticmethod
+    def assert_contract(morphisms):
+        """Each orbit is the naive conjugation orbit of the first listed
+        morphism not in an earlier orbit, keyed first by its images, and
+        holds it as listed; the orbits are disjoint and cover the list."""
+        orbits = equivalence_classes(morphisms)
+        leaders, placed = [], set()
+        for phi in morphisms:
+            if phi.images not in placed:
+                leaders.append(phi)
+                placed |= {naive_conjugate(phi.images, t) for t in naive_units(phi.n) or [1]}
+        assert len(orbits) == len(leaders)
+        for orbit, leader in zip(orbits, leaders):
+            assert next(iter(orbit)) == leader.images
+            assert orbit[leader.images] == leader
+            assert set(orbit) == {
+                naive_conjugate(leader.images, t) for t in naive_units(leader.n) or [1]
+            }
+        keys = [key for orbit in orbits for key in orbit]
+        assert len(keys) == len(set(keys)), "orbits overlap"
+        assert {phi.images for phi in morphisms} <= set(keys), "a listed morphism is in no orbit"
 
     def test_matches_naive_classes_up_to_60(self, proper_up_to_60):
         for proper in proper_up_to_60.values():
-            assert self.as_images(equivalence_classes(proper)) == naive_classes(proper)
+            self.assert_contract(proper)
+            assert self.as_images(proper) == naive_classes(proper)
 
     def test_matches_naive_classes_on_non_closed_lists(self, proper_up_to_60):
         for n in (9, 16, 18, 25, 27, 32, 49, 54):
             proper = proper_up_to_60[n]
             for subset in (proper[::2], proper[1::3], proper[-1:], proper[:5] + proper[:2]):
-                got = self.as_images(equivalence_classes(subset))
-                assert got == naive_classes(subset)
+                self.assert_contract(subset)
+                assert self.as_images(subset) == naive_classes(subset)
             # a subset that lacks a representative still names it
             first = equivalence_classes(proper)[0]
-            rest = list(first.members[1:])
+            members = [phi for phi in proper if phi.images in first]
+            rest = members[1:]
             if rest:
-                (cls,) = equivalence_classes(rest)
-                assert cls.representative == first.representative
-                assert cls.members == tuple(rest)
+                (orbit,) = equivalence_classes(rest)
+                assert orbit == first
+                assert min(orbit) == members[0].images
+                assert next(iter(orbit)) == rest[0].images
+
+    def test_contract_on_damaged_lists(self, census_up_to_30):
+        # the invariant suite partitions lines that need not be skew morphisms
+        damaged = [copy for phi in census_up_to_30 for copy in _damaged_copies(phi.n, phi)]
+        for n in range(2, 31):
+            lines = [phi for phi in damaged if phi.n == n]
+            self.assert_contract(lines)
+            assert self.as_images(lines) == naive_classes(lines)
+
+    def test_a_list_over_two_orders_keeps_them_apart(self):
+        # images of different lengths never share an orbit
+        store = MemoryStore()
+        z6, z12 = census(6, store).morphisms, census(12, store).morphisms
+        mixed = [phi for pair in zip(z12, z6) for phi in pair] + list(z12[len(z6):])
+        self.assert_contract(mixed)
+        assert self.as_images(mixed) == naive_classes(mixed)
+        assert all(len(set(map(len, orbit))) == 1 for orbit in equivalence_classes(mixed))
 
 
 class TestStructuralInvariants:

@@ -239,14 +239,28 @@ class TestCli:
         assert cli.main(["oracle", "--n", "6", "--store", store_dir]) == 0
         assert cli.main(["oracle", "--n", "11", "--store", store_dir]) == 1
 
-    def test_families(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "p, stdout",
+        [
+            (3, "p=3: 4 proper skew morphisms of Z_12 in 2 equivalence classes\n"
+                "  order 3: 2 members\n  order 6: 2 members\n"),
+            (5, "p=5: 16 proper skew morphisms of Z_20 in 3 equivalence classes\n"
+                "  order 5: 12 members\n  order 10: 4 members\n"),
+            (7, "p=7: 12 proper skew morphisms of Z_28 in 2 equivalence classes\n"
+                "  order 7: 6 members\n  order 14: 6 members\n"),
+            (13, "p=13: 48 proper skew morphisms of Z_52 in 3 equivalence classes\n"
+                 "  order 13: 36 members\n  order 26: 12 members\n"),
+        ],
+    )
+    def test_families(self, tmp_path, capsys, p, stdout):
         store_dir = str(tmp_path / "s")
         rc = cli.main(
-            ["families", "--p", "3", "--check-against-census", "--store", store_dir]
+            ["families", "--p", str(p), "--check-against-census", "--store", store_dir]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "4 proper skew morphisms" in out and "2 equivalence classes" in out
+        assert capsys.readouterr().out == (
+            f"{stdout}families equal the proper part of census({4 * p})\n"
+        )
 
     def test_check(self, tmp_path, capsys):
         store_dir = str(tmp_path / "s")
