@@ -17,7 +17,6 @@ from .enumeration import (
     census_range,
 )
 from .families import family_4p
-from .invariants import run_suite
 from .skew_core import SkewMorphism, SkewMorphismError, equivalence_classes, verify
 from .store import Store, StoreError, default_store_dir, emit_table
 
@@ -194,6 +193,7 @@ def cmd_families(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .invariants import run_suite  # loads numpy, which no other command needs
     store = _open_store(args)
     violations = run_suite(store, args.max)
     checked = sum(store.load(n).total for n in range(2, args.max + 1))

@@ -71,8 +71,6 @@ from itertools import accumulate, permutations
 from itertools import product  # unused here; perfbench/layers.py traces enumeration.product
 from math import gcd
 
-import numpy as np
-
 from .cyclic_arith import euler_phi, factorize, mult_order, units
 from .quotient import quotient_for_generator, quotient_of
 from .skew_core import (
@@ -80,7 +78,7 @@ from .skew_core import (
     SkewMorphism,
     SkewMorphismError,
     _require,
-    automorphism_of,
+    automorphism_table,
     conjugates,
     equivalence_classes,
     power,
@@ -171,7 +169,7 @@ def automorphisms(n: int) -> list[SkewMorphism]:
     """All automorphisms of Z_n, sorted by image sequence, in closed form."""
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
-    return sorted((automorphism_of(n, s) for s in units(n) or [1]), key=lambda p: p.images)
+    return sorted(automorphism_table(n).values(), key=lambda p: p.images)
 
 
 def _candidate_orders(n: int) -> list[int]:
@@ -576,8 +574,9 @@ def _batched_seed_survivors(
     walk step reads a single prefix column, built on the rows still alive,
     and the rows that fail a check are dropped at once.  Every value is
     below n^2 (two sums mod n plus (o // R) * T < n^2 / 2), so the tables
-    are int32 unless n is large.
+    are int32 unless n is large.  It imports numpy itself: the package loads without it.
     """
+    import numpy as np
     nfree, kord, stack = len(free), len(pools[0]), len(psis)
     dtype = np.int32 if n < 1 << 15 else np.int64
     thread_of = {j: k for k, j in enumerate(free)}

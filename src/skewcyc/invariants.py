@@ -106,14 +106,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
 from operator import eq
 
 import numpy as np
 
-from .cyclic_arith import euler_phi, factorize, largest_prime_divisor, units
+from .cyclic_arith import euler_phi, factorize, largest_prime_divisor
 from .enumeration import CensusRecord, _finalize_census
 from .quotient import check_quotient_laws
 from .skew_core import (
@@ -121,7 +120,7 @@ from .skew_core import (
     NoPowerExponentError,
     SkewMorphism,
     SkewMorphismError,
-    automorphism_of,
+    automorphism_table,
     equivalence_classes,
     induced_on_quotient,
     power,
@@ -181,19 +180,13 @@ def _well_formed(n: int, phi: SkewMorphism, out: list[Violation]) -> bool:
     return ok
 
 
-@lru_cache(maxsize=1)
-def _automorphisms(n: int) -> dict[int, SkewMorphism]:
-    """The automorphisms of Z_n, n >= 2, in closed form, keyed by f(1)."""
-    return {s: automorphism_of(n, s) for s in units(n)}
-
-
 def _check_automorphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
     """The one law of a well-formed automorphism: it equals its closed form
     `automorphism_of(n, f(1))` in every field.  One violation names every
     field that differs, or says that f(1) is no unit; the module docstring
     proves that an automorphism that passes passes every other law."""
     s = phi.images[1]
-    want = _automorphisms(n).get(s)
+    want = automorphism_table(n).get(s)
     if want is None:
         detail = f"f(1)={s} is no unit"
     elif phi != want:

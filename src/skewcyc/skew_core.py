@@ -351,6 +351,13 @@ def automorphism_of(n: int, s: int) -> SkewMorphism:
     )
 
 
+@lru_cache(maxsize=1)
+def automorphism_table(n: int) -> dict[int, SkewMorphism]:
+    """`automorphism_of(n, s)` for each unit s in ascending order (s = 1 for
+    n = 1), keyed by s = f(1); built once for the latest n, and shared."""
+    return {s: automorphism_of(n, s) for s in units(n) or [1]}
+
+
 def power(phi: SkewMorphism, e: int) -> tuple[int, ...]:
     """Images of the e-fold iterate f^e (a raw permutation, not checked skew)."""
     if e < 0:

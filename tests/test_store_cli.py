@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import skewcyc.store
 from skewcyc import cli
-from skewcyc.enumeration import census
+from skewcyc.enumeration import census, enumerate_coset_preserving
 from skewcyc.skew_core import verify
 from skewcyc.store import (
     IncompleteCensusError,
@@ -413,3 +416,59 @@ class TestCli:
             a = (tmp_path / "serial" / f"census_{n}.jsonl").read_bytes()
             b = (tmp_path / "parallel" / f"census_{n}.jsonl").read_bytes()
             assert a == b
+
+
+# Runs in a fresh interpreter in which `import numpy` raises ImportError;
+# argv[1] is a JSON list of CLI argument lists.  Prints one JSON object.
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+try:
+    import numpy
+except ImportError:
+    blocked = True
+else:
+    blocked = False
+import skewcyc
+import skewcyc.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = skewcyc.cli.main(argv)
+    runs.append([code, out.getvalue()])
+cp = [list(phi.images) for phi in skewcyc.enumerate_coset_preserving(146)]
+print(json.dumps({"blocked": blocked, "runs": runs, "cp146": cp}))
+"""
+
+
+def test_reading_a_census_never_loads_numpy(tmp_path, capsys):
+    """Importing the package, the commands that read a stored census and the
+    coset-preserving search run with numpy blocked, and print what they
+    print with numpy present; only the lift pre-filter and `check` use it."""
+    store_dir = str(tmp_path / "s")
+    assert cli.main(["census", "--max", "12", "--store", store_dir]) == 0
+    commands = [
+        ["table", "--from", "2", "--to", "12", "--store", store_dir],
+        ["show", "--n", "12", "--store", store_dir],
+        ["verify", "--perm", "0,3,2,5,4,1"],
+        ["families", "--p", "5"],
+    ]
+    capsys.readouterr()
+    expected = [[cli.main(argv), capsys.readouterr().out] for argv in commands]
+    assert [code for code, _ in expected] == [0, 0, 0, 0]
+
+    src = str(Path(skewcyc.store.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["blocked"] is True
+    assert got["runs"] == expected
+    assert got["cp146"] == [list(phi.images) for phi in enumerate_coset_preserving(146)]
