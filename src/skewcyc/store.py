@@ -4,6 +4,14 @@ One file per group order, `census_<n>.jsonl`, one morphism per line
 with a fixed key order, entries sorted by image sequence.  Output is
 byte-deterministic so census files can be diffed across runs.
 
+Each line is compact JSON, the bytes `json.dumps(..., separators=(",", ":"))`
+gives for the same dict, but it is written by one `%`-format: the image and
+pi lists are joined from a table of `str(i)` for i in 0..n, built once per
+order, so no int is converted again (the conversion was most of the
+encoding time).  The table is a dict whose misses fall back to `str`, so a
+value outside 0..n is still written as its own digits.  `from_json` reads
+lines with `json.loads`.
+
 Loading re-checks every line and every stored attribute, without a full
 `verify` of each.  The census is closed under conjugation by Aut(Z_n),
 and classes are numbered in the order of their least members, so the
@@ -29,6 +37,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index
 from pathlib import Path
 
@@ -72,6 +81,27 @@ class ClassIdError(StoreError):
     """A stored class id does not match the conjugation orbits."""
 
 
+_LINE = (
+    '{"n":%d,"images":[%s],"order":%d,"kernel_order":%d,"pi":[%s],'
+    '"coset_preserving":%s,"automorphism":%s,"class_id":%d,"schema_version":%d}'
+)
+
+
+class _Decimals(dict):
+    """str(i) for every int i: 0..n are stored, any other i is converted
+    on lookup (a list would read words[-1] as str(n))."""
+
+    def __missing__(self, i: int) -> str:
+        return str(i)
+
+
+@lru_cache(maxsize=1)
+def _decimals(n: int) -> _Decimals:
+    """The decimal strings of 0..n, every value a census line of Z_n holds;
+    built once for the latest n, as a census is saved order by order."""
+    return _Decimals((i, str(i)) for i in range(n + 1))
+
+
 @dataclass(frozen=True)
 class StoreEntry:
     """One line of a census file."""
@@ -100,19 +130,21 @@ class StoreEntry:
         )
 
     def to_json(self) -> str:
-        # fixed key order keeps files byte-deterministic
-        payload = {
-            "n": self.n,
-            "images": list(self.images),
-            "order": self.order,
-            "kernel_order": self.kernel_order,
-            "pi": list(self.pi),
-            "coset_preserving": self.coset_preserving,
-            "automorphism": self.automorphism,
-            "class_id": self.class_id,
-            "schema_version": self.schema_version,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        # byte-identical to the compact `json.dumps` of this entry as a dict,
+        # which wrote the pinned files: the same keys in the same order, no
+        # spaces, ints in plain decimal and the flags as true/false
+        word = _decimals(self.n).__getitem__
+        return _LINE % (
+            self.n,
+            ",".join(map(word, self.images)),
+            self.order,
+            self.kernel_order,
+            ",".join(map(word, self.pi)),
+            "true" if self.coset_preserving else "false",
+            "true" if self.automorphism else "false",
+            self.class_id,
+            self.schema_version,
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "StoreEntry":

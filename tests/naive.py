@@ -7,6 +7,7 @@ over all pairs, so these can serve as ground truth for small n.
 
 from __future__ import annotations
 
+import json
 from itertools import product
 from math import gcd
 
@@ -263,3 +264,21 @@ def naive_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l):
     requires each to fix every residue mod R = ord(rho)).
     """
     return ((k, combo) for k in range(len(psis)) for combo in product(*pools))
+
+
+def naive_entry_json(entry) -> str:
+    """A census line as `json.dumps` writes the entry's fields, in the
+    store's key order, with compact separators: the encoder the store
+    used before its fixed format, kept as the oracle for `to_json`."""
+    payload = {
+        "n": entry.n,
+        "images": list(entry.images),
+        "order": entry.order,
+        "kernel_order": entry.kernel_order,
+        "pi": list(entry.pi),
+        "coset_preserving": entry.coset_preserving,
+        "automorphism": entry.automorphism,
+        "class_id": entry.class_id,
+        "schema_version": entry.schema_version,
+    }
+    return json.dumps(payload, separators=(",", ":"))

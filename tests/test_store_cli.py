@@ -22,10 +22,26 @@ from skewcyc.store import (
     emit_table,
 )
 
+from naive import naive_entry_json
+
+# sha256 of every census file 2..161, pinned by the census benchmark
+PINNED_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text()
+)["census_files"]
+
 
 @pytest.fixture()
 def store(tmp_path):
     return Store(tmp_path / "store")
+
+
+@pytest.fixture(scope="module")
+def census_to_60():
+    """A memory store holding the census of every order 2..60."""
+    memory = MemoryStore()
+    for n in range(2, 61):
+        census(n, memory)
+    return memory
 
 
 class TestStore:
@@ -113,10 +129,7 @@ class TestStore:
             "census_6.jsonl",
             "census_6.jsonl.tmp",
         ]
-        pins = json.loads(
-            (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text()
-        )
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == pins["census_files"]["6"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS["6"]
 
     def test_store_entry_json_round_trip(self, store):
         record = census(8, store)
@@ -124,10 +137,35 @@ class TestStore:
             entry = StoreEntry.from_morphism(phi, cid)
             assert StoreEntry.from_json(entry.to_json()) == entry
 
-    def test_loaded_values_equal_verify_up_to_60(self, store, monkeypatch):
-        memory = MemoryStore()
+    def test_to_json_matches_json_dumps(self, census_to_60):
+        entries = [
+            StoreEntry.from_morphism(phi, cid)
+            for record in map(census_to_60.load, range(2, 61))
+            for phi, cid in zip(record.morphisms, record.class_ids)
+        ]
+        # values a census never holds: the table of 0..n must not misspell them
+        entries += [
+            StoreEntry(1, (0,), 1, 1, (1,), True, True, -1),  # n = 1
+            StoreEntry(6, (0, 5, 4, 3, 2, 1), 2, 6, (1,) * 6, True, True, 10**6),
+            StoreEntry(4, (0, 3, 9, 1), 3, 2, (1, 2, 1, 2), False, False, 2),  # 9 > n
+            StoreEntry(5, (0, -1, 3, -4, 2), 4, 1, (-3, 1, 2, 1, -1), True, False, 0),
+        ]
+        for entry in entries:
+            assert entry.to_json() == naive_entry_json(entry)
+
+    def test_saved_census_matches_pinned_digests(self, store, census_to_60):
         for n in range(2, 61):
-            store.save(census(n, memory))
+            store.save(census_to_60.load(n))
+        differing = [
+            n
+            for n in range(2, 61)
+            if hashlib.sha256(store.path_for(n).read_bytes()).hexdigest() != PINNED_DIGESTS[str(n)]
+        ]
+        assert differing == []
+
+    def test_loaded_values_equal_verify_up_to_60(self, store, census_to_60, monkeypatch):
+        for n in range(2, 61):
+            store.save(census_to_60.load(n))
         calls = []
 
         def counting_verify(n, images):
@@ -141,7 +179,7 @@ class TestStore:
         assert len(calls) == sum(record.class_count for record in loaded)
         # ... and every value built by closed form or by conjugation is verify's
         for record in loaded:
-            assert record == memory.load(record.n)
+            assert record == census_to_60.load(record.n)
             for phi in record.morphisms:
                 assert phi == verify(record.n, phi.images)
 
