@@ -19,10 +19,10 @@ Strategy, for each n (recursively over smaller orders):
    turns away the other non-skew candidates before `verify`.
    Conjugating f by a unit t changes its quotient alpha_s to
    alpha_(s^(t^{-1})), so only the least s of each cyclic subgroup <s> is
-   searched, and its solutions are closed into conjugation classes by
-   `equivalence_classes`: the classes hold the solutions of every task of
-   <s>, built by gathers, not verified again, and each class is checked
-   to meet exactly those tasks.
+   searched; it builds the class (`conjugates`) of each solution it meets
+   first, skipping candidates in a built class before `verify`.  The
+   classes hold the solutions of every task of <s>, built by gathers, and
+   each class is checked to meet exactly those tasks.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -34,13 +34,13 @@ Strategy, for each n (recursively over smaller orders):
    positions in {L_i} are needed, which prunes most free seeds.
    Conjugating f by a unit t only changes the generator its quotient is
    taken for: Q(t*f*t^{-1}) is the quotient of f for t^{-1}, which
-   `quotient_for_generator` computes from rho alone.  So the sources are
-   grouped into conjugation orbits first, only one rho per orbit is
-   lifted, and its lifts are closed into conjugation classes by
-   `equivalence_classes`, which hold the lifts of the whole orbit, built
-   by gathers and not verified again; each class is checked to have
-   exactly the quotients of the orbit.  The census numbers its class ids from these
-   classes.
+   `quotient_for_generator` computes from rho alone.  So the sources that
+   pass the lift gate (`_can_lift`) are grouped into conjugation orbits,
+   only one rho per orbit is lifted, and its lifts are closed into
+   conjugation classes by `equivalence_classes`, which hold the lifts of
+   the whole orbit, built by gathers and not verified again; each class
+   is checked to have exactly the quotients of the orbit.  These classes
+   and the coset-preserving ones number the census's class ids.
 
 Candidate filtering before full verification exploits the period-r
 structure of the partial sums: with T the sum over one period, the
@@ -65,14 +65,14 @@ from __future__ import annotations
 
 import contextlib
 import time
-from collections.abc import Mapping
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 from itertools import product  # unused here; perfbench/layers.py traces enumeration.product
 from math import gcd
 
 from .cyclic_arith import euler_phi, factorize, mult_order, units
-from .quotient import quotient_for_generator, quotient_of
+from .quotient import generator_orbit, quotient_for_generator, quotient_of
 from .skew_core import (
     Orbit,
     SkewMorphism,
@@ -178,8 +178,9 @@ def _candidate_orders(n: int) -> list[int]:
     return [m for m in range(2, n) if nphi % m == 0 and gcd(m, n) > 1]
 
 
-def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
-    """All coset-preserving morphisms of Z_n with order m and quotient alpha_s.
+def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
+    """The conjugation classes of the coset-preserving morphisms of Z_n
+    with order m and quotient alpha_s.
 
     Such an f has kernel order kq = n/r, r = ord_m(s); left free are its
     kernel action u (a unit of kq) and f(1) = 1 + w*r, 0 <= w < kq.  With
@@ -201,21 +202,19 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
     candidate is a bijection that replays its orbit reach
     `_realize_candidate`, in (u, w) order; no orbit is walked to find them.
 
-    A morphism accepted here brings its conjugation orbit (`conjugates`),
-    keyed by images: a later candidate whose images are in it takes that
-    morphism without `verify`, and one already accepted is skipped.  Its
-    conjugates by the units t = 1 (mod r) keep the quotient alpha_s (see
-    `_coset_preserving`); the others fail the quotient check as
-    they would after `verify`.  Every solution of the task is returned, in
-    (u, w) order.
+    Each class is built (`conjugates`) from its first solution in (u, w)
+    order, its first key; a later candidate in a built class is skipped
+    before `verify`, being a solution already there or a member of
+    another task of <s> (see `_coset_preserving`), which fails the
+    quotient check.  This task's members are those with pi(1) = s (mod m).
     """
     r = mult_order(s, m)
     _require(r >= 2 and n % r == 0, "alpha_s must be proper, and the closed form needs r | n")
     exps = [pow(s, i, m) for i in range(r)]  # one period of partial-sum exponents
     kq = n // r  # kernel order
     alpha = tuple(s * k % m for k in range(m))
-    known: dict[tuple[int, ...], SkewMorphism] = {}
-    found: dict[tuple[int, ...], SkewMorphism] = {}
+    known: set[tuple[int, ...]] = set()
+    classes: list[Orbit] = []
     primes = list(factorize(m))
     for u in units(kq):
         sums = [0] * (m + 1)
@@ -233,14 +232,12 @@ def _cp_base_search(n: int, m: int, s: int) -> list[SkewMorphism]:
             if w * (c - u) % kq or gcd(c, kq) != 1 or any(w % d == 0 for d in d_mq):
                 continue
             sk = _realize_candidate(n, m, r, exps, u, w, sums, sigma, known)
-            if sk is None or sk.images in found:
+            if sk is None or quotient_of(sk).images != alpha:
                 continue
-            if quotient_of(sk).images != alpha:
-                continue
-            if sk.images not in known:
-                known.update(conjugates(sk))
-            found[sk.images] = sk
-    return list(found.values())
+            orbit = conjugates(sk)
+            known.update(orbit)
+            classes.append(orbit)
+    return classes
 
 
 def _realize_candidate(
@@ -252,7 +249,7 @@ def _realize_candidate(
     w: int,
     sums: list[int],
     sigma: int,
-    known: Mapping[tuple[int, ...], SkewMorphism],
+    known: AbstractSet[tuple[int, ...]],
 ) -> SkewMorphism | None:
     """Build f from the closed-form orbit x_k = 1 + r*z_k, z_k = w*S_k mod n/r, of 1.
 
@@ -262,7 +259,7 @@ def _realize_candidate(
     the period total must be r*(1 + w*sigma), `_period_sums` tests
     gcd(T, n) = r, and the orbit of 1 under f is walked against
     z -> u*z + w.  Survivors must pass `_kernel_test`; those with images
-    in `known` take that morphism, the others get the full verification.
+    in `known` are skipped, the others get the full verification.
     """
     kq = n // r
     period = _period_sums(n, r, [1 + r * (w * sums[e] % kq) for e in exps])
@@ -320,13 +317,13 @@ def _verified_of_order(
     r: int,
     prefix: list[int],
     total: int,
-    known: Mapping[tuple[int, ...], SkewMorphism] | None = None,
+    known: AbstractSet[tuple[int, ...]] = frozenset(),
 ) -> SkewMorphism | None:
-    """f from its period: fully verified and of order m, or None; images
-    in `known` take that morphism, which is not verified again."""
+    """f from its period: fully verified and of order m, or None; None
+    also for images in `known`, which are not verified."""
     images = tuple((prefix[k % r] + (k // r) * total) % n for k in range(n))
-    if known and images in known:
-        return known[images]
+    if images in known:
+        return None
     try:
         sk = verify(n, images)
     except SkewMorphismError:
@@ -349,8 +346,8 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
     and by law (a) the quotient of f for a generator u is alpha_(s^u).
     With r = ord_m(s), t^{-1} mod r runs over every unit v of Z_r, so the
     class of f meets exactly the tasks {(m, s^v) : v a unit of Z_r}, the
-    group of s.  Only the least s of each group is searched, and its
-    solutions are closed into classes by `equivalence_classes`; each class
+    group of s.  Only the least s of each group is searched, and the
+    search returns the classes it builds (`_cp_base_search`); each class
     is checked to meet exactly the tasks of its group.  The searches are
     independent; with an executor they fan out to worker processes and
     are merged back in task order, so the result does not depend on
@@ -366,29 +363,18 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
             placed.update((m, sv) for sv in group)
             groups.append((m, s, group))
     tasks = [(n, m, s) for m, s, _group in groups]
-    if executor is None:
-        batches = map(_cp_task, tasks)
-    else:
-        batches = executor.map(_cp_task, tasks)
+    batches = (map if executor is None else executor.map)(_cp_task, tasks)
     classes = []
     for (m, _s, group), batch in zip(groups, batches):
-        classes += _closed(
-            batch, lambda g: g.pi[1] % m, group, "a class must meet exactly the tasks of its group"
-        )
+        for cls in batch:
+            met = {g.pi[1] % m for g in cls.values()}
+            _require(met == group, "a class must meet exactly the tasks of its group")
+        classes += batch
     found = {phi.images: phi for phi in automorphisms(n)}
     _merge(found, classes, f"coset-preserving search of Z_{n}")
     result = sorted(found.values(), key=lambda p: p.images)
     _require(all(sk.coset_preserving for sk in result), "base search must yield cp maps")
     return result, classes
-
-
-def _closed(batch, key, expected, message: str) -> list[Orbit]:
-    """The conjugation classes that `batch` meets (`equivalence_classes`);
-    `key` must take exactly the values `expected` on every class."""
-    classes = equivalence_classes(batch)
-    for orbit in classes:
-        _require({key(g) for g in orbit.values()} == expected, message)
-    return classes
 
 
 def _merge(found: dict[tuple[int, ...], SkewMorphism], classes: list[Orbit], where: str) -> None:
@@ -401,7 +387,7 @@ def _merge(found: dict[tuple[int, ...], SkewMorphism], classes: list[Orbit], whe
             found[images] = sk
 
 
-def _cp_task(args: tuple[int, int, int]) -> list[SkewMorphism]:
+def _cp_task(args: tuple[int, int, int]) -> list[Orbit]:
     return _cp_base_search(*args)
 
 
@@ -448,7 +434,27 @@ def lift(rho: SkewMorphism, n: int, cp_list: list[SkewMorphism]) -> list[SkewMor
     """All non-coset-preserving f of Z_n whose quotient (generator 1) is rho."""
     if not rho.proper:
         raise ValueError("lift requires a proper quotient")
+    if not _can_lift(rho, n):
+        return []
     return _lift_with_psis(rho, n, psi_candidates(rho, n, cp_list))
+
+
+def _can_lift(rho: SkewMorphism, n: int) -> bool:
+    """The lift gate: checks on rho and n alone that every f of Z_n with
+    quotient rho passes.  With m = rho.n, R = ord(rho), p = m/|ker rho|:
+    - R | n, since the kernel K of f has order n/R;
+    - m <= p*n/R: the thread f^j(1), f^(j+p)(1), ... of the orbit of 1
+      holds m/p distinct values, and f^p fixes every coset of K, of n/R
+      elements (see `psi_candidates`);
+    - with sig_k = sum_{i<k} pi_rho(rho^i(1)) (mod R), f(k) = sig_k (mod R)
+      and f permutes the cosets of K, so sig_0, ..., sig_(R-1) is a
+      bijection of Z_R and sig_R = 0 (`quotient_for_generator`'s fbar).
+    """
+    m, big_r = rho.n, rho.order
+    if n % big_r or m > m // rho.kernel_order * (n // big_r):
+        return False
+    sig = [x % big_r for x in accumulate((rho.pi[e] for e in generator_orbit(rho, 1)), initial=0)]
+    return sig.pop() == 0 and sorted(sig) == list(range(big_r))
 
 
 def _free_threads(orbit_l: list[int], p: int) -> list[int]:
@@ -464,29 +470,12 @@ def _free_threads(orbit_l: list[int], p: int) -> list[int]:
 def _lift_with_psis(
     rho: SkewMorphism, n: int, psis: list[SkewMorphism]
 ) -> list[SkewMorphism]:
-    m, big_r = rho.n, rho.order
-    if n % big_r != 0:
+    if not psis:
         return []
+    m, big_r = rho.n, rho.order
     kord = n // big_r  # kernel order of any lift
     p = m // rho.kernel_order  # periodicity of any lift
-    if m > p * kord or not psis:
-        return []
-
-    # generator orbit of rho: partial-sum exponents of the lift
-    orbit_l = [1]
-    for _ in range(big_r - 1):
-        orbit_l.append(rho.images[orbit_l[-1]])
-    _require(len(set(orbit_l)) == big_r, "quotient orbit must have ord(rho) elements")
-
-    # coset pattern of the lift's prefix sums is forced by rho alone;
-    # it must be a bijection of Z_R wrapping to 0
-    acc = 0
-    sig = []
-    for e in orbit_l:
-        sig.append(acc % big_r)
-        acc += rho.pi[e]
-    if acc % big_r != 0 or sorted(sig) != list(range(big_r)):
-        return []
+    orbit_l = generator_orbit(rho, 1)  # partial-sum exponents of the lift
 
     needed = frozenset(orbit_l)
     free = _free_threads(orbit_l, p)
@@ -693,15 +682,11 @@ def _realize_lift(
     return _verified_of_order(n, m, big_r, prefix, total)
 
 
-def lift_sources(n: int, store) -> list[tuple[int, SkewMorphism]]:
-    """(order, rho) pairs whose lifts can contribute to the census of Z_n."""
-    out = []
-    for m in _candidate_orders(n):
-        record = census(m, store)
-        for rho in record.proper():
-            if n % rho.order == 0:
-                out.append((m, rho))
-    return out
+def lift_sources(n: int, store) -> list[SkewMorphism]:
+    """The proper quotients rho of the smaller orders that pass the lift
+    gate (`_can_lift`): the only ones whose lifts can join the census of Z_n."""
+    records = (census(m, store) for m in _candidate_orders(n))
+    return [rho for record in records for rho in record.proper() if _can_lift(rho, n)]
 
 
 def _lift_orbits(
@@ -744,10 +729,14 @@ def _lift_orbits(
 def census(n: int, store, *, executor=None) -> CensusRecord:
     """All skew morphisms of Z_n, computing and persisting smaller orders on demand.
 
-    Only one quotient per conjugation orbit (`_lift_orbits`) is lifted; its
-    lifts are closed into conjugation classes by `equivalence_classes`, and
-    each class is checked to have exactly the quotients of the orbit (a
-    member the lift returned counts as rho's, which `_lift_with_psis`
+    The sources (`lift_sources`) pass the lift gate (`_can_lift`) before
+    they are grouped into conjugation orbits (`_lift_orbits`).  A source
+    that fails the gate has no lift.  Conjugation maps the lifts of one
+    orbit member one-to-one onto those of another, so an orbit that has
+    lifts passes the gate whole.  Only one quotient per orbit is lifted;
+    its lifts are closed into conjugation classes by `equivalence_classes`,
+    and each class is checked to have exactly the quotients of the orbit
+    (a member the lift returned counts as rho's, which `_lift_with_psis`
     checked; every other member has its quotient built).  Those classes
     and the coset-preserving ones (`_coset_preserving`) are all the
     classes of proper morphisms, and number the class ids.  With an
@@ -762,20 +751,16 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
 
     cp, classes = _coset_preserving(n, executor)
     collected = {sk.images: sk for sk in cp}
-    orbits = _lift_orbits(n, [rho for _m, rho in lift_sources(n, store)])
+    orbits = _lift_orbits(n, lift_sources(n, store))
     tasks = [(rho, n, psi_candidates(rho, n, cp)) for rho, _orbit in orbits]
-    if executor is None:
-        batches = map(_lift_task, tasks)
-    else:
-        batches = executor.map(_lift_task, tasks)
+    batches = (map if executor is None else executor.map)(_lift_task, tasks)
+    message = "a class of lifts must have exactly the quotients of its source's orbit"
     for (rho, orbit), batch in zip(orbits, batches):
-        message = "a class of lifts must have exactly the quotients of its source's orbit"
         checked = {sk.images for sk in batch}  # `_lift_with_psis` checked their quotient is rho
-
-        def key(g: SkewMorphism) -> tuple[int, ...]:
-            return rho.images if g.images in checked else quotient_of(g).images
-
-        lifted = _closed(batch, key, orbit, message)
+        lifted = equivalence_classes(batch)
+        for cls in lifted:
+            quotients = {rho.images if g in checked else quotient_of(cls[g]).images for g in cls}
+            _require(quotients == orbit, message)
         _merge(collected, lifted, f"census of Z_{n}")
         classes += lifted
 

@@ -25,6 +25,10 @@ from .cyclic_arith import factorize
 from .skew_core import SkewMorphism, verify
 
 
+# family_4p holds all 4p - 4 members; on a 2-core Xeon p = 401 took 2.2 s and 140 MB
+FAMILY_MAX_P = 199
+
+
 def _is_odd_prime(p: int) -> bool:
     return p > 2 and list(factorize(p)) == [p]
 
@@ -104,8 +108,10 @@ def family_4p(p: int) -> list[SkewMorphism]:
 
     Yields p-1 maps of kind x, p-1 of kind y, and (for p = 1 mod 4)
     another 2(p-1) of kind z: 2p-2 maps for p = 3 mod 4 and 4p-4 for
-    p = 1 mod 4.
+    p = 1 mod 4.  p above FAMILY_MAX_P is refused before any member is built.
     """
+    if p > FAMILY_MAX_P:
+        raise ValueError(f"p must be at most {FAMILY_MAX_P}, got {p}")
     if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     out = []

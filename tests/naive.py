@@ -224,15 +224,19 @@ def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]],
 def naive_coset_preserving(n: int):
     """The coset-preserving morphisms of Z_n with one `_cp_base_search` per task.
 
-    The library searches one task per cyclic subgroup <s> and conjugates
-    its solutions into the other tasks of the group; this is the loop it
-    replaced, which searches every task of `cp_search_tasks(n)` on its own.
+    The library searches one task per cyclic subgroup <s> and takes the
+    classes it returns whole, members in the other tasks of the group
+    included; this searches every task of `cp_search_tasks(n)` on its own
+    and keeps from each task's classes only that task's members, those
+    with pi(1) = s (mod m).
     """
     found = {phi.images: phi for phi in automorphisms(n)}
     for m, s in cp_search_tasks(n):
-        for sk in _cp_base_search(n, m, s):
-            assert sk.images not in found, f"Z_{n}: {sk.images} found twice"
-            found[sk.images] = sk
+        for cls in _cp_base_search(n, m, s):
+            for sk in cls.values():
+                if sk.pi[1] % m == s:
+                    assert sk.images not in found, f"Z_{n}: {sk.images} found twice"
+                    found[sk.images] = sk
     return sorted(found.values(), key=lambda phi: phi.images)
 
 
@@ -246,7 +250,7 @@ def naive_census(n: int, store):
     """
     cp = enumerate_coset_preserving(n)
     collected = {sk.images: sk for sk in cp}
-    for _m, rho in lift_sources(n, store):
+    for rho in lift_sources(n, store):
         for sk in _lift_with_psis(rho, n, psi_candidates(rho, n, cp)):
             assert sk.images not in collected, f"Z_{n}: {sk.images} found twice"
             collected[sk.images] = sk

@@ -212,7 +212,7 @@ def test_orbit_lifts_match_one_lift_per_source():
             phi.images for phi in expected.morphisms
         ], n
         assert got.class_ids == expected.class_ids, n
-        sources = [rho for _m, rho in enum.lift_sources(n, store)]
+        sources = enum.lift_sources(n, store)
         conjugated += len(sources) - len(enum._lift_orbits(n, sources))
     assert conjugated > 0
 
@@ -227,7 +227,8 @@ def test_a_source_without_lifts_claims_no_orbit(monkeypatch, n):
     expected = naive_census(n, store)
     sources = enum.lift_sources(n, store)
     lifted = {quotient_of(phi).images for phi in expected.proper() if not phi.coset_preserving}
-    m, rho = next((m, rho) for m, rho in sources if rho.images in lifted and rho.order <= m - 3)
+    rho = next(rho for rho in sources if rho.images in lifted and rho.order <= rho.n - 3)
+    m = rho.n
     orbit_of_1 = [1]
     while len(orbit_of_1) < rho.order:
         orbit_of_1.append(rho.images[orbit_of_1[-1]])
@@ -235,7 +236,7 @@ def test_a_source_without_lifts_claims_no_orbit(monkeypatch, n):
     images = list(rho.images)
     images[a], images[b] = images[b], images[a]
     rho0 = dataclasses.replace(rho, images=tuple(images))
-    monkeypatch.setattr(enum, "lift_sources", lambda n, store: [(m, rho0)] + sources)
+    monkeypatch.setattr(enum, "lift_sources", lambda n, store: [rho0] + sources)
     got = census(n, store)
     assert [phi.images for phi in got.morphisms] == [phi.images for phi in expected.morphisms]
 
@@ -402,9 +403,11 @@ def test_needed_thread_pruning_is_sound(monkeypatch, tmp_path):
 
 def test_cp_base_search_matches_orbit_walk(monkeypatch):
     # the closed-form search against the step-by-step walk of every (u, w)
-    # pair: the same morphisms in the same order, and one acceptance call
-    # per period-m pair whose candidate is a bijection that replays its
-    # orbit of 1 (the closed forms turn the other period-m pairs away)
+    # pair: the members of the returned classes that lie in the task are
+    # the walk's morphisms, each class is led by its first in (u, w) order,
+    # and there is one acceptance call per period-m pair whose candidate is
+    # a bijection that replays its orbit of 1 (the closed forms turn the
+    # other period-m pairs away)
     calls = 0
     realize = enum._realize_candidate
 
@@ -419,7 +422,11 @@ def test_cp_base_search_matches_orbit_walk(monkeypatch):
         for m, s in cp_search_tasks(n):
             calls = 0
             expected, period_m, replayed = naive_cp_base_search(n, m, s)
-            assert [sk.images for sk in enum._cp_base_search(n, m, s)] == expected, (n, m, s)
+            classes = enum._cp_base_search(n, m, s)
+            members = [g.images for cls in classes for g in cls.values() if g.pi[1] % m == s]
+            assert sorted(members) == sorted(expected), (n, m, s)
+            leaders = [next(iter(cls)) for cls in classes]
+            assert leaders == sorted(leaders, key=expected.index), (n, m, s)
             assert calls == replayed, (n, m, s)
             tasks += 1
             found += len(expected)
@@ -489,20 +496,28 @@ def test_kernel_test_only_prunes(cp_without_kernel_test, monkeypatch):
 def test_each_cp_class_is_verified_once(monkeypatch):
     # the kernel test leaves verify no reject here, one searched task per
     # <s> meets each conjugation class in one orbit of its own conjugates,
-    # and the rest of that orbit is taken without verify
-    calls = 0
-    verify_in_search = enum.verify
+    # the rest of that orbit is skipped before verify, and the orbit is
+    # built once, by the search (`conjugates` is counted in both modules)
+    calls = {"verify": 0, "conjugates": 0}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return verify_in_search(*args)
+    def count(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(enum, "verify", counted)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(enum, "verify")
+    count(enum, "conjugates")
+    count(skewcyc.skew_core, "conjugates")
     for n in [*range(2, 61), *range(145, 149)]:
-        calls = 0
+        calls.update(verify=0, conjugates=0)
         proper = [phi for phi in enumerate_coset_preserving(n) if phi.proper]
-        assert calls == len(equivalence_classes(proper)), n
+        made = dict(calls)
+        classes = len(equivalence_classes(proper))
+        assert made == {"verify": classes, "conjugates": classes}, n
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -529,22 +544,19 @@ def test_grouped_tasks_match_per_task_search(jobs, monkeypatch):
 
 def test_a_conjugate_in_the_wrong_task_trips_the_check(monkeypatch):
     # (7, 2) and (7, 4) are one group in Z_21; a one-member orbit of a
-    # solution of (7, 2) never reaches (7, 4).  The classes are closed by
-    # `equivalence_classes`, which reads `conjugates` in skew_core.
-    monkeypatch.setattr(skewcyc.skew_core, "conjugates", lambda phi: {phi.images: phi})
+    # solution of (7, 2) never reaches (7, 4).  The search builds its
+    # classes with `conjugates`, which it reads in enumeration.
+    monkeypatch.setattr(enum, "conjugates", lambda phi: {phi.images: phi})
     with pytest.raises(InternalCheckError, match="exactly the tasks of its group"):
         enumerate_coset_preserving(21)
 
 
 def test_a_class_of_lifts_that_misses_a_quotient_trips_the_check(monkeypatch):
-    # the coset-preserving classes stay whole; a one-member orbit of a lift
-    # has one quotient, not every quotient of its source's orbit
-    conjugates = skewcyc.skew_core.conjugates
-
-    def lifts_alone(phi):
-        return conjugates(phi) if phi.coset_preserving else {phi.images: phi}
-
-    monkeypatch.setattr(skewcyc.skew_core, "conjugates", lifts_alone)
+    # the lifts are closed by `equivalence_classes`, which reads `conjugates`
+    # in skew_core (the coset-preserving search reads it in enumeration, so
+    # its classes stay whole); a one-member orbit of a lift has one
+    # quotient, not every quotient of its source's orbit
+    monkeypatch.setattr(skewcyc.skew_core, "conjugates", lambda phi: {phi.images: phi})
     with pytest.raises(InternalCheckError, match="exactly the quotients of its source's orbit"):
         census(9, MemoryStore())
 
@@ -592,3 +604,46 @@ def test_coset_fixing_stepper_filter_is_sound(monkeypatch):
     monkeypatch.setattr(enum, "_batched_seed_survivors", naive_seed_survivors)
     assert run() == expected
     assert extra > 0
+
+
+def test_the_lift_gate_drops_no_lift(monkeypatch):
+    # relaxed to R | n, the gate lets every source reach the grouping and
+    # the lift; the census of 2..60 must not change, class ids included
+    def run():
+        store = MemoryStore()
+        return [census(n, store) for n in range(2, 61)]
+
+    expected = run()
+    dropped = 0
+    gate = enum._can_lift
+
+    def relaxed(rho, n):
+        nonlocal dropped
+        divides = n % rho.order == 0
+        dropped += divides and not gate(rho, n)
+        return divides
+
+    monkeypatch.setattr(enum, "_can_lift", relaxed)
+    assert run() == expected
+    assert dropped > 0
+
+
+def test_a_source_the_gate_drops_has_no_lift(monkeypatch):
+    # every proper rho with R | n that the gate drops, lifted with every
+    # stepper of order m/p and every seed choice (as in
+    # `test_coset_fixing_stepper_filter_is_sound`), has no lift
+    monkeypatch.setattr(enum, "_batched_seed_survivors", naive_seed_survivors)
+    store = MemoryStore()
+    dropped = stepped = 0
+    for n in range(2, 49):
+        cp = enumerate_coset_preserving(n)
+        for m in enum._candidate_orders(n):
+            for rho in census(m, store).proper():
+                if n % rho.order or enum._can_lift(rho, n):
+                    continue
+                p = m // rho.kernel_order
+                psis = [psi for psi in cp if psi.order == m // p]
+                assert enum._lift_with_psis(rho, n, psis) == [], (n, rho.images)
+                dropped += 1
+                stepped += bool(psis)
+    assert dropped > 0 and stepped > 0

@@ -2,8 +2,11 @@ from collections import Counter
 
 import pytest
 
+import skewcyc.families as families
+from skewcyc.cli import main
 from skewcyc.enumeration import census
 from skewcyc.families import (
+    FAMILY_MAX_P,
     FamilyParams,
     family_4p,
     make_x,
@@ -110,3 +113,17 @@ class TestAllCosetPreservingPredicate:
         assert all_cp(24)
         assert all_cp(30)
         assert not all_cp(32)
+
+
+def test_a_p_above_the_bound_is_refused_before_any_member_is_built(monkeypatch, capsys):
+    def no_verify(*args):
+        raise AssertionError("family_4p built a member of a refused p")
+
+    monkeypatch.setattr(families, "verify", no_verify)
+    for p in (FAMILY_MAX_P + 2, 100003):
+        with pytest.raises(ValueError, match=f"at most {FAMILY_MAX_P}"):
+            family_4p(p)
+        assert main(["families", "--p", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: p must be at most {FAMILY_MAX_P}, got {p}\n"
