@@ -12,17 +12,21 @@ Strategy, for each n (recursively over smaller orders):
    v = f(1) = 1 + w*r.  The orbit of 1 is o_k = 1 + r*(w*S_k mod n/r)
    with S_k = 1 + u + ... + u^(k-1), so the pairs (u, w) whose orbit has
    period m are picked out by divisibility alone; f itself is recovered
-   as the partial sums f(k) = sum_{i<k} o_{s^i mod m}.  Closed forms in
-   (u, w), tested inside the search loop, decide bijectivity and the
-   orbit replay, so only the pairs that pass both are built into a
-   candidate; a necessary condition on the kernel action (`_kernel_test`)
-   turns away the other non-skew candidates before `verify`.
+   as the partial sums f(k) = sum_{i<k} o_{s^i mod m}.  The sums S_k
+   depend on u and the kernel order n/r alone, so they are computed once
+   per kernel order and the tasks of one r run one after another.  Closed
+   forms in (u, w), tested inside the search loop, decide bijectivity and
+   the orbit replay, and a necessary condition on the kernel action
+   (`_kernel_test`) turns away the other non-skew pairs there too, so
+   only the pairs that pass all three are built into a candidate.
    Conjugating f by a unit t changes its quotient alpha_s to
    alpha_(s^(t^{-1})), so only the least s of each cyclic subgroup <s> is
    searched; it builds the class (`conjugates`) of each solution it meets
-   first, skipping candidates in a built class before `verify`.  The
-   classes hold the solutions of every task of <s>, built by gathers, and
-   each class is checked to meet exactly those tasks.
+   first.  Every member of a class is fixed by its first r + 1 images, so
+   a candidate whose period sums match those of a built member is skipped
+   before its orbit is walked.  The classes hold the solutions of every
+   task of <s>, built by gathers, and each class is checked to meet
+   exactly those tasks.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -65,8 +69,8 @@ from __future__ import annotations
 
 import contextlib
 import time
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, permutations
 from itertools import product  # unused here; perfbench/layers.py traces enumeration.product
 from math import gcd
@@ -178,6 +182,25 @@ def _candidate_orders(n: int) -> list[int]:
     return [m for m in range(2, n) if nphi % m == 0 and gcd(m, n) > 1]
 
 
+@lru_cache(maxsize=1)
+def _unit_partial_sums(kq: int) -> list[tuple[int, list[int]]]:
+    """(u, [S_0, ..., S_kq]) for each unit u of kq in ascending order, with
+    S_k = 1 + u + ... + u^(k-1) (mod kq); built once for the latest kq.
+
+    A task (m, s) of Z_n reads S_k for k <= m <= kq = n/r (`cp_search_tasks`
+    keeps m*r <= n), and the sums depend on neither m nor s, so the tasks of
+    one kernel order share them (`_search_groups` runs those tasks one
+    after another)."""
+    table = []
+    for u in units(kq):
+        sums, acc = [0], 0
+        for _ in range(kq):
+            acc = (u * acc + 1) % kq
+            sums.append(acc)
+        table.append((u, sums))
+    return table
+
+
 def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     """The conjugation classes of the coset-preserving morphisms of Z_n
     with order m and quotient alpha_s.
@@ -189,7 +212,8 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     and z_k = 0 exactly when d_k = kq/gcd(S_k, kq) divides w.  Those k are
     the multiples of the period, so the period is m exactly when d_m | w
     and no d_(m/q) | w for a prime q | m.  Each d_(m/q) is a multiple of
-    d_m, so a u with d_(m/q) = d_m has no such w.
+    d_m, so a u with d_(m/q) = d_m has no such w.  The sums S_k come from
+    `_unit_partial_sums`, shared by every task of the kernel order kq.
 
     The candidate built from such a pair has period total T = r*c (mod n),
     c = 1 + w*sigma with sigma the sum of S_e over one period of exponents
@@ -197,31 +221,34 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     And f(1 + r*z) = x_1 + z*T, which is x_(k+1) = 1 + r*(u*z_k + w) at
     z = z_k exactly when z_k*(c - u) = 0 (mod kq); every z_k is a multiple
     of z_1 = w, so the orbit of 1 under f replays x_1, ..., x_m exactly
-    when w*(c - u) = 0 (mod kq).  Both closed forms are tested in the
-    loop, the cheap congruence first, so only the period-m pairs whose
-    candidate is a bijection that replays its orbit reach
-    `_realize_candidate`, in (u, w) order; no orbit is walked to find them.
+    when w*(c - u) = 0 (mod kq).  The loop tests, in this order, each on
+    (u, w) alone: the replay congruence, c a unit, the period m, and
+    `_kernel_test` on T = r*c.  Only then are the period sums built, and
+    a pair that passes all four reaches `_realize_candidate`, in (u, w)
+    order, unless it is a member of a class built already; no orbit is
+    walked to find them.
 
     Each class is built (`conjugates`) from its first solution in (u, w)
-    order, its first key; a later candidate in a built class is skipped
-    before `verify`, being a solution already there or a member of
-    another task of <s> (see `_coset_preserving`), which fails the
-    quotient check.  This task's members are those with pi(1) = s (mod m).
+    order, its first key.  Every member g has the kernel rZ_n of f, so
+    g(j + k*r) = g(j) + g(k*r) = g(j) + k*g(r) (r is in the kernel, where g
+    is additive): its images are fixed by images[:r+1], and those of the
+    candidate are prefix sums and T.  So `known` holds the images[:r+1] of
+    every member, and a candidate whose (prefix, T) is there is skipped
+    before its orbit is walked, being a solution already there or a
+    member of another task of <s> (see `_coset_preserving`), which fails
+    the quotient check.  This task's members are those with pi(1) = s (mod m).
     """
     r = mult_order(s, m)
     _require(r >= 2 and n % r == 0, "alpha_s must be proper, and the closed form needs r | n")
     exps = [pow(s, i, m) for i in range(r)]  # one period of partial-sum exponents
     kq = n // r  # kernel order
+    if m > kq:  # the orbit of 1 lies in the coset 1 + K (`cp_search_tasks` drops these tasks)
+        return []
     alpha = tuple(s * k % m for k in range(m))
-    known: set[tuple[int, ...]] = set()
+    known: set[tuple[int, ...]] = set()  # images[:r+1] of every member of a built class
     classes: list[Orbit] = []
     primes = list(factorize(m))
-    for u in units(kq):
-        sums = [0] * (m + 1)
-        acc = 0
-        for k in range(1, m + 1):
-            acc = (u * acc + 1) % kq
-            sums[k] = acc
+    for u, sums in _unit_partial_sums(kq):
         d_m = kq // gcd(sums[m], kq)
         d_mq = [kq // gcd(sums[m // q], kq) for q in primes]
         if d_m in d_mq:  # each d_(m/q) is a multiple of d_m
@@ -231,52 +258,46 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
             c = 1 + w * sigma
             if w * (c - u) % kq or gcd(c, kq) != 1 or any(w % d == 0 for d in d_mq):
                 continue
-            sk = _realize_candidate(n, m, r, exps, u, w, sums, sigma, known)
+            total = r * c % n
+            if not _kernel_test(n, r, s, total):
+                continue
+            period = _period_sums(n, r, [1 + r * (w * sums[e] % kq) for e in exps])
+            _require(
+                period is not None and period[1] == total,
+                "the period total is r*(1 + w*sigma), with gcd r with n",
+            )
+            prefix = period[0]
+            if (*prefix, total) in known:
+                continue
+            sk = _realize_candidate(n, m, r, u, w, prefix, total)
             if sk is None or quotient_of(sk).images != alpha:
                 continue
+            _require(sk.kernel_order == kq, "a solution has the kernel rZ_n")
             orbit = conjugates(sk)
-            known.update(orbit)
+            known.update(images[: r + 1] for images in orbit)
             classes.append(orbit)
     return classes
 
 
 def _realize_candidate(
-    n: int,
-    m: int,
-    r: int,
-    exps: list[int],
-    u: int,
-    w: int,
-    sums: list[int],
-    sigma: int,
-    known: AbstractSet[tuple[int, ...]],
+    n: int, m: int, r: int, u: int, w: int, prefix: list[int], total: int
 ) -> SkewMorphism | None:
-    """Build f from the closed-form orbit x_k = 1 + r*z_k, z_k = w*S_k mod n/r, of 1.
+    """f from its period sums, f(j + k*r) = prefix[j] + k*T with T = `total`,
+    once its orbit of 1 is walked against z -> u*z + w on Z_(n/r).
 
-    The period terms are the orbit values at `exps`.  `_cp_base_search`
-    sends only pairs that pass its closed forms for bijectivity and the
-    orbit replay (see there), and both are checked again here, as guards:
-    the period total must be r*(1 + w*sigma), `_period_sums` tests
-    gcd(T, n) = r, and the orbit of 1 under f is walked against
-    z -> u*z + w.  Survivors must pass `_kernel_test`; those with images
-    in `known` are skipped, the others get the full verification.
+    `_cp_base_search` sends only pairs that pass its closed forms for
+    bijectivity and the orbit replay and the kernel test, and that no
+    built class holds (see there); the walk checks the replay again, as a
+    guard, and the survivors get the full verification.
     """
     kq = n // r
-    period = _period_sums(n, r, [1 + r * (w * sums[e] % kq) for e in exps])
-    if period is None:
-        return None
-    prefix, total = period
-    _require(total == r * (1 + w * sigma) % n, "the period total is r*(1 + w*sigma)")
-
     x, z = 1, 0
     for _ in range(m):
         x = (prefix[x % r] + (x // r) * total) % n
         z = (u * z + w) % kq
         if x != 1 + r * z:
             return None
-    if not _kernel_test(n, r, exps[1], total):
-        return None
-    return _verified_of_order(n, m, r, prefix, total, known)
+    return _verified_of_order(n, m, r, prefix, total)
 
 
 def _kernel_test(n: int, r: int, s: int, total: int) -> bool:
@@ -312,18 +333,11 @@ def _period_sums(n: int, r: int, terms) -> tuple[list[int], int] | None:
 
 
 def _verified_of_order(
-    n: int,
-    m: int,
-    r: int,
-    prefix: list[int],
-    total: int,
-    known: AbstractSet[tuple[int, ...]] = frozenset(),
+    n: int, m: int, r: int, prefix: list[int], total: int
 ) -> SkewMorphism | None:
-    """f from its period: fully verified and of order m, or None; None
-    also for images in `known`, which are not verified."""
+    """f from its period, f(j + k*r) = prefix[j] + k*T with T = `total`:
+    fully verified and of order m, or None."""
     images = tuple((prefix[k % r] + (k // r) * total) % n for k in range(n))
-    if images in known:
-        return None
     try:
         sk = verify(n, images)
     except SkewMorphismError:
@@ -350,18 +364,13 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
     search returns the classes it builds (`_cp_base_search`); each class
     is checked to meet exactly the tasks of its group.  The searches are
     independent; with an executor they fan out to worker processes and
-    are merged back in task order, so the result does not depend on
-    scheduling.
+    are merged back in task order.  The result is sorted, and class ids
+    number the classes by their least member, so neither the task order
+    nor scheduling changes the output.
     """
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
-    placed: set[tuple[int, int]] = set()
-    groups = []  # (m, s, {s^v mod m : v a unit of Z_r})
-    for m, s in cp_search_tasks(n):
-        if (m, s) not in placed:
-            group = {pow(s, v, m) for v in units(mult_order(s, m))}
-            placed.update((m, sv) for sv in group)
-            groups.append((m, s, group))
+    groups = _search_groups(n)
     tasks = [(n, m, s) for m, s, _group in groups]
     batches = (map if executor is None else executor.map)(_cp_task, tasks)
     classes = []
@@ -375,6 +384,23 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
     result = sorted(found.values(), key=lambda p: p.images)
     _require(all(sk.coset_preserving for sk in result), "base search must yield cp maps")
     return result, classes
+
+
+def _search_groups(n: int) -> list[tuple[int, int, set[int]]]:
+    """The tasks of `cp_search_tasks(n)` grouped by the cyclic subgroup <s>:
+    (m, s, {s^v mod m : v a unit of Z_r}) with s the least of its group,
+    sorted by r = ord_m(s), so that the tasks of one kernel order n/r run
+    one after another and share its `_unit_partial_sums`."""
+    placed: set[tuple[int, int]] = set()
+    groups = []  # (r, m, s, group)
+    for m, s in cp_search_tasks(n):
+        if (m, s) not in placed:
+            r = mult_order(s, m)
+            group = {pow(s, v, m) for v in units(r)}
+            placed.update((m, sv) for sv in group)
+            groups.append((r, m, s, group))
+    groups.sort(key=lambda group: group[0])
+    return [(m, s, group) for _r, m, s, group in groups]
 
 
 def _merge(found: dict[tuple[int, ...], SkewMorphism], classes: list[Orbit], where: str) -> None:

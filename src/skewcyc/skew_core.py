@@ -402,8 +402,8 @@ def _verified_once(n: int, images: tuple[int, ...]) -> SkewMorphism:
 def _unit_gathers(n: int) -> list[tuple[tuple[int, ...], itemgetter]]:
     """For each unit t of Z_n, n >= 2, in ascending order: the images of
     a -> t*a, and the gather that reads any tuple x at the points t^{-1}*a,
-    giving (x[t^{-1} a])_a."""
-    times = {t: tuple(t * a % n for a in range(n)) for t in units(n)}
+    giving (x[t^{-1} a])_a; the images are those of `automorphism_table(n)`."""
+    times = {t: phi.images for t, phi in automorphism_table(n).items()}
     return [(times[t], itemgetter(*times[pow(t, -1, n)])) for t in times]
 
 

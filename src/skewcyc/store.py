@@ -53,6 +53,10 @@ class StoreError(Exception):
     """Base class for persistence failures."""
 
 
+class UnusableStoreError(StoreError):
+    """The store path is not a directory, or no census can be written there."""
+
+
 class NotComputedError(StoreError):
     """No census stored for the requested order."""
 
@@ -213,12 +217,16 @@ class Store:
     Records are written atomically through a unique temp file, so
     concurrent writers of one order never share it; readers check every
     line on first load (see the module docstring) and are served from the
-    cache afterwards.
+    cache afterwards.  The directory is made by the first save, so reading
+    never creates it; a path that is not a directory, or where no file can
+    be made, raises `UnusableStoreError`.
     """
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if self.directory.exists() and not self.directory.is_dir():
+            raise UnusableStoreError(f"store {self.directory} is not a directory")
+        self._made = False  # whether a save made sure the directory exists
         self._cache: dict[int, CensusRecord] = {}
 
     def path_for(self, n: int) -> Path:
@@ -233,7 +241,13 @@ class Store:
             StoreEntry.from_morphism(phi, cid).to_json()
             for phi, cid in zip(record.morphisms, record.class_ids)
         ]
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name + ".", suffix=".tmp")
+        try:
+            if not self._made:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                self._made = True
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name + ".", suffix=".tmp")
+        except OSError as exc:
+            raise UnusableStoreError(f"cannot write a census into {self.directory}: {exc}") from exc
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write("\n".join(lines) + "\n")

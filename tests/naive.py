@@ -175,7 +175,7 @@ def naive_classes(morphisms) -> list[tuple[tuple[int, ...], list[tuple[int, ...]
     return [(key, sorted(members)) for key, members in sorted(buckets.items())]
 
 
-def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]], int, int]:
+def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]], int, int, int]:
     """Coset-preserving morphisms of order m and quotient alpha_s, by orbit walks.
 
     For every kernel action u (a unit of kq = n/r, r = ord_m(s)) and every
@@ -184,14 +184,17 @@ def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]],
     f(k) = sum_{i<k} orb[s^i mod m], kept if it is a bijection, its own
     orbit of 1 is orb, it passes the library's `verify` with order m and
     quotient alpha_s, and it is new.  Returns the kept image tuples in
-    (u, w) order, the number of period-m orbits, and the number of those
-    whose candidate is a bijection that replays orb.
+    (u, w) order, the number of period-m orbits, the number of those whose
+    candidate is a bijection that replays orb, and the number of those
+    whose candidate also has (T/r)^(s-1) = 1 (mod kq) for T = f(r) and is
+    no conjugate of a morphism kept before it.
     """
     r = mult_order(s, m)
     kq = n // r
     quotient = tuple(s * k % m for k in range(m))
     out: list[tuple[int, ...]] = []
-    period_m = replayed = 0
+    conjugates: set[tuple[int, ...]] = set()  # of every kept morphism
+    period_m = replayed = realized = 0
     for u in units(kq):
         for w in range(kq):
             orb = [1]
@@ -212,13 +215,21 @@ def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]],
             if len(set(images)) != n or walk != orb or images[walk[-1]] != 1:
                 continue
             replayed += 1
+            realized += pow(images[r] // r, s - 1, kq) == 1 and tuple(images) not in conjugates
             try:
                 sk = verify(n, tuple(images))
             except SkewMorphismError:
                 continue
             if sk.order == m and quotient_of(sk).images == quotient and sk.images not in out:
                 out.append(sk.images)
-    return out, period_m, replayed
+                conjugates.update(naive_conjugate(sk.images, t) for t in naive_units(n))
+    return out, period_m, replayed, realized
+
+
+def naive_partial_sums(u: int, kq: int) -> list[int]:
+    """[S_0, ..., S_kq] with S_k = u^0 + u^1 + ... + u^(k-1) mod kq, each
+    summed afresh from its powers."""
+    return [sum(pow(u, i, kq) for i in range(k)) % kq for k in range(kq + 1)]
 
 
 def naive_coset_preserving(n: int):

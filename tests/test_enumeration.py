@@ -28,6 +28,7 @@ from naive import (
     naive_census,
     naive_coset_preserving,
     naive_cp_base_search,
+    naive_partial_sums,
     naive_seed_survivors,
 )
 
@@ -406,8 +407,8 @@ def test_cp_base_search_matches_orbit_walk(monkeypatch):
     # pair: the members of the returned classes that lie in the task are
     # the walk's morphisms, each class is led by its first in (u, w) order,
     # and there is one acceptance call per period-m pair whose candidate is
-    # a bijection that replays its orbit of 1 (the closed forms turn the
-    # other period-m pairs away)
+    # a bijection that replays its orbit of 1, passes the kernel test and
+    # is in no class built before (the loop turns the other pairs away)
     calls = 0
     realize = enum._realize_candidate
 
@@ -417,23 +418,63 @@ def test_cp_base_search_matches_orbit_walk(monkeypatch):
         return realize(*args)
 
     monkeypatch.setattr(enum, "_realize_candidate", counted)
-    tasks = found = rejected = pruned = 0
+    tasks = found = pruned = skipped = 0
     for n in range(2, 61):
         for m, s in cp_search_tasks(n):
             calls = 0
-            expected, period_m, replayed = naive_cp_base_search(n, m, s)
+            expected, period_m, replayed, realized = naive_cp_base_search(n, m, s)
             classes = enum._cp_base_search(n, m, s)
             members = [g.images for cls in classes for g in cls.values() if g.pi[1] % m == s]
             assert sorted(members) == sorted(expected), (n, m, s)
             leaders = [next(iter(cls)) for cls in classes]
             assert leaders == sorted(leaders, key=expected.index), (n, m, s)
-            assert calls == replayed, (n, m, s)
+            assert calls == realized, (n, m, s)
             tasks += 1
             found += len(expected)
-            rejected += replayed - len(expected)
             pruned += period_m - replayed
+            skipped += replayed - realized
     assert (tasks, found) == (326, 818)
-    assert rejected > 0 and pruned > 0
+    assert pruned > 0 and skipped > 0
+
+
+def test_unit_partial_sums_match_the_naive_sums():
+    for kq in range(1, 61):
+        table = enum._unit_partial_sums(kq)
+        assert [u for u, _sums in table] == units(kq), kq
+        for u, sums in table:
+            assert sums == naive_partial_sums(u, kq), (kq, u)
+
+
+def test_a_cp_morphism_is_fixed_by_its_first_images():
+    # the lemma behind the skip key of `_cp_base_search`: r = n/|kernel| lies
+    # in the kernel, so f(j + k*r) = f(j) + k*f(r), and images[:r+1] fix f
+    checked = 0
+    for n in range(2, 61):
+        for f in enumerate_coset_preserving(n):
+            if f.proper:
+                r = n // f.kernel_order
+                head = f.images[: r + 1]
+                rebuilt = tuple((head[k % r] + k // r * head[r]) % n for k in range(n))
+                assert rebuilt == f.images, (n, f.images)
+                checked += 1
+    assert checked == 818
+
+
+def test_cp_search_order_changes_nothing(monkeypatch):
+    # the groups run sorted by r, to share the partial sums of a kernel
+    # order; run in reverse, every list, class and record is the same
+    expected = {n: enum._coset_preserving(n) for n in range(2, 61)}
+    groups = enum._search_groups
+    monkeypatch.setattr(enum, "_search_groups", lambda n: groups(n)[::-1])
+    reordered = 0
+    for n, (cp, classes) in expected.items():
+        got_cp, got_classes = enum._coset_preserving(n)
+        assert got_cp == cp, n
+        assert sorted(got_classes, key=min) == sorted(classes, key=min), n
+        got = enum._finalize_census(n, got_cp, got_classes)
+        assert got == enum._finalize_census(n, cp, classes), n
+        reordered += [next(iter(c)) for c in got_classes] != [next(iter(c)) for c in classes]
+    assert reordered > 0
 
 
 def test_cp_task_bound_only_prunes_empty_tasks():
@@ -479,6 +520,8 @@ def test_kernel_test_holds_for_every_proper_cp_morphism(cp_without_kernel_test):
 
 
 def test_kernel_test_only_prunes(cp_without_kernel_test, monkeypatch):
+    # `_cp_base_search` calls `_kernel_test` in its (u, w) loop, before
+    # any candidate is built, and it turns some pairs away
     rejected = 0
     kernel_test = enum._kernel_test
 

@@ -120,6 +120,7 @@ class TestStore:
             store.load(6)
 
     def test_save_leaves_stale_temp_file_alone(self, store):
+        store.directory.mkdir()  # the store makes it only on its first save
         stale = store.directory / "census_6.jsonl.tmp"
         stale.write_text("stale")
         path = store.save(census(6, MemoryStore()))
@@ -439,6 +440,43 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert expect in lines[0]
         assert not (tmp_path / "s" / "census_2.jsonl").exists()
+
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--max", "4"],
+            ["table", "--from", "2", "--to", "4"],
+            ["show", "--n", "4"],
+            ["check", "--max", "4"],
+            ["oracle", "--n", "4"],
+        ],
+        ids=["census", "table", "show", "check", "oracle"],
+    )
+    def test_an_unusable_store_exits_1_with_one_error_line(
+        self, tmp_path, capsys, argv, under_a_file
+    ):
+        regular = tmp_path / "regular"
+        regular.write_text("not a store\n")
+        path = regular / "store" if under_a_file else regular
+        assert cli.main([*argv, "--store", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert regular.read_text() == "not a store\n"
+        assert sorted(tmp_path.iterdir()) == [regular]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--from", "2", "--to", "4"], ["show", "--n", "4"], ["check", "--max", "4"]],
+        ids=["table", "show", "check"],
+    )
+    def test_a_failed_read_creates_no_store(self, tmp_path, capsys, argv):
+        path = tmp_path / "no" / "such" / "store"
+        assert cli.main([*argv, "--store", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: no census stored")
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_default_store(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SKEWCYC_STORE", str(tmp_path / "env-store"))
