@@ -59,7 +59,10 @@ sums are separable, one table of partial sums per thread and stepper,
 and every orbit value has a residue mod R = ord(rho) that neither the
 seeds nor the stepper change (every stepper fixes residues, each seed
 pool is one coset, R divides T), so each walk step reads one prefix
-column for all rows.
+column for all rows.  Each survivor takes its period sums straight to
+`_realize_lift`, the one acceptance step of the lift: `verify`, then its
+quotient and its p-th power.  The pass is tested against the same walk
+run one row at a time (`naive_seed_survivors` in the test suite).
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -97,6 +100,8 @@ class DuplicateFoundError(AssertionError):
     """Two search branches produced the same morphism: an implementation bug."""
 
 
+# unused here; perfbench/layers.py traces OrbitTemplate.orbit_value, and
+# tests/naive.py lays out the pre-filter's reference walk with it
 @dataclass(frozen=True)
 class OrbitTemplate:
     """A candidate generator orbit: p interleaved threads under a stepper psi.
@@ -127,7 +132,7 @@ class OrbitTemplate:
         )
 
     def orbit_value(self, e: int) -> int:
-        """Value at orbit position e (test/debug path; the search caches rows)."""
+        """Value at orbit position e, by `power` (the search reads power tables)."""
         thread, q = e % self.p, e // self.p
         seed = 1 if thread == 0 else dict(self.x)[thread + 1]
         return power(self.psi, q)[seed]
@@ -321,7 +326,7 @@ def _period_sums(n: int, r: int, terms) -> tuple[list[int], int] | None:
     """Prefix sums of one period of orbit values, and the period total T.
 
     The partial sums repeat with period r, so f(j + k*r) = f(j) + k*T.
-    Both searches fix the coset pattern of the prefix sums to a
+    The cp search fixes the coset pattern of the prefix sums to a
     bijection of Z_r, so f is a bijection exactly when gcd(T, n) = r;
     None otherwise.
     """
@@ -471,16 +476,22 @@ def _can_lift(rho: SkewMorphism, n: int) -> bool:
     - R | n, since the kernel K of f has order n/R;
     - m <= p*n/R: the thread f^j(1), f^(j+p)(1), ... of the orbit of 1
       holds m/p distinct values, and f^p fixes every coset of K, of n/R
-      elements (see `psi_candidates`);
-    - with sig_k = sum_{i<k} pi_rho(rho^i(1)) (mod R), f(k) = sig_k (mod R)
-      and f permutes the cosets of K, so sig_0, ..., sig_(R-1) is a
-      bijection of Z_R and sig_R = 0 (`quotient_for_generator`'s fbar).
+      elements (see `psi_candidates`).
+
+    Every such f also has f(k) = sig_k (mod R), sig_k = sum_{i<k}
+    pi_rho(rho^i(1)) (`quotient_for_generator`'s fbar), and permutes the
+    cosets of K, so sig_0, ..., sig_(R-1) is a bijection of Z_R and
+    sig_R = 0 (mod R).  That needs no check: it holds for every skew rho.
+    - sig_0, ..., sig_(R-1) are the images of `quotient_of(rho)`, a skew
+      morphism of Z_R, so they are a bijection of Z_R;
+    - sig_R = 0: iterating the skew identity k times gives
+      rho^k(a + b) = rho^k(a) + rho^(sigma_k(a))(b) with sigma_k(a) =
+      sum_{i<k} pi_rho(rho^i(a)); at k = R, a = 1, rho^R = id leaves
+      1 + b = 1 + rho^(sig_R)(b) for every b, so rho^(sig_R) = id and R
+      divides sig_R.
     """
     m, big_r = rho.n, rho.order
-    if n % big_r or m > m // rho.kernel_order * (n // big_r):
-        return False
-    sig = [x % big_r for x in accumulate((rho.pi[e] for e in generator_orbit(rho, 1)), initial=0)]
-    return sig.pop() == 0 and sorted(sig) == list(range(big_r))
+    return n % big_r == 0 and m <= m // rho.kernel_order * (n // big_r)
 
 
 def _free_threads(orbit_l: list[int], p: int) -> list[int]:
@@ -496,14 +507,23 @@ def _free_threads(orbit_l: list[int], p: int) -> list[int]:
 def _lift_with_psis(
     rho: SkewMorphism, n: int, psis: list[SkewMorphism]
 ) -> list[SkewMorphism]:
+    """The lifts of rho to Z_n whose p-th power is one of the steppers
+    `psis` (see `psi_candidates`), sorted by images.
+
+    Thread 0 of the orbit of 1 is seeded by 1, and each free thread
+    (`_free_threads`) by a seed from the kernel coset that pi_rho gives
+    it.  `_batched_seed_survivors` walks every (stepper, seeds) row and
+    yields the period sums of the rows whose orbit of 1 is consistent;
+    `_realize_lift` keeps those that are skew of order m, with quotient
+    rho and p-th power their stepper.  A kept lift that is coset-preserving
+    or that repeats is an implementation bug.
+    """
     if not psis:
         return []
     m, big_r = rho.n, rho.order
     kord = n // big_r  # kernel order of any lift
     p = m // rho.kernel_order  # periodicity of any lift
     orbit_l = generator_orbit(rho, 1)  # partial-sum exponents of the lift
-
-    needed = frozenset(orbit_l)
     free = _free_threads(orbit_l, p)
     # seed of thread j sits in the kernel coset given by pi_rho at j
     pools = [[(rho.pi[j] + t * big_r) % n for t in range(kord)] for j in free]
@@ -512,30 +532,11 @@ def _lift_with_psis(
     tables = [power_table(psi.images, qmax + 1) for psi in psis]
     survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l)
     results: dict[tuple[int, ...], SkewMorphism] = {}
-    for k, combo in survivors:
-        psi, rows = psis[k], tables[k]
-        seeds = dict(zip(free, combo))
-        seeds[0] = 1
-        value_at = {e: rows[e // p][seeds[e % p]] for e in needed}
-        sk = _realize_lift(n, m, big_r, p, psi, seeds, value_at, orbit_l)
+    for k, prefix, total in survivors:
+        sk = _realize_lift(n, m, big_r, p, rho, psis[k], prefix, total)
         if sk is None:
             continue
-        if quotient_of(sk).images != rho.images:
-            continue
-        if power(sk, p) != psi.images:
-            continue
         _require(not sk.coset_preserving, "lift produced a coset-preserving map")
-        template = OrbitTemplate(
-            m=m,
-            p=p,
-            psi=psi,
-            x=tuple(sorted((j + 1, seeds[j]) for j in free)),
-            needed_positions=needed,
-        )
-        _require(
-            all(template.orbit_value(e) == value_at[e] for e in needed),
-            "orbit template disagrees with realized orbit",
-        )
         if sk.images in results:
             raise DuplicateFoundError(
                 f"lift of {rho.canonical_str()} repeated {sk.canonical_str()}"
@@ -564,13 +565,15 @@ def _batched_seed_survivors(
 ):
     """Vectorised pre-filter over all seed combinations of every stepper of a task.
 
-    Applies exactly the checks of `_realize_lift` (one-period total with
-    the right gcd, orbit walk with first return at m, seed replay, psi
-    thread relation) to every (stepper, combination) row at once and
-    yields the survivors as (index into psis, combination), stepper by
-    stepper in `product(*pools)` order; `tables[k]` is the power table of
-    psis[k].  Each survivor is then rebuilt and fully verified by the
-    scalar path, so this stage can only discard, never admit.
+    Runs the checks that the orbit of 1 of a lift passes (one-period total
+    T with gcd(T, n) = R, orbit walk with first return at m, seed replay,
+    psi thread relation) on every (stepper, combination) row at once, and
+    yields each survivor as (index into psis, its R prefix sums mod n, T),
+    stepper by stepper in `product(*pools)` order; `tables[k]` is the
+    power table of psis[k].  The survivors go to `_realize_lift`, which
+    verifies each, so this stage can only discard, never admit.  Its
+    reference is `naive_seed_survivors` in tests/naive.py, the same walk
+    one row at a time.
 
     The prefix sums are separable.  Period term i depends only on the
     stepper and the seed of thread orbit_l[i] % p, so prefix column c is
@@ -665,9 +668,9 @@ def _batched_seed_survivors(
             if not live.all():
                 hi, lo, tot, o = hi[live], lo[live], tot[live], o[live]
                 last = [a[live] for a in last]
-        for h, l in zip(hi.tolist(), lo.tolist()):
-            digits = [(h if k < half else l) // place[k] % kord for k in range(nfree)]
-            yield h // hi_size, tuple(pool[d] for pool, d in zip(pools, digits))
+        cols = (hi_sums[:, hi] + lo_sums[:, lo]) % n  # prefix columns 0..R of each survivor
+        for k, col in zip((hi // hi_size).tolist(), cols.T.tolist()):
+            yield k, col[:big_r], col[big_r]
 
 
 def _realize_lift(
@@ -675,37 +678,18 @@ def _realize_lift(
     m: int,
     big_r: int,
     p: int,
+    rho: SkewMorphism,
     psi: SkewMorphism,
-    seeds: dict[int, int],
-    value_at: dict[int, int],
-    orbit_l: list[int],
+    prefix: list[int],
+    total: int,
 ) -> SkewMorphism | None:
-    """Prefix sums, bijectivity, and the orbit walk for one seed choice."""
-    period = _period_sums(n, big_r, [value_at[e] for e in orbit_l])
-    if period is None:
+    """The candidate with period sums `prefix` and `total` (see
+    `_verified_of_order`) when it is a lift of rho with stepper psi: fully
+    verified, of order m, with quotient rho and f^p = psi; None otherwise."""
+    sk = _verified_of_order(n, m, big_r, prefix, total)
+    if sk is None or quotient_of(sk).images != rho.images or power(sk, p) != psi.images:
         return None
-    prefix, total = period
-
-    # orbit of 1 must return first at m, replay the seeds, and follow psi
-    orb = [1]
-    x = 1
-    for step in range(1, m + 1):
-        x = (prefix[x % big_r] + (x // big_r) * total) % n
-        if step == m:
-            if x != 1:
-                return None
-        elif x == 1:
-            return None
-        else:
-            orb.append(x)
-    for j, seed in seeds.items():
-        if orb[j] != seed:
-            return None
-    pimg = psi.images
-    for t in range(m - p):
-        if orb[t + p] != pimg[orb[t]]:
-            return None
-    return _verified_of_order(n, m, big_r, prefix, total)
+    return sk
 
 
 def lift_sources(n: int, store) -> list[SkewMorphism]:

@@ -8,11 +8,12 @@ over all pairs, so these can serve as ground truth for small n.
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 
 from skewcyc.cyclic_arith import mult_order, units
 from skewcyc.enumeration import (
+    OrbitTemplate,
     _cp_base_search,
     _finalize_census,
     _lift_with_psis,
@@ -271,14 +272,41 @@ def naive_census(n: int, store):
 
 
 def naive_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l):
-    """Every (stepper index, seed combination) of a lift task, stepper by
-    stepper in `product(*pools)` order: `_batched_seed_survivors`' signature
-    with no filtering, so the scalar acceptance sees every seed choice.
+    """The scalar reference of `_batched_seed_survivors`, with its signature
+    and its output: (stepper index, the R prefix sums mod n, the period
+    total T) for each (stepper, seed combination) whose orbit of 1 passes
+    the walk, stepper by stepper in `product(*pools)` order.
 
-    Unlike the pre-filter it assumes nothing of the steppers (the pre-filter
-    requires each to fix every residue mod R = ord(rho)).
+    Each row lays out its orbit values with `OrbitTemplate.orbit_value`
+    (and checks them against the power table `tables[k]`), and sums them
+    over one period.  It is kept when gcd(T, n) = R and the orbit of 1
+    under f(j + k*R) = prefix[j] + k*T returns first at m, passes the seed
+    of each free thread j at position j, and follows psi from each thread
+    to the next, o_(t+p) = psi(o_t).  Unlike the pre-filter it assumes
+    nothing of the steppers (the pre-filter requires each to fix every
+    residue mod R = ord(rho)).
     """
-    return ((k, combo) for k in range(len(psis)) for combo in product(*pools))
+    needed = frozenset(orbit_l)
+    for k, (psi, rows) in enumerate(zip(psis, tables)):
+        for combo in product(*pools):
+            seeds = dict(zip(free, combo))
+            slots = tuple((j + 1, seed) for j, seed in seeds.items())
+            template = OrbitTemplate(m=m, p=p, psi=psi, x=slots, needed_positions=needed)
+            values = [template.orbit_value(e) for e in orbit_l]
+            assert values == [rows[e // p][seeds.get(e % p, 1)] for e in orbit_l]
+            prefix = list(accumulate(values, initial=0))
+            total = prefix[big_r] % n
+            if gcd(total, n) != big_r:
+                continue
+            prefix = [q % n for q in prefix[:big_r]]
+            orb = [1]
+            for _ in range(m):
+                x = orb[-1]
+                orb.append((prefix[x % big_r] + (x // big_r) * total) % n)
+            if orb[m] != 1 or 1 in orb[1:m] or any(orb[j] != seed for j, seed in seeds.items()):
+                continue
+            if all(orb[t + p] == psi.images[orb[t]] for t in range(m - p)):
+                yield k, prefix, total
 
 
 def naive_entry_json(entry) -> str:

@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
-from itertools import product
 from math import gcd
 
 import pytest
@@ -249,11 +248,9 @@ def test_cp_search_tasks_examples():
     assert cp_search_tasks(7) == []
 
 
-@pytest.fixture(scope="module")
-def prefilter_calls():
-    """Arguments of the pre-filter calls of census(54) from an empty store
-    (the lifts of 9, 16, 18, 27, 36 and 54): every lift task takes one,
-    down to one free thread and stacks of fewer than 64 rows."""
+def _record_prefilter_calls(orders):
+    """Arguments of every pre-filter call (one per lift task) of the census
+    of each n in `orders`, in order, into one empty store."""
     calls = []
     batched = enum._batched_seed_survivors
 
@@ -261,9 +258,20 @@ def prefilter_calls():
         calls.append(args)
         return batched(*args)
 
+    store = MemoryStore()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enum, "_batched_seed_survivors", record)
-        census(54, MemoryStore())
+        for n in orders:
+            census(n, store)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def prefilter_calls():
+    """Arguments of the pre-filter calls of census(54) from an empty store
+    (the lifts of 9, 16, 18, 27, 36 and 54): every lift task takes one,
+    down to one free thread and stacks of fewer than 64 rows."""
+    calls = _record_prefilter_calls([54])
     # a few tasks of each shape (n, m, R, p, steppers, free threads, kernel order)
     by_shape = {}
     for args in calls:
@@ -273,36 +281,44 @@ def prefilter_calls():
     return [args for group in by_shape.values() for args in group[:3]]
 
 
-def _scalar_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l):
-    """(stepper index, combination) for every seed choice of every stepper
-    that `_realize_lift` keeps, stepper by stepper in `product` order."""
-    kept = []
-    for k, (psi, rows) in enumerate(zip(psis, tables)):
-        for combo in product(*pools):
-            seeds = dict(zip(free, combo))
-            seeds[0] = 1
-            value_at = {e: rows[e // p][seeds[e % p]] for e in orbit_l}
-            if enum._realize_lift(n, m, big_r, p, psi, seeds, value_at, orbit_l) is not None:
-                kept.append((k, combo))
-    return kept
+def _rows(args) -> int:
+    """The (stepper, seed combination) rows of a pre-filter call."""
+    psis, free, pools = args[4], args[5], args[6]
+    return len(psis) * len(pools[0]) ** len(free)
 
 
-def test_prefilter_matches_scalar_walk(prefilter_calls, monkeypatch):
-    # the pre-filter runs every check of _realize_lift except the final
-    # verification, which runs on its survivors; with verification
-    # stubbed out the scalar path must keep exactly the same combinations
-    # of each stepper of the stack
-    monkeypatch.setattr(enum, "_verified_of_order", lambda *args: True)
-    assert len({args[1:4] for args in prefilter_calls}) >= 4
+def _row_index(args, survivor) -> int:
+    """The index of a survivor's row in `product(range(len(psis)), product(*pools))`.
+
+    A survivor replays its seeds, so the seed of free thread j is the value
+    at position j of its orbit of 1 under f(j + k*R) = prefix[j] + k*T."""
+    n, _m, big_r, _p, _psis, free, pools, _tables, _orbit_l = args
+    k, prefix, total = survivor
+    orb = [1]
+    for _ in range(max(free)):
+        x = orb[-1]
+        orb.append((prefix[x % big_r] + (x // big_r) * total) % n)
+    index = k
+    for j, pool in zip(free, pools):
+        index = index * len(pool) + pool.index(orb[j])
+    return index
+
+
+def test_prefilter_matches_scalar_walk():
+    # on every lift task of 2..60 the pre-filter keeps exactly the rows the
+    # scalar walk of `naive_seed_survivors` keeps, with the same period sums
+    calls = _record_prefilter_calls(range(2, 61))
+    assert (len(calls), sum(map(_rows, calls))) == (84, 31054)
+    assert len({args[1:4] for args in calls}) >= 4
     # the shapes a task of one free thread or a small stack has
-    assert any(len(args[5]) == 1 for args in prefilter_calls)
-    assert any(len(args[4]) * len(args[6][0]) ** len(args[5]) < 64 for args in prefilter_calls)
+    assert any(len(args[5]) == 1 for args in calls)
+    assert any(_rows(args) < 64 for args in calls)
     kept = stacked = 0
-    for args in prefilter_calls:
-        expected = _scalar_survivors(*args)
+    for args in calls:
+        expected = list(naive_seed_survivors(*args))
         assert list(enum._batched_seed_survivors(*args)) == expected
         kept += len(expected)
-        stacked += len({k for k, _combo in expected}) > 1
+        stacked += len({k for k, _prefix, _total in expected}) > 1
     assert kept > 0
     assert stacked > 0  # some stack has survivors under two steppers
 
@@ -314,12 +330,7 @@ def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
     assert [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls] == whole
     spread = 0
     for args, found in zip(prefilter_calls, whole):
-        psis, pools = args[4], args[6]
-        index = {
-            (k, combo): i
-            for i, (k, combo) in enumerate(product(range(len(psis)), product(*pools)))
-        }
-        spread = max(spread, len({index[row] // 7 for row in found}))
+        spread = max(spread, len({_row_index(args, row) // 7 for row in found}))
     assert spread > 1  # some call yields survivors from several chunks
 
 
@@ -333,7 +344,7 @@ def test_prefilter_chunk_boundaries_inside_and_between_steppers(prefilter_calls,
         assert kord < kord**nfree  # a boundary at kord, inside stepper 0
         monkeypatch.setattr(enum, "_CHUNK", kord)
         assert list(enum._batched_seed_survivors(*args)) == found
-    assert sum(len({k for k, _combo in found}) > 1 for found in whole) > 0
+    assert sum(len({k for k, _prefix, _total in found}) > 1 for found in whole) > 0
 
 
 def test_census_builds_no_quotient_the_lift_checked(monkeypatch):
@@ -624,8 +635,9 @@ def test_cp_order_bound_is_pruning_only(monkeypatch):
 
 def test_coset_fixing_stepper_filter_is_sound(monkeypatch):
     # keep every stepper of order m/p, not only those fixing each residue
-    # mod ord(rho); every seed choice goes to the scalar acceptance, since
-    # the pre-filter requires the residue property
+    # mod ord(rho); every seed choice takes the scalar walk of
+    # `naive_seed_survivors`, since the pre-filter requires the residue
+    # property
     orders = range(2, 49)
 
     def run():
