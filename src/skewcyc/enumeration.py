@@ -53,13 +53,14 @@ whole orbit of 1 can be walked with O(1) evaluations.  The base search
 compares that walk, step by step, with the closed-form orbit its
 candidate was built from, as a guard behind a closed form of the same
 test.  The lift runs these checks on all seed combinations of all the
-steppers of a task at once (`_batched_seed_survivors`): the stepper is a
-leading axis of its tables, flattened into their columns.  Its prefix
-sums are separable, one table of partial sums per thread and stepper,
-and every orbit value has a residue mod R = ord(rho) that neither the
-seeds nor the stepper change (every stepper fixes residues, each seed
-pool is one coset, R divides T), so each walk step reads one prefix
-column for all rows.  Each survivor takes its period sums straight to
+steppers of a task at once (`_batched_seed_survivors`), iterating the
+steppers on the seeds alone (orbit position e is psi^(e//p) at the seed
+of thread e % p); the stepper is a leading axis of its tables.  Its
+prefix sums are separable, one table of partial sums per thread and
+stepper, and every orbit value has a residue mod R = ord(rho) that
+neither the seeds nor the stepper change (every stepper fixes residues,
+each seed pool is one coset, R divides T), so each walk step reads one
+prefix column for all rows.  Each survivor takes its period sums to
 `_realize_lift`, the one acceptance step of the lift: `verify`, then its
 quotient and its p-th power.  The pass is tested against the same walk
 run one row at a time (`naive_seed_survivors` in the test suite).
@@ -89,11 +90,11 @@ from .skew_core import (
     conjugates,
     equivalence_classes,
     power,
-    power_table,
     verify,
 )
 
 BRUTE_FORCE_MAX_N = 10
+MAX_JOBS = 61  # a fork-based pool starts all its workers at once; Windows caps pools at 61
 
 
 class DuplicateFoundError(AssertionError):
@@ -132,7 +133,7 @@ class OrbitTemplate:
         )
 
     def orbit_value(self, e: int) -> int:
-        """Value at orbit position e, by `power` (the search reads power tables)."""
+        """Value at orbit position e, by `power`."""
         thread, q = e % self.p, e // self.p
         seed = 1 if thread == 0 else dict(self.x)[thread + 1]
         return power(self.psi, q)[seed]
@@ -266,12 +267,10 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
             total = r * c % n
             if not _kernel_test(n, r, s, total):
                 continue
-            period = _period_sums(n, r, [1 + r * (w * sums[e] % kq) for e in exps])
-            _require(
-                period is not None and period[1] == total,
-                "the period total is r*(1 + w*sigma), with gcd r with n",
-            )
-            prefix = period[0]
+            # prefix sums of one period of orbit values: f(j + k*r) = prefix[j] + k*T
+            prefix = list(accumulate((1 + r * (w * sums[e] % kq) for e in exps), initial=0))
+            _require(prefix[r] % n == total, "the period total is r*(1 + w*sigma) (mod n)")
+            prefix = [q % n for q in prefix[:r]]
             if (*prefix, total) in known:
                 continue
             sk = _realize_candidate(n, m, r, u, w, prefix, total)
@@ -320,21 +319,6 @@ def _kernel_test(n: int, r: int, s: int, total: int) -> bool:
     survivors still get `verify`.
     """
     return pow(total // r, s - 1, n // r) == 1
-
-
-def _period_sums(n: int, r: int, terms) -> tuple[list[int], int] | None:
-    """Prefix sums of one period of orbit values, and the period total T.
-
-    The partial sums repeat with period r, so f(j + k*r) = f(j) + k*T.
-    The cp search fixes the coset pattern of the prefix sums to a
-    bijection of Z_r, so f is a bijection exactly when gcd(T, n) = r;
-    None otherwise.
-    """
-    prefix = list(accumulate(terms, initial=0))
-    total = prefix[r] % n
-    if gcd(total, n) != r:
-        return None
-    return [q % n for q in prefix[:r]], total
 
 
 def _verified_of_order(
@@ -528,9 +512,7 @@ def _lift_with_psis(
     # seed of thread j sits in the kernel coset given by pi_rho at j
     pools = [[(rho.pi[j] + t * big_r) % n for t in range(kord)] for j in free]
 
-    qmax = max(e // p for e in orbit_l)
-    tables = [power_table(psi.images, qmax + 1) for psi in psis]
-    survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l)
+    survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, orbit_l)
     results: dict[tuple[int, ...], SkewMorphism] = {}
     for k, prefix, total in survivors:
         sk = _realize_lift(n, m, big_r, p, rho, psis[k], prefix, total)
@@ -560,7 +542,6 @@ def _batched_seed_survivors(
     psis: list[SkewMorphism],
     free: list[int],
     pools: list[list[int]],
-    tables: list[list[tuple[int, ...]]],
     orbit_l: list[int],
 ):
     """Vectorised pre-filter over all seed combinations of every stepper of a task.
@@ -569,18 +550,20 @@ def _batched_seed_survivors(
     T with gcd(T, n) = R, orbit walk with first return at m, seed replay,
     psi thread relation) on every (stepper, combination) row at once, and
     yields each survivor as (index into psis, its R prefix sums mod n, T),
-    stepper by stepper in `product(*pools)` order; `tables[k]` is the
-    power table of psis[k].  The survivors go to `_realize_lift`, which
-    verifies each, so this stage can only discard, never admit.  Its
-    reference is `naive_seed_survivors` in tests/naive.py, the same walk
-    one row at a time.
+    stepper by stepper in `product(*pools)` order.  The survivors go to
+    `_realize_lift`, which verifies each, so this stage can only discard,
+    never admit.  Its reference is `naive_seed_survivors` in tests/naive.py,
+    the same walk one row at a time.
 
-    The prefix sums are separable.  Period term i depends only on the
-    stepper and the seed of thread orbit_l[i] % p, so prefix column c is
-    the part of thread 0 plus one per-thread partial sum for each free
-    thread, read from an (R+1) x nfree x kord table per stepper.  Those are
-    folded into two tables over the seed digits of the first and the
-    second half of the free threads, and the stepper axis is flattened
+    Period term i is psi^(orbit_l[i] // p) at the seed of thread
+    orbit_l[i] % p, so the pass iterates the steppers (one stack x n array
+    of images) on the seeds alone (each free thread's pool and thread 0's
+    seed 1), one gather per power; the walk's psi-thread and seed-replay
+    checks read the same two arrays.  The prefix sums are separable:
+    column c is the part of thread 0 plus one per-thread partial sum for
+    each free thread, read from an (R+1) x nfree x kord table per stepper.
+    Those are folded into two tables over the seed digits of the first and
+    the second half of the free threads, and the stepper axis is flattened
     into their columns, so a column costs two gathers per row.  The period
     total T is column R; the gcd(T, n) = R filter runs first.
 
@@ -598,17 +581,19 @@ def _batched_seed_survivors(
     nfree, kord, stack = len(free), len(pools[0]), len(psis)
     dtype = np.int32 if n < 1 << 15 else np.int64
     thread_of = {j: k for k, j in enumerate(free)}
-    # terms[s, i, k, d]: what period step i adds under stepper s when free
-    # thread k has seed digit d; slot nfree holds the steps of thread 0,
-    # whose seed is 1
+    steppers = np.asarray([psi.images for psi in psis], dtype=dtype)  # row s: psis[s]
+    # seeds[k, d]: seed digit d of free thread k; row nfree is thread 0, seeded by 1
+    seeds = np.asarray(pools + [[1] * kord], dtype=dtype)
+    # orbits[q][s, k * kord + d] = psi_s^q(seeds[k, d]), one gather per power
+    orbits = [np.tile(seeds.ravel(), (stack, 1))]
+    for _ in range(max(orbit_l) // p):
+        orbits.append(np.take_along_axis(steppers, orbits[-1], axis=1))
+    # terms[s, i, k, d]: what period step i adds under stepper s when thread
+    # slot k has seed digit d (zero for the slots other than its thread's)
     terms = np.zeros((stack, big_r, nfree + 1, kord), dtype=np.int64)
     for i, e in enumerate(orbit_l):
-        powers = np.array([table[e // p] for table in tables])  # psi_s^(e // p) for each s
-        if e % p == 0:
-            terms[:, i, nfree] = powers[:, 1, None]
-        else:
-            k = thread_of[e % p]
-            terms[:, i, k] = powers[:, pools[k]]
+        k = thread_of.get(e % p, nfree)
+        terms[:, i, k] = orbits[e // p][:, k * kord : (k + 1) * kord]
     sums = np.zeros((stack, big_r + 1, nfree + 1, kord), dtype=np.int64)
     np.cumsum(terms, axis=1, out=sums[:, 1:])
     sums %= n
@@ -633,8 +618,6 @@ def _batched_seed_survivors(
     lo_sums = fold(np.zeros((stack, big_r + 1, 1), dtype=np.int64), range(half, nfree))
     # seed digit k of a row is hi // place[k] % kord for k < half, else lo // place[k] % kord
     place = [kord ** ((half if k < half else nfree) - 1 - k) for k in range(nfree)]
-    pools_np = np.asarray(pools, dtype=dtype)
-    psis_np = np.asarray([psi.images for psi in psis], dtype=dtype).ravel()  # psis[s] at s * n
     valid_total = np.gcd(np.arange(n), n) == big_r
 
     rows = stack * hi_size * lo_size
@@ -657,13 +640,13 @@ def _batched_seed_survivors(
             else:
                 live = o != 1
                 if t >= p:
-                    live &= o == psis_np[hi // hi_size * n + last[t % p]]
+                    live &= o == steppers[hi // hi_size, last[t % p]]
                     last[t % p] = o
                 else:
                     if t in thread_of:
                         k = thread_of[t]
                         digits = hi if k < half else lo
-                        live &= o == pools_np[k, digits // place[k] % kord]
+                        live &= o == seeds[k, digits // place[k] % kord]
                     last.append(o)
             if not live.all():
                 hi, lo, tot, o = hi[live], lo[live], tot[live], o[live]
@@ -685,7 +668,15 @@ def _realize_lift(
 ) -> SkewMorphism | None:
     """The candidate with period sums `prefix` and `total` (see
     `_verified_of_order`) when it is a lift of rho with stepper psi: fully
-    verified, of order m, with quotient rho and f^p = psi; None otherwise."""
+    verified, of order m, with quotient rho and f^p = psi; None otherwise.
+
+    The quotient check rejects none of the 4,490 survivors of 2..161.  It
+    guards a rho that is not skew, like the one known input it rejects: the
+    rho0 of `test_a_source_without_lifts_claims_no_orbit`, which keeps the
+    orbit of 1 and the pi of a source.  A skew morphism is fixed by those,
+    f(k + 1) = f(k) + f^(pi(k))(1), so rho0 is never a census source.
+    Whether the check can reject a candidate for a skew rho is open.
+    """
     sk = _verified_of_order(n, m, big_r, prefix, total)
     if sk is None or quotient_of(sk).images != rho.images or power(sk, p) != psi.images:
         return None
@@ -780,11 +771,11 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
 
 
 def census_range(store, max_n: int, *, jobs: int = 1, progress=None) -> None:
-    """Compute and persist censuses for every order 2..max_n in sequence."""
+    """Compute and persist censuses for 2..max_n in order, with 1..MAX_JOBS workers."""
     if max_n < 2:
         raise ValueError(f"expected max_n >= 2, got {max_n}")
-    if jobs < 1:
-        raise ValueError(f"expected jobs >= 1, got {jobs}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"expected 1 <= jobs <= {MAX_JOBS}, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

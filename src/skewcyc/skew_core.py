@@ -148,6 +148,7 @@ def _check_permutation(n: int, images: tuple[int, ...]) -> None:
         raise IdentityNotFixedError(f"images[0] = {images[0]} != 0")
 
 
+# unused here; perfbench/layers.py traces skew_core.power_table by name
 def power_table(images: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
     """The iterates f^0, ..., f^{count-1} as image tuples.
 

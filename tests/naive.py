@@ -271,14 +271,14 @@ def naive_census(n: int, store):
     return _finalize_census(n, list(collected.values()), classes)
 
 
-def naive_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l):
+def naive_seed_survivors(n, m, big_r, p, psis, free, pools, orbit_l):
     """The scalar reference of `_batched_seed_survivors`, with its signature
     and its output: (stepper index, the R prefix sums mod n, the period
     total T) for each (stepper, seed combination) whose orbit of 1 passes
     the walk, stepper by stepper in `product(*pools)` order.
 
     Each row lays out its orbit values with `OrbitTemplate.orbit_value`
-    (and checks them against the power table `tables[k]`), and sums them
+    (and checks them against the rows of `naive_power_table`), and sums them
     over one period.  It is kept when gcd(T, n) = R and the orbit of 1
     under f(j + k*R) = prefix[j] + k*T returns first at m, passes the seed
     of each free thread j at position j, and follows psi from each thread
@@ -287,7 +287,8 @@ def naive_seed_survivors(n, m, big_r, p, psis, free, pools, tables, orbit_l):
     residue mod R = ord(rho)).
     """
     needed = frozenset(orbit_l)
-    for k, (psi, rows) in enumerate(zip(psis, tables)):
+    for k, psi in enumerate(psis):
+        rows = naive_power_table(psi.images, max(orbit_l) // p + 1)
         for combo in product(*pools):
             seeds = dict(zip(free, combo))
             slots = tuple((j + 1, seed) for j, seed in seeds.items())

@@ -275,7 +275,7 @@ def prefilter_calls():
     # a few tasks of each shape (n, m, R, p, steppers, free threads, kernel order)
     by_shape = {}
     for args in calls:
-        n, m, big_r, p, psis, free, pools, _tables, _orbit_l = args
+        n, m, big_r, p, psis, free, pools, _orbit_l = args
         shape = (n, m, big_r, p, len(psis), len(free), len(pools[0]))
         by_shape.setdefault(shape, []).append(args)
     return [args for group in by_shape.values() for args in group[:3]]
@@ -292,7 +292,7 @@ def _row_index(args, survivor) -> int:
 
     A survivor replays its seeds, so the seed of free thread j is the value
     at position j of its orbit of 1 under f(j + k*R) = prefix[j] + k*T."""
-    n, _m, big_r, _p, _psis, free, pools, _tables, _orbit_l = args
+    n, _m, big_r, _p, _psis, free, pools, _orbit_l = args
     k, prefix, total = survivor
     orb = [1]
     for _ in range(max(free)):

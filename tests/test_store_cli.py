@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -409,6 +410,7 @@ class TestCli:
             (["families", "--p", "4"], ""),
             (["verify", "--n", "0", "--perm", "0"], ""),
             (["census", "--max", "6", "--jobs", "-3"], ""),
+            (["census", "--max", "4", "--jobs", "100000"], "jobs <= 61"),
             (["table", "--from", "5", "--to", "2"], ""),
             (["census", "--max", "1"], ""),
             (["check", "--max", "1"], ""),
@@ -421,6 +423,7 @@ class TestCli:
             "families-p4",
             "verify-n0",
             "census-jobs-negative",
+            "census-jobs-above-bound",
             "table-empty-range",
             "census-max-1",
             "check-max-1",
@@ -433,6 +436,12 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys, argv, expect
     ):
         monkeypatch.setenv("SKEWCYC_STORE", str(tmp_path / "s"))
+
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a rejected --jobs must not reach the worker pool")
+
+        # a pool of 100,000 workers would fork them all at its first task
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
