@@ -24,9 +24,9 @@ Strategy, for each n (recursively over smaller orders):
    searched; it builds the class (`conjugates`) of each solution it meets
    first.  Every member of a class is fixed by its first r + 1 images, so
    a candidate whose period sums match those of a built member is skipped
-   before its orbit is walked.  The classes hold the solutions of every
-   task of <s>, built by gathers, and each class is checked to meet
-   exactly those tasks.
+   before it is verified.  The classes hold the solutions of every task
+   of <s>, built by gathers, and each class is checked to meet exactly
+   those tasks.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -37,33 +37,34 @@ Strategy, for each n (recursively over smaller orders):
    sums run over the exponent list L_i = rho^i(1).  Only orbit
    positions in {L_i} are needed, which prunes most free seeds.
    Conjugating f by a unit t only changes the generator its quotient is
-   taken for: Q(t*f*t^{-1}) is the quotient of f for t^{-1}, which
-   `quotient_for_generator` computes from rho alone.  So the sources that
-   pass the lift gate (`_can_lift`) are grouped into conjugation orbits,
-   only one rho per orbit is lifted, and its lifts are closed into
-   conjugation classes by `equivalence_classes`, which hold the lifts of
-   the whole orbit, built by gathers and not verified again; each class
-   is checked to have exactly the quotients of the orbit.  These classes
-   and the coset-preserving ones number the census's class ids.
+   taken for: Q(t*f*t^{-1}) is the quotient of f for t^{-1}, which is
+   rho^(t^{-1}) (proved in `quotient`).  So the sources that pass the
+   lift gate (`_can_lift`) are grouped by the generators of their cyclic
+   group <rho> (`_lift_orbits`), only one rho per group is lifted, and
+   its lifts are closed into conjugation classes by
+   `equivalence_classes`, which hold the lifts of the whole group, built
+   by gathers and not verified again; each class is checked to have
+   exactly the generators of <rho> as its quotients.  These classes and
+   the coset-preserving ones number the census's class ids.
 
 Candidate filtering before full verification exploits the period-r
 structure of the partial sums: with T the sum over one period, the
 candidate is a bijection iff gcd(T, n) equals the kernel index, and the
 whole orbit of 1 can be walked with O(1) evaluations.  The base search
-compares that walk, step by step, with the closed-form orbit its
-candidate was built from, as a guard behind a closed form of the same
-test.  The lift runs these checks on all seed combinations of all the
-steppers of a task at once (`_batched_seed_survivors`), iterating the
-steppers on the seeds alone (orbit position e is psi^(e//p) at the seed
-of thread e % p); the stepper is a leading axis of its tables.  Its
-prefix sums are separable, one table of partial sums per thread and
-stepper, and every orbit value has a residue mod R = ord(rho) that
-neither the seeds nor the stepper change (every stepper fixes residues,
-each seed pool is one coset, R divides T), so each walk step reads one
-prefix column for all rows.  Each survivor takes its period sums to
-`_realize_lift`, the one acceptance step of the lift: `verify`, then its
-quotient and its p-th power.  The pass is tested against the same walk
-run one row at a time (`naive_seed_survivors` in the test suite).
+decides that walk in closed form, in (u, w) alone; the step-by-step walk
+is its oracle in the test suite (`naive_cp_base_search`).  The lift runs
+these checks on all seed combinations of all the steppers of a task at
+once (`_batched_seed_survivors`), iterating the steppers on the seeds
+alone (orbit position e is psi^(e//p) at the seed of thread e % p); the
+stepper is a leading axis of its tables.  Its prefix sums are separable,
+one table of partial sums per thread and stepper, and every orbit value
+has a residue mod R = ord(rho) that neither the seeds nor the stepper
+change (every stepper fixes residues, each seed pool is one coset, R
+divides T), so each walk step reads one prefix column for all rows.
+Each survivor takes its period sums to `_realize_lift`, the one
+acceptance step of the lift: `verify`, then its quotient and its p-th
+power.  The pass is tested against the same walk run one row at a time
+(`naive_seed_survivors` in the test suite).
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -80,7 +81,7 @@ from itertools import product  # unused here; perfbench/layers.py traces enumera
 from math import gcd
 
 from .cyclic_arith import euler_phi, factorize, mult_order, units
-from .quotient import generator_orbit, quotient_for_generator, quotient_of
+from .quotient import generator_orbit, quotient_of
 from .skew_core import (
     Orbit,
     SkewMorphism,
@@ -232,7 +233,9 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     `_kernel_test` on T = r*c.  Only then are the period sums built, and
     a pair that passes all four reaches `_realize_candidate`, in (u, w)
     order, unless it is a member of a class built already; no orbit is
-    walked to find them.
+    walked to find them.  A pair that passes them is a solution of the
+    task exactly when `verify` accepts its candidate with order m and
+    quotient alpha_s, which `_realize_candidate` checks.
 
     Each class is built (`conjugates`) from its first solution in (u, w)
     order, its first key.  Every member g has the kernel rZ_n of f, so
@@ -240,7 +243,7 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     is additive): its images are fixed by images[:r+1], and those of the
     candidate are prefix sums and T.  So `known` holds the images[:r+1] of
     every member, and a candidate whose (prefix, T) is there is skipped
-    before its orbit is walked, being a solution already there or a
+    before it is verified, being a solution already there or a
     member of another task of <s> (see `_coset_preserving`), which fails
     the quotient check.  This task's members are those with pi(1) = s (mod m).
     """
@@ -273,8 +276,8 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
             prefix = [q % n for q in prefix[:r]]
             if (*prefix, total) in known:
                 continue
-            sk = _realize_candidate(n, m, r, u, w, prefix, total)
-            if sk is None or quotient_of(sk).images != alpha:
+            sk = _realize_candidate(n, m, r, prefix, total, alpha)
+            if sk is None:
                 continue
             _require(sk.kernel_order == kq, "a solution has the kernel rZ_n")
             orbit = conjugates(sk)
@@ -284,24 +287,21 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
 
 
 def _realize_candidate(
-    n: int, m: int, r: int, u: int, w: int, prefix: list[int], total: int
+    n: int, m: int, r: int, prefix: list[int], total: int, alpha: tuple[int, ...]
 ) -> SkewMorphism | None:
-    """f from its period sums, f(j + k*r) = prefix[j] + k*T with T = `total`,
-    once its orbit of 1 is walked against z -> u*z + w on Z_(n/r).
+    """The candidate with period sums `prefix` and `total` (see
+    `_verified_of_order`) when it is a solution of its task: fully
+    verified, of order m, with quotient alpha_s (images `alpha`); None
+    otherwise.
 
     `_cp_base_search` sends only pairs that pass its closed forms for
     bijectivity and the orbit replay and the kernel test, and that no
-    built class holds (see there); the walk checks the replay again, as a
-    guard, and the survivors get the full verification.
+    built class holds (see there).
     """
-    kq = n // r
-    x, z = 1, 0
-    for _ in range(m):
-        x = (prefix[x % r] + (x // r) * total) % n
-        z = (u * z + w) % kq
-        if x != 1 + r * z:
-            return None
-    return _verified_of_order(n, m, r, prefix, total)
+    sk = _verified_of_order(n, m, r, prefix, total)
+    if sk is None or quotient_of(sk).images != alpha:
+        return None
+    return sk
 
 
 def _kernel_test(n: int, r: int, s: int, total: int) -> bool:
@@ -345,17 +345,16 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
     the conjugation classes of the proper ones.
 
     For a unit t of Z_n and a solution f of the task (m, s), conjugation
-    gives Q(t*f*t^{-1}) = Q^(t^{-1})(f) (see `quotient_for_generator`),
-    and by law (a) the quotient of f for a generator u is alpha_(s^u).
-    With r = ord_m(s), t^{-1} mod r runs over every unit v of Z_r, so the
-    class of f meets exactly the tasks {(m, s^v) : v a unit of Z_r}, the
-    group of s.  Only the least s of each group is searched, and the
-    search returns the classes it builds (`_cp_base_search`); each class
-    is checked to meet exactly the tasks of its group.  The searches are
-    independent; with an executor they fan out to worker processes and
-    are merged back in task order.  The result is sorted, and class ids
-    number the classes by their least member, so neither the task order
-    nor scheduling changes the output.
+    gives Q(t*f*t^{-1}) = Q(f)^(t^{-1}) (proved in `quotient`), and
+    alpha_s^u = alpha_(s^u).  With r = ord_m(s), t^{-1} mod r runs over
+    every unit v of Z_r, so the class of f meets exactly the tasks
+    {(m, s^v) : v a unit of Z_r}, the group of s.  Only the least s of
+    each group is searched, and the search returns the classes it builds
+    (`_cp_base_search`); each class is checked to meet exactly the tasks
+    of its group.  The searches are independent; with an executor they
+    fan out to worker processes and are merged back in task order.  The
+    result is sorted, and class ids number the classes by their least
+    member, so neither the task order nor scheduling changes the output.
     """
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
@@ -379,7 +378,11 @@ def _search_groups(n: int) -> list[tuple[int, int, set[int]]]:
     """The tasks of `cp_search_tasks(n)` grouped by the cyclic subgroup <s>:
     (m, s, {s^v mod m : v a unit of Z_r}) with s the least of its group,
     sorted by r = ord_m(s), so that the tasks of one kernel order n/r run
-    one after another and share its `_unit_partial_sums`."""
+    one after another and share its `_unit_partial_sums`.
+
+    This is the grouping of `_lift_orbits` at rho = alpha_s: the
+    generators of <alpha_s> are alpha_s^v = alpha_(s^v).  The tasks are
+    grouped by the integers s^v, which cost less than building alpha_s."""
     placed: set[tuple[int, int]] = set()
     groups = []  # (r, m, s, group)
     for m, s in cp_search_tasks(n):
@@ -463,7 +466,7 @@ def _can_lift(rho: SkewMorphism, n: int) -> bool:
       elements (see `psi_candidates`).
 
     Every such f also has f(k) = sig_k (mod R), sig_k = sum_{i<k}
-    pi_rho(rho^i(1)) (`quotient_for_generator`'s fbar), and permutes the
+    pi_rho(rho^i(1)) (f induces Q(rho) on Z_n/K), and permutes the
     cosets of K, so sig_0, ..., sig_(R-1) is a bijection of Z_R and
     sig_R = 0 (mod R).  That needs no check: it holds for every skew rho.
     - sig_0, ..., sig_(R-1) are the images of `quotient_of(rho)`, a skew
@@ -690,40 +693,26 @@ def lift_sources(n: int, store) -> list[SkewMorphism]:
     return [rho for record in records for rho in record.proper() if _can_lift(rho, n)]
 
 
-def _lift_orbits(
-    n: int, sources: list[SkewMorphism]
-) -> list[tuple[SkewMorphism, set[tuple[int, ...]]]]:
-    """The sources grouped into conjugation orbits: (rho, the images of
-    every source in its orbit, rho's own included).
+def _lift_orbits(sources: list[SkewMorphism]) -> list[tuple[SkewMorphism, set[tuple[int, ...]]]]:
+    """The sources grouped by the generators of their cyclic group: (rho,
+    the images of rho^v for every unit v of Z_R, R = ord(rho)).
 
-    For a unit u of Z_n, the lifts of rho conjugated by t = u^{-1} have the
-    quotient rho' = `quotient_for_generator(rho, u)` (which depends on
-    u mod ord(rho) only).  rho' joins the orbit of rho only when, in turn,
-    the same formula sends rho' back to rho under u^{-1}: then conjugating
-    by u maps every lift of rho' to a lift of rho, so conjugation by t is a
-    bijection L(rho) -> L(rho'), and an empty L(rho) leaves rho' none.
-    Each source is in one orbit, led by its first source in the source order.
+    For a unit t of Z_n, the quotient of t*f*t^{-1} is Q(f)^(t^{-1})
+    (proved in `quotient`), so the lifts of rho, conjugated, have exactly
+    the generators of <rho> as their quotients: R | n (`_can_lift`), so
+    t^{-1} mod R runs over every unit of Z_R.  And if rho' = rho^v has a
+    lift f', then t*f'*t^{-1} with t^{-1} = v^{-1} (mod R) is a lift of
+    rho, so an empty L(rho) leaves every generator of <rho> without one.
+    The generators of two cyclic groups are equal or disjoint, so each
+    source is in one group, led by its first source in the source order.
     """
-    by_images = {rho.images: rho for rho in sources}
-    units_n = units(n)
     placed: set[tuple[int, ...]] = set()
     orbits = []
     for rho in sources:
-        if rho.images in placed:
-            continue
-        orbit = {rho.images}
-        unit_of: dict[int, int] = {}  # a unit of Z_n for each unit of Z_R
-        for u in units_n:
-            unit_of.setdefault(u % rho.order, u)
-        for u in unit_of.values():
-            images = quotient_for_generator(rho, u)
-            other = by_images.get(images)
-            if other is None or images in placed or images in orbit:
-                continue
-            if quotient_for_generator(other, pow(u, -1, n)) == rho.images:
-                orbit.add(images)
-        placed |= orbit
-        orbits.append((rho, orbit))
+        if rho.images not in placed:
+            orbit = {power(rho, v) for v in units(rho.order)}
+            placed |= orbit
+            orbits.append((rho, orbit))
     return orbits
 
 
@@ -731,14 +720,16 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
     """All skew morphisms of Z_n, computing and persisting smaller orders on demand.
 
     The sources (`lift_sources`) pass the lift gate (`_can_lift`) before
-    they are grouped into conjugation orbits (`_lift_orbits`).  A source
-    that fails the gate has no lift.  Conjugation maps the lifts of one
-    orbit member one-to-one onto those of another, so an orbit that has
-    lifts passes the gate whole.  Only one quotient per orbit is lifted;
-    its lifts are closed into conjugation classes by `equivalence_classes`,
-    and each class is checked to have exactly the quotients of the orbit
-    (a member the lift returned counts as rho's, which `_lift_with_psis`
-    checked; every other member has its quotient built).  Those classes
+    they are grouped by the generators of their cyclic group <rho>
+    (`_lift_orbits`).  A source that fails the gate has no lift.
+    Conjugation maps the lifts of one generator one-to-one onto those of
+    another, so a group that has lifts passes the gate whole.  Only one
+    quotient per group is lifted; its lifts are closed into conjugation
+    classes by `equivalence_classes`, and each class is checked to have
+    exactly the generators of <rho> as its quotients (a member the lift
+    returned counts as rho's, which `_lift_with_psis` checked; every
+    other member has its quotient built), a check at run time of the
+    theorem Q(t*f*t^{-1}) = Q(f)^(t^{-1}) of `quotient`.  Those classes
     and the coset-preserving ones (`_coset_preserving`) are all the
     classes of proper morphisms, and number the class ids.  With an
     executor, the independent base-search and lift tasks run on worker
@@ -752,7 +743,7 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
 
     cp, classes = _coset_preserving(n, executor)
     collected = {sk.images: sk for sk in cp}
-    orbits = _lift_orbits(n, lift_sources(n, store))
+    orbits = _lift_orbits(lift_sources(n, store))
     tasks = [(rho, n, psi_candidates(rho, n, cp)) for rho, _orbit in orbits]
     batches = (map if executor is None else executor.map)(_lift_task, tasks)
     message = "a class of lifts must have exactly the quotients of its source's orbit"

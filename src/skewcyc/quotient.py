@@ -10,9 +10,26 @@ form by partial sums of power-function values:
 The quotient classifies f: it is the identity exactly when f is an
 automorphism, and (for proper f) a non-trivial automorphism exactly
 when f is coset-preserving.  `check_quotient_laws` exposes the three
-compatibility laws between f and Q as a checkable report, and
-`quotient_for_generator` uses them to compute the quotient for any other
-generator from the quotient for 1 alone.
+compatibility laws between f and Q as a checkable report.
+
+The quotient for any other generator is a power of the quotient for 1:
+Q_u(f) = Q(f)^u for every unit u of Z_n.  Proof: let rho = Q(f) on Z_m,
+R = ord(rho) and sigma = Q(rho) on Z_R.
+1. By law (a), pi_f(a) = rho^a(1) (mod m).  The kernel K of f has order
+   n/R, and f induces sigma on Z_n/K = Z_R (laws (a) and (c); this is
+   the sig_k of `enumeration._can_lift`), so f^i(u) = sigma^i(u) (mod R)
+   and Q_u(f)(k) = sum_{i<k} pi_f(f^i(u)) = sum_{i<k} rho^(sigma^i(u))(1).
+2. Iterating rho's skew identity gives rho^j(a + b) = rho^j(a) +
+   rho^(P(j, a))(b) with P(j, a) = sum_{t<j} pi_rho(rho^t(a)).  Applied
+   twice, to (a + b) + c and to a + (b + c), it gives P(j, a + b) =
+   P(P(j, a), b) (mod R).  Also P(x, 1) = sigma(x) and P(u, 0) = u, so
+   P(u, i) = sigma^i(u).
+3. Hence rho^u(k) = rho^u(k - 1) + rho^(P(u, k-1))(1) unwinds to
+   rho^u(k) = sum_{i<k} rho^(sigma^i(u))(1) = Q_u(f)(k).
+For a unit t of Z_n, g = t*f*t^{-1} has pi_g(a) = pi(t^{-1} a) and
+g^i(1) = t*f^i(t^{-1}) (see `skew_core.conjugates`), so the quotient of
+t*f*t^{-1} is Q_(t^{-1})(f) = rho^(t^{-1}): conjugation moves a quotient
+only among the generators of the cyclic group <rho>.
 
 Many morphisms share a quotient: the 24,385 skew morphisms of Z_n for
 n in 2..161 have 1,312 distinct quotients for the generator 1.  `verify`
@@ -25,7 +42,6 @@ still run on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import gcd
 
 from .skew_core import (
@@ -75,40 +91,6 @@ def quotient_of(phi: SkewMorphism, g: int = 1) -> SkewMorphism:
             "automorphism quotient iff coset-preserving (proper case)",
         )
     return q
-
-
-def quotient_for_generator(rho: SkewMorphism, u: int) -> tuple[int, ...]:
-    """Images of the quotient for the generator u of any f whose quotient
-    for the generator 1 is rho, computed from rho alone.
-
-    Theorem: let m = rho.n = ord(f), R = ord(rho) and c_y = rho^y(1).  Law
-    (a) gives pi(a) = c_(a mod R) (mod m), and law (c) gives
-    f^j(1) = pi_rho(j) (mod R).  The kernel of f is the subgroup of order
-    n/R, so f maps the coset x + K to f(x) + K, and
-    f(x) = sum_{y<x} f^(pi(y))(1) gives the induced map on Z_R,
-    fbar(x) = sum_{y<x} pi_rho(c_y) (mod R).  Then f^i(u) = x_i (mod R)
-    with x_0 = u mod R, x_(i+1) = fbar(x_i), and
-    Q^(u)(k) = sum_{i<k} pi(f^i(u)) = sum_{i<k} c_(x_i)   (mod m).
-    The value depends on u mod R only.  For a unit t of Z_n, g = t*f*t^{-1}
-    has pi_g(a) = pi(t^{-1} a) and g^i(1) = t*f^i(t^{-1}) (see
-    `skew_core.conjugates`), so Q(g)(k) = sum_{i<k} pi(f^i(t^{-1})): the
-    quotient of t*f*t^{-1} is Q^(t^{-1})(f).  For a rho with no lift the
-    result is only a tuple of m residues.
-    """
-    m, big_r = rho.n, rho.order
-    if gcd(u, big_r) != 1:
-        raise ValueError(f"{u} is not a unit mod {big_r}")
-    c = [1 % m]
-    for _ in range(big_r - 1):
-        c.append(rho.images[c[-1]])
-    fbar = list(accumulate((rho.pi[y] for y in c), initial=0))
-    imgs = []
-    acc, x = 0, u % big_r
-    for _ in range(m):
-        imgs.append(acc % m)
-        acc += c[x]
-        x = fbar[x] % big_r
-    return tuple(imgs)
 
 
 @dataclass

@@ -54,7 +54,8 @@ class StoreError(Exception):
 
 
 class UnusableStoreError(StoreError):
-    """The store path is not a directory, or no census can be written there."""
+    """The store path is not a directory, or a census cannot be read or
+    written there."""
 
 
 class NotComputedError(StoreError):
@@ -62,7 +63,7 @@ class NotComputedError(StoreError):
 
 
 class SchemaMismatchError(StoreError):
-    """Stored file uses an unknown schema version or is not valid JSONL."""
+    """Stored file uses an unknown schema version or is not valid UTF-8 JSONL."""
 
 
 class VerificationFailedOnLoadError(StoreError):
@@ -218,8 +219,9 @@ class Store:
     concurrent writers of one order never share it; readers check every
     line on first load (see the module docstring) and are served from the
     cache afterwards.  The directory is made by the first save, so reading
-    never creates it; a path that is not a directory, or where no file can
-    be made, raises `UnusableStoreError`.
+    never creates it; a path that is not a directory, where no file can
+    be made, or whose census file cannot be read, raises
+    `UnusableStoreError`.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -267,8 +269,14 @@ class Store:
         path = self.path_for(n)
         if not path.exists():
             raise NotComputedError(f"no census stored for n={n} in {self.directory}")
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise UnusableStoreError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatchError(f"{path}: {exc}") from exc
         lines = []
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"

@@ -20,7 +20,7 @@ from skewcyc.enumeration import (
     lift,
 )
 from skewcyc.quotient import quotient_of
-from skewcyc.skew_core import InternalCheckError, equivalence_classes, verify
+from skewcyc.skew_core import InternalCheckError, equivalence_classes, power, verify
 from skewcyc.store import MemoryStore, Store
 
 from naive import (
@@ -213,16 +213,37 @@ def test_orbit_lifts_match_one_lift_per_source():
         ], n
         assert got.class_ids == expected.class_ids, n
         sources = enum.lift_sources(n, store)
-        conjugated += len(sources) - len(enum._lift_orbits(n, sources))
+        conjugated += len(sources) - len(enum._lift_orbits(sources))
     assert conjugated > 0
+
+
+def test_lift_orbits_are_the_generators_of_each_cyclic_group():
+    # the quotients of the conjugates of a lift of rho are the generators
+    # rho^v of <rho>, v a unit of Z_R: each group has phi(R) members, all
+    # of them sources, and every source is in exactly one group
+    store = MemoryStore()
+    groups = 0
+    for n in range(2, 61):
+        sources = enum.lift_sources(n, store)
+        images = {rho.images for rho in sources}
+        seen = []
+        for rho, orbit in enum._lift_orbits(sources):
+            assert orbit == {power(rho, v) for v in units(rho.order)}, (n, rho.images)
+            assert len(orbit) == euler_phi(rho.order), (n, rho.images)
+            assert orbit <= images, (n, rho.images)
+            seen += orbit
+            groups += 1
+        assert sorted(seen) == sorted(images), n
+    assert groups > 0
 
 
 @pytest.mark.parametrize("n", [27, 32])
 def test_a_source_without_lifts_claims_no_orbit(monkeypatch, n):
     # rho0 agrees with a lifted rho on the orbit of 1 and on pi but not
-    # elsewhere, so it has the same formula images and no lift; only the
-    # check that each image maps back to rho0 keeps it from claiming the
-    # orbit of rho, whose lifts would then be lost
+    # elsewhere, and has no lift.  It cannot claim the group of rho, whose
+    # lifts would then be lost: rho = rho0^u, u a unit mod the order of
+    # rho0, would make rho0 = rho^(u^-1), a generator of <rho> and so the
+    # quotient of a conjugate of a lift, skew, which rho0 is not
     store = MemoryStore()
     expected = naive_census(n, store)
     sources = enum.lift_sources(n, store)

@@ -5,8 +5,8 @@ import pytest
 
 from skewcyc.cyclic_arith import units
 from skewcyc.enumeration import census
-from skewcyc.quotient import check_quotient_laws, quotient_for_generator, quotient_of
-from skewcyc.skew_core import automorphism_of, verify
+from skewcyc.quotient import check_quotient_laws, quotient_of
+from skewcyc.skew_core import automorphism_of, power, verify
 from skewcyc.store import MemoryStore
 
 from naive import naive_conjugate
@@ -61,20 +61,18 @@ def proper_up_to_60():
 
 
 class TestQuotientForGenerator:
+    """The quotient for the generator u is the u-th power of the quotient
+    for 1, Q_u(f) = Q(f)^u (proved in the `quotient` module docstring)."""
+
     def test_example(self):
-        # PHI6 has quotient (0, 2, 1) on Z_3; for the generator 5 the orbit
-        # 5, 1, 3 meets pi = 2, 2, 1, so Q = (0, 2, 1) again
+        # PHI6 has quotient (0, 2, 1) on Z_3, of order 2; for the generator
+        # 5 the orbit 5, 1, 3 meets pi = 2, 2, 1, so Q = (0, 2, 1)^5 again
         rho = quotient_of(PHI6)
-        assert quotient_for_generator(rho, 5) == quotient_of(PHI6, 5).images == (0, 2, 1)
+        assert power(rho, 5) == quotient_of(PHI6, 5).images == (0, 2, 1)
 
     def test_identity_quotient_for_every_generator(self):
-        assert quotient_for_generator(verify(4, (0, 1, 2, 3)), 3) == (0, 1, 2, 3)
-        assert quotient_for_generator(verify(1, (0,)), 7) == (0,)
-
-    def test_rejects_non_unit_mod_the_order(self):
-        # ord of (0, 2, 1) is 2, so 2 is no unit of Z_2
-        with pytest.raises(ValueError):
-            quotient_for_generator(quotient_of(PHI6), 2)
+        assert power(verify(4, (0, 1, 2, 3)), 3) == (0, 1, 2, 3)
+        assert power(verify(1, (0,)), 7) == (0,)
 
     def test_equals_quotient_of_for_every_unit(self, proper_up_to_60):
         pairs = 0
@@ -82,10 +80,7 @@ class TestQuotientForGenerator:
             for phi in proper:
                 rho = quotient_of(phi)
                 for u in units(n):
-                    assert quotient_for_generator(rho, u) == quotient_of(phi, u).images, (
-                        phi.images,
-                        u,
-                    )
+                    assert power(rho, u) == quotient_of(phi, u).images, (phi.images, u)
                     pairs += 1
         assert pairs == 32040
 

@@ -362,6 +362,34 @@ class TestCli:
             assert "census_13.jsonl:" in lines[0], argv
 
     @pytest.mark.parametrize(
+        "make_unreadable",
+        [
+            lambda path: (path.unlink(), path.mkdir()),
+            lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes()),
+        ],
+        ids=["a-directory", "not-utf-8"],
+    )
+    def test_unreadable_store_file_is_one_error_line(self, tmp_path, capsys, make_unreadable):
+        # a census file that cannot be read as text names itself in one
+        # error line; census prints the orders below 13 before it reads 13
+        store_dir = tmp_path / "s"
+        assert cli.main(["census", "--max", "13", "--store", str(store_dir)]) == 0
+        make_unreadable(store_dir / "census_13.jsonl")
+        capsys.readouterr()
+        for argv in (
+            ["show", "--n", "13"],
+            ["table", "--from", "2", "--to", "13"],
+            ["check", "--max", "13"],
+            ["census", "--max", "13"],
+        ):
+            assert cli.main([*argv, "--store", str(store_dir)]) == 1, argv
+            captured = capsys.readouterr()
+            assert argv[0] == "census" or captured.out == "", argv
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
+            assert "census_13.jsonl:" in lines[0], argv
+
+    @pytest.mark.parametrize(
         "damage, expect",
         [
             (lambda lines: _set(lines, _members(lines)[0], class_id=1), ":5: not a member"),
