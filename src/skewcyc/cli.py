@@ -102,7 +102,10 @@ def cmd_census(args: argparse.Namespace) -> int:
             f"[{tag}, {seconds:.2f}s]"
         )
 
-    census_range(store, args.max, jobs=args.jobs, progress=progress)
+    # --jobs is bounded for compatibility, then ignored; census_range reports a bad --max first
+    if args.max >= 2 and not 1 <= args.jobs <= 61:
+        raise ValueError(f"expected 1 <= jobs <= 61, got {args.jobs}")
+    census_range(store, args.max, progress=progress)
     return EXIT_OK
 
 

@@ -72,7 +72,6 @@ permutations) for small n in the test suite.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,7 +94,6 @@ from .skew_core import (
 )
 
 BRUTE_FORCE_MAX_N = 10
-MAX_JOBS = 61  # a fork-based pool starts all its workers at once; Windows caps pools at 61
 
 
 class DuplicateFoundError(AssertionError):
@@ -336,7 +334,7 @@ def _verified_of_order(
 
 def enumerate_coset_preserving(n: int, *, executor=None) -> list[SkewMorphism]:
     """All coset-preserving skew morphisms of Z_n (automorphisms included),
-    sorted by images (see `_coset_preserving`)."""
+    sorted by images (see `_coset_preserving`, also for `executor`)."""
     return _coset_preserving(n, executor)[0]
 
 
@@ -351,8 +349,9 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
     {(m, s^v) : v a unit of Z_r}, the group of s.  Only the least s of
     each group is searched, and the search returns the classes it builds
     (`_cp_base_search`); each class is checked to meet exactly the tasks
-    of its group.  The searches are independent; with an executor they
-    fan out to worker processes and are merged back in task order.  The
+    of its group.  The searches are independent; with an executor (no
+    path in `src/` passes one, the benchmark's pooled phases do) they fan
+    out to worker processes and are merged back in task order.  The
     result is sorted, and class ids number the classes by their least
     member, so neither the task order nor scheduling changes the output.
     """
@@ -405,6 +404,7 @@ def _merge(found: dict[tuple[int, ...], SkewMorphism], classes: list[Orbit], whe
             found[images] = sk
 
 
+# the picklable tasks of `executor.map`, used only when an executor is passed
 def _cp_task(args: tuple[int, int, int]) -> list[Orbit]:
     return _cp_base_search(*args)
 
@@ -732,7 +732,8 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
     theorem Q(t*f*t^{-1}) = Q(f)^(t^{-1}) of `quotient`.  Those classes
     and the coset-preserving ones (`_coset_preserving`) are all the
     classes of proper morphisms, and number the class ids.  With an
-    executor, the independent base-search and lift tasks run on worker
+    executor (no path in `src/` passes one, the benchmark's pooled phases
+    do), the independent base-search and lift tasks run on worker
     processes; merging happens in task order and the final record is
     sorted, so output is identical to the serial path.
     """
@@ -761,25 +762,16 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
     return record
 
 
-def census_range(store, max_n: int, *, jobs: int = 1, progress=None) -> None:
-    """Compute and persist censuses for 2..max_n in order, with 1..MAX_JOBS workers."""
+def census_range(store, max_n: int, *, progress=None) -> None:
+    """Compute and persist censuses for 2..max_n in order, in this process."""
     if max_n < 2:
         raise ValueError(f"expected max_n >= 2, got {max_n}")
-    if not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"expected 1 <= jobs <= {MAX_JOBS}, got {jobs}")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    else:
-        pool = contextlib.nullcontext()
-    with pool as executor:
-        for n in range(2, max_n + 1):
-            start = time.perf_counter()
-            fresh = not store.has(n)
-            record = census(n, store, executor=executor)
-            if progress is not None:
-                progress(record, fresh, time.perf_counter() - start)
+    for n in range(2, max_n + 1):
+        start = time.perf_counter()
+        fresh = not store.has(n)
+        record = census(n, store)
+        if progress is not None:
+            progress(record, fresh, time.perf_counter() - start)
 
 
 def _finalize_census(n: int, morphisms: list[SkewMorphism], classes) -> CensusRecord:

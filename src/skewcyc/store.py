@@ -9,8 +9,8 @@ gives for the same dict, but it is written by one `%`-format: the image and
 pi lists are joined from a table of `str(i)` for i in 0..n, built once per
 order, so no int is converted again (the conversion was most of the
 encoding time).  The table is a dict whose misses fall back to `str`, so a
-value outside 0..n is still written as its own digits.  `from_json` reads
-lines with `json.loads`.
+value outside 0..n is still written as its own digits.  `from_json` takes
+only the keys and types `save` writes; a float stays text, equal to no int.
 
 Loading re-checks every line and every stored attribute, without a full
 `verify` of each.  The census is closed under conjugation by Aut(Z_n),
@@ -107,6 +107,17 @@ def _decimals(n: int) -> _Decimals:
     return _Decimals((i, str(i)) for i in range(n + 1))
 
 
+class _FloatLiteral(str):
+    __repr__ = str.__str__  # a JSON float literal, kept as text that prints as written
+
+
+_DECODER = json.JSONDecoder(parse_float=_FloatLiteral)
+_KINDS = {  # the type `save` writes under each key; JSON true/false load as bool, not int
+    "n": int, "images": list, "order": int, "kernel_order": int, "pi": list,
+    "coset_preserving": bool, "automorphism": bool, "class_id": int, "schema_version": int,
+}
+
+
 @dataclass(frozen=True)
 class StoreEntry:
     """One line of a census file."""
@@ -154,33 +165,24 @@ class StoreEntry:
     @classmethod
     def from_json(cls, line: str) -> "StoreEntry":
         try:
-            raw = json.loads(line)
+            raw = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise SchemaMismatchError(f"malformed store entry: {exc}") from exc
         if not isinstance(raw, dict):
             raise SchemaMismatchError(
                 f"malformed store entry: expected an object, got {type(raw).__name__}"
             )
-        if raw.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaMismatchError(
-                f"schema_version {raw.get('schema_version')!r} != {SCHEMA_VERSION}"
-            )
-        for key in ("n", "class_id"):  # JSON true/false load as bool, an int subclass
-            if type(raw.get(key)) is not int:
-                raise SchemaMismatchError(f"{key} {raw.get(key)!r} is not an integer")
-        try:
-            return cls(
-                n=raw["n"],
-                images=tuple(raw["images"]),
-                order=raw["order"],
-                kernel_order=raw["kernel_order"],
-                pi=tuple(raw["pi"]),
-                coset_preserving=raw["coset_preserving"],
-                automorphism=raw["automorphism"],
-                class_id=raw["class_id"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaMismatchError(f"malformed store entry: {exc}") from exc
+        version = raw.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise SchemaMismatchError(f"schema_version {version!r} != {SCHEMA_VERSION}")
+        if raw.keys() != _KINDS.keys():
+            odd = sorted(raw.keys() ^ _KINDS.keys())
+            raise SchemaMismatchError(f"malformed store entry: extra or missing keys {odd}")
+        for key, kind in _KINDS.items():
+            if type(raw[key]) is not kind:
+                what = "an integer" if kind is int else f"a {kind.__name__}"
+                raise SchemaMismatchError(f"{key} {raw[key]!r} is not {what}")
+        return cls(**dict(raw, images=tuple(raw["images"]), pi=tuple(raw["pi"])))
 
 
 def _check_stored(entry: StoreEntry, phi: SkewMorphism, where: str) -> SkewMorphism:

@@ -617,6 +617,15 @@ def test_grouped_tasks_match_per_task_search(jobs, monkeypatch):
         assert 0 < searched < sum(len(cp_search_tasks(n)) for n in orders)
 
 
+def test_census_with_an_executor_matches_serial():
+    # every order of 2..32 is built on the pool, its lift tasks included;
+    # records compare equal with their class ids
+    serial, pooled = MemoryStore(), MemoryStore()
+    with ProcessPoolExecutor(max_workers=2) as executor:
+        for n in range(2, 33):
+            assert census(n, pooled, executor=executor) == census(n, serial), n
+
+
 def test_a_conjugate_in_the_wrong_task_trips_the_check(monkeypatch):
     # (7, 2) and (7, 4) are one group in Z_21; a one-member orbit of a
     # solution of (7, 2) never reaches (7, 4).  The search builds its

@@ -230,7 +230,9 @@ def _members(entries: list[dict]) -> list[int]:
     return out
 
 
-def _set(entries: list[dict], i: int, class_id=None, pi_bump=None, float_image=None) -> None:
+def _set(
+    entries: list[dict], i: int, class_id=None, pi_bump=None, float_image=None, float_pi=None
+) -> None:
     entry = entries[i]
     if class_id is not None:
         entry["class_id"] = class_id
@@ -238,6 +240,8 @@ def _set(entries: list[dict], i: int, class_id=None, pi_bump=None, float_image=N
         entry["pi"][pi_bump] += 1
     if float_image is not None:
         entry["images"][float_image] = float(entry["images"][float_image])
+    if float_pi is not None:
+        entry["pi"][float_pi] = float(entry["pi"][float_pi])
 
 
 def _replace_by_other_class(entries: list[dict]) -> None:
@@ -402,6 +406,14 @@ class TestCli:
             (lambda lines: _set(lines, _members(lines)[0], float_image=2), ":5: stored images"),
             (lambda lines: _set(lines, 1, class_id=False), ":2: class_id False is not an integer"),
             (lambda lines: lines[1].update(n=18.0), ":2: n 18.0 is not an integer"),
+            (lambda lines: lines[1].update(order=9.0), ":2: order 9.0 is not an integer"),
+            (lambda lines: lines[2].update(kernel_order=3.0), ":3: kernel_order 3.0 is not an"),
+            (lambda lines: _set(lines, 0, float_pi=1), ":1: stored metadata disagrees with "),
+            (lambda lines: _set(lines, _members(lines)[0], float_pi=1), ":5: stored metadata"),
+            (lambda lines: lines[2].update(coset_preserving=0), ":3: coset_preserving 0 is not a"),
+            (lambda lines: lines[1].update(automorphism=0), ":2: automorphism 0 is not a bool"),
+            (lambda lines: lines[1].update(schema_version=True), ":2: schema_version True != 1"),
+            (lambda lines: lines[1].update(note=""), ":2: malformed store entry: extra or missing"),
         ],
         ids=[
             "wrong-class-id",
@@ -414,6 +426,14 @@ class TestCli:
             "float-image-in-member",
             "class-id-is-a-bool",
             "float-n-on-first-line-of-class",
+            "float-order",
+            "float-kernel-order",
+            "float-pi-in-automorphism",
+            "float-pi-in-member",
+            "int-coset-preserving-flag",
+            "int-automorphism-flag",
+            "bool-schema-version",
+            "extra-key",
         ],
     )
     def test_class_damage_fails_on_load(self, tmp_path, capsys, damage, expect):
@@ -520,10 +540,16 @@ class TestCli:
         assert cli.main(["census", "--max", "6"]) == 0
         assert (tmp_path / "env-store" / "census_6.jsonl").exists()
 
-    def test_parallel_census_matches_serial(self, tmp_path, capsys):
+    def test_parallel_census_matches_serial(self, tmp_path, monkeypatch, capsys):
+        # --jobs is accepted and ignored: the census starts no process
         serial = str(tmp_path / "serial")
         parallel = str(tmp_path / "parallel")
         assert cli.main(["census", "--max", "32", "--store", serial]) == 0
+
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("census --jobs must not start a worker pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert cli.main(["census", "--max", "32", "--jobs", "2", "--store", parallel]) == 0
         for n in range(2, 33):
             a = (tmp_path / "serial" / f"census_{n}.jsonl").read_bytes()
