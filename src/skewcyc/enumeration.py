@@ -73,7 +73,7 @@ permutations) for small n in the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, permutations
 from itertools import product  # unused here; perfbench/layers.py traces enumeration.product
@@ -140,11 +140,22 @@ class OrbitTemplate:
 
 @dataclass(frozen=True)
 class CensusRecord:
-    """All skew morphisms of Z_n, sorted, with equivalence-class ids."""
+    """All skew morphisms of Z_n, sorted, with equivalence-class ids.
+
+    `leaders` holds the least member of each class, in class-id order, when
+    the record's builder (`census` through `_finalize_census`, or
+    `Store.load`) walked its classes and so proved it closed under
+    conjugation, with ids that number its orbits; `check` then reads them
+    and builds no orbit.  It is None on any other record: no caller can
+    pass it, and `dataclasses.replace` does not copy it.
+    """
 
     n: int
     morphisms: tuple[SkewMorphism, ...]
     class_ids: tuple[int, ...]  # aligned with morphisms; -1 for automorphisms
+    leaders: tuple[SkewMorphism, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         imgs = [phi.images for phi in self.morphisms]
@@ -778,14 +789,26 @@ def _finalize_census(n: int, morphisms: list[SkewMorphism], classes) -> CensusRe
     """The record of `morphisms`, sorted by images, with class ids that
     number `classes`, the conjugation classes of the proper morphisms
     (each a collection of image tuples), in the order of their least
-    member."""
+    member, and with their leaders.  `census` passes the orbits that
+    `conjugates` built, every member of which it merged into `morphisms`,
+    so the record is closed and its ids number its orbits."""
     morphisms = sorted(morphisms, key=lambda p: p.images)
     id_of: dict[tuple[int, ...], int] = {}
     for cid, cls in enumerate(sorted(classes, key=min)):
         for images in cls:
             id_of[images] = cid
     class_ids = tuple(id_of.get(phi.images, -1) for phi in morphisms)
-    return CensusRecord(n=n, morphisms=tuple(morphisms), class_ids=class_ids)
+    leaders = []
+    for phi, cid in zip(morphisms, class_ids):
+        if cid == len(leaders):  # sorted: the first line of an id is its least member
+            leaders.append(phi)
+    return _with_leaders(CensusRecord(n, tuple(morphisms), class_ids), leaders)
+
+
+def _with_leaders(record: CensusRecord, leaders: list[SkewMorphism]) -> CensusRecord:
+    """`record`, carrying the `leaders` its builder's walk proved."""
+    object.__setattr__(record, "leaders", tuple(leaders))
+    return record
 
 
 def brute_force(n: int) -> list[SkewMorphism]:

@@ -21,10 +21,12 @@ those fields, so a line that breaks one is reported for it alone.  Then:
   by `equivalence_classes`, each built once from its first line in the
   record (its least, in a sorted record), and every member of an orbit
   must be listed, equal in every field ("census closed under
-  conjugation").  That first line, the orbit's leader, gets the laws of
-  one morphism (`_check_morphism`, `_check_prime_comparison`) and the
-  pair model, with the periodicity-power law and the quotient laws for
-  the generator 1 (`_check_pair_model`); no other line does;
+  conjugation").  A record that carries its leaders
+  (`CensusRecord.leaders`) skips this walk: the walk that built it
+  proved the law (point (2)).  Each orbit's first line, its leader, gets
+  the laws of one morphism (`_check_morphism`, `_check_prime_comparison`)
+  and the pair model, with the periodicity-power law and the quotient
+  laws for the generator 1 (`_check_pair_model`); no other line does;
 - the record laws (counts, census fits, class ids, Z_{4p}) read every line.
 
 Proof that every line of a record that passes all of this passes every
@@ -41,6 +43,13 @@ postconditions of `quotient_of` pin the periodicity and both flags.
 periodicity and flags, h(a) = t*f(t^{-1} a) and pi_h(a) = pi(t^{-1} a).
 Two units that give the same images give the same pi, which the images
 decide within [1, m].  A listed line equal to it in every field is h.
+A record that carries its leaders was built by a walk that proved every
+proper line such an h of its class's leader, and every h listed: `census`
+lists the orbits that `conjugates` built, whole and disjoint
+(`_finalize_census`), and `Store.load` requires each line to be a member,
+equal in every stored field, of the orbit built from its class's first
+line, and every member listed.  `check` walks only a record without
+leaders (built by hand, or copied by `dataclasses.replace`, which drops them).
 (3) h passes each law of one morphism that reads no generator, because f
 does.  The order, divisibility, kernel-order and flag laws read only the
 fields that conjugation keeps.  pi_h takes the values of pi (the range
@@ -89,7 +98,12 @@ Q(k) = sum_{i<k} 1 = k, the identity of Z_m: of order 1 = n/|kernel|, as
 `quotient_of` requires; law (a) reads pi = 1 = Q^k(1), law (b)
 periodicity 1 = m/m, and law (c) has nothing to check.
 (6) The class-id law numbers the orbits of `equivalence_classes`, and the
-orbits of a record that passes are the conjugation classes.
+orbits of a record that passes are the conjugation classes.  A record
+that carries its leaders was numbered so by its builder.
+`_finalize_census` numbers the orbits in the order of their least
+member.  `Store.load` opens the ids 0, 1, 2, ... in that order on
+ascending lines, and a class lists its whole orbit from its first line
+on, which is therefore its least member.
 
 Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
@@ -98,8 +112,11 @@ that is not skew, a kernel subgroup outside the kernel) is reported as a
 violation of that law, with the error as its witness.  A stored kernel
 order that no subgroup of Z_n has is reported as "kernel order divides
 n", and the laws that need the kernel subgroup are skipped for that
-morphism.  No law leans on `Store.load`'s `verify`.  A clean run over a
-census is the package's acceptance gate.
+morphism.  No law leans on `Store.load`'s `verify`: the laws of one
+morphism re-derive every field of each leader.  The closure and class-id
+laws of a record that carries its leaders lean on the walk that built it
+(points (2) and (6)), the only way such a record is made.  A clean run
+over a census is the package's acceptance gate.
 """
 
 from __future__ import annotations
@@ -378,12 +395,14 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
 
 def _check_record_level(
     record: CensusRecord, out: list[Violation], well_formed: Sequence[SkewMorphism]
-) -> list[SkewMorphism]:
+) -> Sequence[SkewMorphism]:
     """The laws of the whole record, and the closure law (see the module
     docstring) over the orbits of the `well_formed` proper lines, which
     conjugation indexes by.  Returns the leaders of the orbits, in the
     order of the orbits.  The class ids are checked only when every line
-    is well formed."""
+    is well formed.  A record that carries its leaders had both laws
+    proved by the walk that built it (points (2) and (6) of the module
+    docstring), so its orbits are not built again."""
     n = record.n
 
     def bad(law: str, witness: str) -> None:
@@ -410,26 +429,28 @@ def _check_record_level(
         if law and record.total != fit:
             bad(law, f"total={record.total}, fit={fit}")
 
-    listed = {phi.images: phi for phi in well_formed}
-    proper = {images: phi for images, phi in listed.items() if phi.proper}
-    stored_id = dict(zip((phi.images for phi in record.morphisms), record.class_ids))
-    leaders, stale = [], False
-    for k, orbit in enumerate(equivalence_classes(proper.values())):
-        leader = listed[next(iter(orbit))]
-        where = f"orbit of [{leader.canonical_str()}]"
-        leaders.append(leader)
-        stale = stale or any(stored_id[key] != k for key in orbit if key in proper)
-        for key, conjugate in orbit.items():
-            other = listed.get(key)
-            if other != conjugate:
-                detail = "is not listed" if other is None else "differs in " + _differing(
-                    other, conjugate
-                )
-                witness = f"[{conjugate.canonical_str()}] {detail} ({where})"
-                bad("census closed under conjugation", witness)
+    leaders = record.leaders  # the walk that built the record proved both laws
+    if leaders is None:
+        listed = {phi.images: phi for phi in well_formed}
+        proper = {images: phi for images, phi in listed.items() if phi.proper}
+        stored_id = dict(zip((phi.images for phi in record.morphisms), record.class_ids))
+        leaders, stale = [], False
+        for k, orbit in enumerate(equivalence_classes(proper.values())):
+            leader = listed[next(iter(orbit))]
+            where = f"orbit of [{leader.canonical_str()}]"
+            leaders.append(leader)
+            stale = stale or any(stored_id[key] != k for key in orbit if key in proper)
+            for key, conjugate in orbit.items():
+                other = listed.get(key)
+                if other != conjugate:
+                    detail = "is not listed" if other is None else "differs in " + _differing(
+                        other, conjugate
+                    )
+                    witness = f"[{conjugate.canonical_str()}] {detail} ({where})"
+                    bad("census closed under conjugation", witness)
 
-    if stale and len(well_formed) == record.total:
-        bad("equivalence class ids", "stored ids differ from recomputation")
+        if stale and len(well_formed) == record.total:
+            bad("equivalence class ids", "stored ids differ from recomputation")
 
     if n in PROP62_ORDERS:
         p = n // 4

@@ -11,6 +11,8 @@ order, so no int is converted again (the conversion was most of the
 encoding time).  The table is a dict whose misses fall back to `str`, so a
 value outside 0..n is still written as its own digits.  `from_json` takes
 only the keys and types `save` writes; a float stays text, equal to no int.
+The two flags are a valid line's only `true`/`false`, so only a line with
+another count of them is searched for a bool in images or pi.
 
 Loading re-checks every line and every stored attribute, without a full
 `verify` of each.  The census is closed under conjugation by Aut(Z_n),
@@ -26,9 +28,12 @@ first line of each class id is the least member of its class:
   `verify`, so a line that is no skew morphism reports its witness;
 - each class must list its whole orbit, so its first line is the least
   member of the orbit, and the file must hold all phi(n) automorphisms.
-A tampered file fails loudly, naming the file and line, rather than
-poisoning downstream checks.  The format records no class count, so a
-file that drops every line of its last class still loads.
+This walk proves the record closed under conjugation, with ids that
+number its orbits by their least member, so the load hands the first line
+of each class to the record (`CensusRecord.leaders`) and `check` builds no
+orbit again.  A tampered file fails loudly, naming the file and line,
+rather than poisoning downstream checks.  The format records no class
+count, so a file that drops every line of its last class still loads.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from operator import index
 from pathlib import Path
 
 from .cyclic_arith import euler_phi
-from .enumeration import CensusRecord, automorphisms
+from .enumeration import CensusRecord, _with_leaders, automorphisms
 from .skew_core import Orbit, SkewMorphism, SkewMorphismError, conjugates, verify
 
 SCHEMA_VERSION = 1
@@ -182,6 +187,12 @@ class StoreEntry:
             if type(raw[key]) is not kind:
                 what = "an integer" if kind is int else f"a {kind.__name__}"
                 raise SchemaMismatchError(f"{key} {raw[key]!r} is not {what}")
+        # the two flags are a valid line's only bools, so any other true or false,
+        # which `index` and == read as 1 or 0, shows in the count of the literals
+        if line.count("true") + line.count("false") != 2:
+            for key in ("images", "pi"):
+                if bool in map(type, raw[key]):
+                    raise SchemaMismatchError(f"{key} holds a bool, not an integer")
         return cls(**dict(raw, images=tuple(raw["images"]), pi=tuple(raw["pi"])))
 
 
@@ -303,6 +314,7 @@ class Store:
         autos = {phi.images: phi for phi in automorphisms(n)}
         orbits: list[Orbit] = []  # unseen members
         opened_at: list[str] = []
+        leaders: list[SkewMorphism] = []
         morphisms = []
         class_ids = []
         for where, entry, images in lines:
@@ -318,6 +330,7 @@ class Store:
                 phi = orbit.pop(images)
                 orbits.append(orbit)
                 opened_at.append(where)
+                leaders.append(phi)
             else:
                 phi = orbits[cid].pop(images, None) if 0 <= cid < len(orbits) else None
                 if phi is None:
@@ -338,7 +351,7 @@ class Store:
                 f"{path}: {record.automorphism_count} automorphisms stored, "
                 f"expected phi({n}) = {euler_phi(n)}"
             )
-        self._cache[n] = record
+        self._cache[n] = _with_leaders(record, leaders)
         return record
 
 

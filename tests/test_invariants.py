@@ -28,7 +28,7 @@ from skewcyc.skew_core import (
     verify,
 )
 from skewcyc.skew_product import _PairTables
-from skewcyc.store import MemoryStore
+from skewcyc.store import MemoryStore, Store
 
 
 @pytest.fixture(scope="module")
@@ -552,6 +552,33 @@ class TestViolationDetection:
         witness = f"[{phi.canonical_str()}] differs in pi (orbit of [{least}])"
         assert Violation(n, law, witness) in check_record(changed)
         assert check_record(record) == []
+
+    @pytest.mark.parametrize("n", [12, 20, 36, 42])
+    def test_a_replaced_copy_of_a_loaded_record_is_walked_again(self, store, tmp_path, n):
+        # a loaded record carries the leaders its load proved; a copy made by
+        # `dataclasses.replace` does not, so its closure and ids are checked
+        Store(tmp_path).save(census(n, store))
+        record = Store(tmp_path).load(n)
+        assert record.leaders is not None and check_record(record) == []
+        largest, _ = Counter(cid for cid in record.class_ids if cid != -1).most_common(1)[0]
+        members = [i for i, cid in enumerate(record.class_ids) if cid == largest]
+        least = record.morphisms[members[0]].canonical_str()
+
+        morphisms = list(record.morphisms)
+        phi = morphisms[members[1]]
+        pi = list(phi.pi)
+        pi[1] = pi[1] % phi.order + 1
+        morphisms[members[1]] = dataclasses.replace(phi, pi=tuple(pi))
+        changed = dataclasses.replace(record, morphisms=tuple(morphisms))
+        assert changed.leaders is None
+        witness = f"[{phi.canonical_str()}] differs in pi (orbit of [{least}])"
+        assert Violation(n, "census closed under conjugation", witness) in check_record(changed)
+
+        ids = tuple(cid if cid == -1 else i for i, cid in enumerate(record.class_ids))
+        stale = dataclasses.replace(record, class_ids=ids)
+        assert stale.leaders is None
+        witness = "stored ids differ from recomputation"
+        assert check_record(stale) == [Violation(n, "equivalence class ids", witness)]
 
     @pytest.mark.parametrize("n", [12, 20, 18])
     def test_a_power_function_raised_by_the_order_on_a_coset_is_caught(self, store, n):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import skewcyc.skew_core
 import skewcyc.store
 from skewcyc import cli
 from skewcyc.enumeration import census, enumerate_coset_preserving
@@ -231,7 +232,14 @@ def _members(entries: list[dict]) -> list[int]:
 
 
 def _set(
-    entries: list[dict], i: int, class_id=None, pi_bump=None, float_image=None, float_pi=None
+    entries: list[dict],
+    i: int,
+    class_id=None,
+    pi_bump=None,
+    float_image=None,
+    float_pi=None,
+    bool_image=None,
+    bool_pi=None,
 ) -> None:
     entry = entries[i]
     if class_id is not None:
@@ -242,6 +250,10 @@ def _set(
         entry["images"][float_image] = float(entry["images"][float_image])
     if float_pi is not None:
         entry["pi"][float_pi] = float(entry["pi"][float_pi])
+    if bool_image is not None:
+        entry["images"][bool_image] = bool(entry["images"][bool_image])
+    if bool_pi is not None:
+        entry["pi"][bool_pi] = bool(entry["pi"][bool_pi])
 
 
 def _replace_by_other_class(entries: list[dict]) -> None:
@@ -315,6 +327,27 @@ class TestCli:
         assert cli.main(["check", "--max", "10", "--store", store_dir]) == 0
         out = capsys.readouterr().out
         assert "all invariants hold" in out
+
+    def test_a_cold_check_builds_each_class_once(self, tmp_path, capsys, monkeypatch):
+        # the load builds each orbit from its first line and hands the leaders
+        # to the record, so `check` builds no orbit again (`conjugates` is read
+        # in store and, through `equivalence_classes`, in skew_core)
+        store_dir = str(tmp_path / "s")
+        assert cli.main(["census", "--max", "32", "--store", store_dir]) == 0
+        classes = sum(Store(store_dir).load(n).class_count for n in range(2, 33))
+        calls = []
+        conjugates = skewcyc.skew_core.conjugates
+
+        def counted(phi):
+            calls.append(phi.n)
+            return conjugates(phi)
+
+        monkeypatch.setattr(skewcyc.skew_core, "conjugates", counted)
+        monkeypatch.setattr(skewcyc.store, "conjugates", counted)
+        capsys.readouterr()
+        assert cli.main(["check", "--max", "32", "--store", store_dir]) == 0
+        assert capsys.readouterr().out == "all invariants hold over 655 morphisms (n <= 32)\n"
+        assert len(calls) == classes == 86
 
     def test_table_missing_store_errors(self, tmp_path, capsys):
         rc = cli.main(["table", "--from", "2", "--to", "6", "--store", str(tmp_path / "x")])
@@ -414,6 +447,8 @@ class TestCli:
             (lambda lines: lines[1].update(automorphism=0), ":2: automorphism 0 is not a bool"),
             (lambda lines: lines[1].update(schema_version=True), ":2: schema_version True != 1"),
             (lambda lines: lines[1].update(note=""), ":2: malformed store entry: extra or missing"),
+            (lambda lines: _set(lines, 0, bool_image=1), ":1: images holds a bool, not an integer"),
+            (lambda lines: _set(lines, 0, bool_pi=1), ":1: pi holds a bool, not an integer"),
         ],
         ids=[
             "wrong-class-id",
@@ -434,6 +469,8 @@ class TestCli:
             "int-automorphism-flag",
             "bool-schema-version",
             "extra-key",
+            "bool-image",
+            "bool-pi",
         ],
     )
     def test_class_damage_fails_on_load(self, tmp_path, capsys, damage, expect):
