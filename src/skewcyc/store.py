@@ -12,15 +12,25 @@ encoding time).  The table is a dict whose misses fall back to `str`, so a
 value outside 0..n is still written as its own digits.  `from_json` takes
 only the keys and types `save` writes; a float stays text, equal to no int.
 The two flags are a valid line's only `true`/`false`, so only a line with
-another count of them is searched for a bool in images or pi.
+another count of them is searched for a bool in images or pi.  The
+literals are counted, not a letter they hold: a key may be escaped
+(`"imag\\u0065s"` decodes to `images`), so the count of e's in a line
+with a bool can equal a valid line's.
 
-Loading re-checks every line and every stored attribute, without a full
-`verify` of each.  The census is closed under conjugation by Aut(Z_n),
-and classes are numbered in the order of their least members, so the
-first line of each class id is the least member of its class:
+Loading re-checks every line and every stored attribute in one walk over
+the lines, without a full `verify` or a JSON parse of each.  The census is
+closed under conjugation by Aut(Z_n), and classes are numbered in the
+order of their least members, so the first line of each class id is the
+least member of its class.  The walk keeps the line `save` writes for each
+member proved so far and not yet met: every automorphism a -> s*a in its
+closed form, with class id -1, and the conjugates of each class once its
+first line is proved.  A line equal to one of them, byte for byte, is that
+member: parsing it would give the very entry `save` wrote for it, which
+every check below accepts, so only the order and the orbit bookkeeping run
+on it.  Every other line (the first line of each class, and any line in
+another layout or with a fault) is parsed with `from_json` and checked:
 - the lines must be strictly ascending;
-- the automorphisms a -> s*a are checked against their closed form and
-  must carry class id -1;
+- an automorphism must match its closed form and carry class id -1;
 - the first line of each new class id (0, 1, 2, ... in that order) goes
   through `verify`, and `conjugates` builds its conjugation orbit;
 - every later line of that id must be a member of the orbit, with the
@@ -28,12 +38,16 @@ first line of each class id is the least member of its class:
   `verify`, so a line that is no skew morphism reports its witness;
 - each class must list its whole orbit, so its first line is the least
   member of the orbit, and the file must hold all phi(n) automorphisms.
-This walk proves the record closed under conjugation, with ids that
-number its orbits by their least member, so the load hands the first line
-of each class to the record (`CensusRecord.leaders`) and `check` builds no
-orbit again.  A tampered file fails loudly, naming the file and line,
-rather than poisoning downstream checks.  The format records no class
-count, so a file that drops every line of its last class still loads.
+The walk names the first faulty line it meets, so a class fault is named
+before a parse or order fault on a later line (two passes, which parsed
+and ordered every line before the class walk, named the later fault); a
+fault that shows on one line only gets the same message either way.  This
+walk proves the record closed under conjugation, with ids that number its
+orbits by their least member, so the load hands the first line of each
+class to the record (`CensusRecord.leaders`) and `check` builds no orbit
+again.  A tampered file fails loudly, naming the file and line, rather
+than poisoning downstream checks.  The format records no class count, so
+a file that drops every line of its last class still loads.
 """
 
 from __future__ import annotations
@@ -47,8 +61,15 @@ from operator import index
 from pathlib import Path
 
 from .cyclic_arith import euler_phi
-from .enumeration import CensusRecord, _with_leaders, automorphisms
-from .skew_core import Orbit, SkewMorphism, SkewMorphismError, conjugates, verify
+from .enumeration import CensusRecord, _with_leaders
+from .skew_core import (
+    Orbit,
+    SkewMorphism,
+    SkewMorphismError,
+    automorphism_table,
+    conjugates,
+    verify,
+)
 
 SCHEMA_VERSION = 1
 ENV_STORE_DIR = "SKEWCYC_STORE"
@@ -196,6 +217,28 @@ class StoreEntry:
         return cls(**dict(raw, images=tuple(raw["images"]), pi=tuple(raw["pi"])))
 
 
+def _line(phi: SkewMorphism, class_id: int) -> str:
+    """The line `save` writes for phi under class_id."""
+    return StoreEntry.from_morphism(phi, class_id).to_json()
+
+
+def _parse(line: str, n: int, where: str) -> tuple[StoreEntry, tuple[int, ...]]:
+    """The entry on a line of the census file of Z_n, and its images as
+    `verify` reads them."""
+    try:
+        entry = StoreEntry.from_json(line)
+    except SchemaMismatchError as exc:
+        raise SchemaMismatchError(f"{where}: {exc}") from exc
+    if entry.n != n:
+        raise SchemaMismatchError(f"{where}: entry for n={entry.n} in file for n={n}")
+    try:
+        return entry, tuple(map(index, entry.images))
+    except TypeError:
+        raise VerificationFailedOnLoadError(
+            f"{where}: stored images are not a skew morphism: not all integers"
+        ) from None
+
+
 def _check_stored(entry: StoreEntry, phi: SkewMorphism, where: str) -> SkewMorphism:
     """phi, once the attributes stored on the line are found equal to its own."""
     mismatches = [
@@ -230,7 +273,9 @@ class Store:
 
     Records are written atomically through a unique temp file, so
     concurrent writers of one order never share it; readers check every
-    line on first load (see the module docstring) and are served from the
+    line on first load, in one walk that parses only the lines that are
+    not the bytes `save` writes for a member it has proved (see the module
+    docstring), and are served from the
     cache afterwards.  The directory is made by the first save, so reading
     never creates it; a path that is not a directory, where no file can
     be made, or whose census file cannot be read, raises
@@ -252,10 +297,7 @@ class Store:
 
     def save(self, record: CensusRecord) -> Path:
         path = self.path_for(record.n)
-        lines = [
-            StoreEntry.from_morphism(phi, cid).to_json()
-            for phi, cid in zip(record.morphisms, record.class_ids)
-        ]
+        lines = [_line(phi, cid) for phi, cid in zip(record.morphisms, record.class_ids)]
         try:
             if not self._made:
                 self.directory.mkdir(parents=True, exist_ok=True)
@@ -288,55 +330,56 @@ class Store:
             raise UnusableStoreError(f"{path}: cannot read: {exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaMismatchError(f"{path}: {exc}") from exc
-        lines = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                entry = StoreEntry.from_json(line)
-            except SchemaMismatchError as exc:
-                raise SchemaMismatchError(f"{where}: {exc}") from exc
-            if entry.n != n:
-                raise SchemaMismatchError(f"{where}: entry for n={entry.n} in file for n={n}")
-            try:
-                images = tuple(map(index, entry.images))  # as `verify` reads them
-            except TypeError:
-                raise VerificationFailedOnLoadError(
-                    f"{where}: stored images are not a skew morphism: not all integers"
-                ) from None
-            if lines and images <= lines[-1][2]:
-                if images == lines[-1][2]:
-                    raise DuplicateEntryError(f"{where}: repeats the line before")
-                raise UnsortedCensusError(f"{where}: sorts before the line before")
-            lines.append((where, entry, images))
-
-        autos = {phi.images: phi for phi in automorphisms(n)}
+        autos = {phi.images: phi for phi in automorphism_table(n).values()}
+        # the line `save` writes for each member proved so far and not yet met
+        proved = {_line(phi, -1): (phi, -1) for phi in autos.values()}
         orbits: list[Orbit] = []  # unseen members
         opened_at: list[str] = []
         leaders: list[SkewMorphism] = []
-        morphisms = []
+        morphisms: list[SkewMorphism] = []
         class_ids = []
-        for where, entry, images in lines:
-            cid = entry.class_id
-            phi = autos.get(images)
-            if phi is not None:
-                if cid != -1:
-                    raise ClassIdError(f"{where}: automorphism with class_id {cid}, not -1")
-            elif cid == len(orbits):  # the first line of a new class
-                # every other member must follow under this id, so once the
-                # class is complete this line is the least member of its orbit
-                orbit = conjugates(_reverify(entry, where))
-                phi = orbit.pop(images)
-                orbits.append(orbit)
-                opened_at.append(where)
-                leaders.append(phi)
+        for lineno, line in enumerate(text.splitlines(), 1):
+            member = proved.pop(line, None)
+            if member is None:
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                entry, images = _parse(line, n, where)
             else:
-                phi = orbits[cid].pop(images, None) if 0 <= cid < len(orbits) else None
-                if phi is None:
-                    _reverify(entry, where)  # a line that is no skew morphism keeps its witness
-                    raise ClassIdError(f"{where}: not a member of class {cid}")
-            morphisms.append(_check_stored(entry, phi, where))
+                phi, cid = member
+                images = phi.images
+            if morphisms and images <= morphisms[-1].images:
+                where = f"{path}:{lineno}"
+                if images == morphisms[-1].images:
+                    raise DuplicateEntryError(f"{where}: repeats the line before")
+                raise UnsortedCensusError(f"{where}: sorts before the line before")
+            if member is not None:
+                # the lines ascend, so no earlier line took these images: the
+                # member is still unseen in its orbit
+                if cid != -1:
+                    del orbits[cid][images]
+            else:
+                cid = entry.class_id
+                phi = autos.get(images)
+                if phi is not None:
+                    if cid != -1:
+                        raise ClassIdError(f"{where}: automorphism with class_id {cid}, not -1")
+                elif cid == len(orbits):  # the first line of a new class
+                    # every other member must follow under this id, so once the
+                    # class is complete this line is the least member of its orbit
+                    orbit = conjugates(_reverify(entry, where))
+                    phi = orbit.pop(images)
+                    orbits.append(orbit)
+                    opened_at.append(where)
+                    leaders.append(phi)
+                    proved.update((_line(psi, cid), (psi, cid)) for psi in orbit.values())
+                else:
+                    phi = orbits[cid].pop(images, None) if 0 <= cid < len(orbits) else None
+                    if phi is None:
+                        _reverify(entry, where)  # a line that is no skew morphism keeps its witness
+                        raise ClassIdError(f"{where}: not a member of class {cid}")
+                phi = _check_stored(entry, phi, where)
+            morphisms.append(phi)
             class_ids.append(cid)
         for cid, orbit in enumerate(orbits):
             if orbit:

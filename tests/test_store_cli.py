@@ -46,6 +46,20 @@ def census_to_60():
     return memory
 
 
+@pytest.fixture()
+def parsed(monkeypatch):
+    """Every line `StoreEntry.from_json` parses while the test runs."""
+    lines = []
+    from_json = StoreEntry.from_json
+
+    def counted(cls, line):
+        lines.append(line)
+        return from_json(line)
+
+    monkeypatch.setattr(StoreEntry, "from_json", classmethod(counted))
+    return lines
+
+
 class TestStore:
     def test_save_load_round_trip(self, store):
         record = census(6, store)
@@ -186,6 +200,53 @@ class TestStore:
             for phi in record.morphisms:
                 assert phi == verify(record.n, phi.images)
 
+    def test_a_cold_load_parses_one_line_per_class_up_to_60(self, store, census_to_60, parsed):
+        for n in range(2, 61):
+            store.save(census_to_60.load(n))
+        cold = Store(store.directory)
+        loaded = [cold.load(n) for n in range(2, 61)]
+        # every other line is the bytes `save` writes for a member the walk proved
+        assert len(parsed) == sum(record.class_count for record in loaded) == 263
+        for record in loaded:
+            expected = census_to_60.load(record.n)
+            assert record == expected
+            assert record.leaders == expected.leaders
+
+    @pytest.mark.parametrize("rewrite", ["default-separators", "one-line-reordered"])
+    def test_valid_lines_in_another_layout_load(self, store, parsed, rewrite):
+        expected = census(18, MemoryStore())
+        store.save(expected)
+        path = store.path_for(18)
+        lines = path.read_text().splitlines()
+        if rewrite == "default-separators":
+            lines = [json.dumps(json.loads(line)) for line in lines]
+            rewritten = lines
+        else:
+            entry = json.loads(lines[4])  # a member, not the first line of its class
+            lines[4] = json.dumps(dict(reversed(entry.items())), separators=(",", ":"))
+            rewritten = [lines[4]]
+        path.write_text("\n".join(lines) + "\n")
+        record = Store(store.directory).load(18)
+        assert record == expected
+        assert record.leaders == expected.leaders
+        assert set(rewritten) <= set(parsed)
+
+    def test_an_escaped_key_does_not_hide_a_bool(self, store):
+        # JSON may escape any key character, so a count of letters in the text
+        # (say of the e in every true and false) does not find a bool: this line
+        # holds as many e's as a valid one, and the literal count catches it
+        census(18, store)
+        path = store.path_for(18)
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[0])
+        entry["images"][1] = True
+        damaged = json.dumps(entry, separators=(",", ":")).replace('"images"', '"imag\\u0065s"')
+        assert damaged.count("e") == lines[0].count("e")
+        lines[0] = damaged
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaMismatchError, match=r":1: images holds a bool, not an integer"):
+            Store(store.directory).load(18)
+
 
 class TestEmitTable:
     def test_rows(self, store):
@@ -266,6 +327,13 @@ def _replace_by_other_class(entries: list[dict]) -> None:
         if i + 1 in members and entries[i + 1]["class_id"] != entries[i]["class_id"]
     )
     entries[i] = dict(entries.pop(i + 1), class_id=entries[i]["class_id"])
+
+
+def _class_fault_then_order_fault(entries: list[dict]) -> None:
+    """A wrong class id on the first member line, and the last two lines
+    swapped: the load walks the lines once and names the earlier fault."""
+    _set(entries, _members(entries)[0], class_id=1)
+    entries[-2:] = entries[:-3:-1]
 
 
 class TestCli:
@@ -449,6 +517,7 @@ class TestCli:
             (lambda lines: lines[1].update(note=""), ":2: malformed store entry: extra or missing"),
             (lambda lines: _set(lines, 0, bool_image=1), ":1: images holds a bool, not an integer"),
             (lambda lines: _set(lines, 0, bool_pi=1), ":1: pi holds a bool, not an integer"),
+            (_class_fault_then_order_fault, ":5: not a member of class 1"),
         ],
         ids=[
             "wrong-class-id",
@@ -471,6 +540,7 @@ class TestCli:
             "extra-key",
             "bool-image",
             "bool-pi",
+            "class-fault-before-a-later-order-fault",
         ],
     )
     def test_class_damage_fails_on_load(self, tmp_path, capsys, damage, expect):
