@@ -7,7 +7,8 @@ the power function, generating-orbit size, periodicity powers,
 quotient compatibility laws, the kernel-order divisibility theorems,
 the prime-comparison theorem for induced quotients, the skew-product
 cross-checks, the order/kernel constraints on Z_{4p}, and the census
-total at odd prime powers.
+total at odd prime powers; and, across orders, quotient membership: each
+quotient is a line of the census of its order.
 
 Each conjugation class is checked once.  Every line must first be well
 formed: n images in Z_n, a power function of n values and an order of at
@@ -27,10 +28,16 @@ those fields, so a line that breaks one is reported for it alone.  Then:
   the laws of one morphism (`_check_morphism`, `_check_prime_comparison`)
   and the pair model, with the periodicity-power law and the quotient
   laws for the generator 1 (`_check_pair_model`); no other line does;
-- the record laws (counts, census fits, class ids, Z_{4p}) read every line.
+- the record laws (counts, census fits, class ids, Z_{4p}) read every line;
+- `run_suite` loads the orders in ascending order and holds the quotient
+  of each leader of Z_n, for the generator 1, to the census of its order
+  m < n, loaded before ("quotient is a line of the census of its order",
+  with the quotient laws in `_check_generator_sweep`).  `check_record`
+  reads one record and runs every law but this one.
 
 Proof that every line of a record that passes all of this passes every
-law it skips.  Write s_i(b) = sum_{j<i} pi(f^j(b)), as the pair model does.
+law it skips, but quotient membership (point (7)).  Write
+s_i(b) = sum_{j<i} pi(f^j(b)), as the pair model does.
 
 (1) A leader f that passes is the true record of a skew morphism of order
 m, its stored order.  Step 1 of `check_group`'s proof at i = 1 gives
@@ -104,6 +111,17 @@ that carries its leaders was numbered so by its builder.
 member.  `Store.load` opens the ids 0, 1, 2, ... in that order on
 ascending lines, and a class lists its whole orbit from its first line
 on, which is therefore its least member.
+(7) Quotient membership is asked of the leaders only, the one law not
+carried to the other lines.  A member t*f*t^{-1} of the class of a
+leader f has the quotient Q(f)^(t^{-1}) (proved in `quotient`), so the
+quotients of a class are the generators of <Q(f)>, fixed by the
+leader's.  Each is the quotient of a skew morphism, so a complete census
+of Z_m lists it; but a census of Z_m that lists Q(f) need not list the
+others, which may lie in other classes.  The law tests the completeness
+of the smaller census, which no law on one record can test.  On the
+censuses 2..161, with the last class of one order dropped at a time,
+asking for every generator of <Q(f)> as well catches no drop that the
+leaders' quotients miss.
 
 Any failure is reported as a `Violation` carrying a concrete witness;
 the suite never stops early, so one run lists everything that is
@@ -276,21 +294,32 @@ def _check_morphism(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
             bad("kernel order divisible by largest prime", f"p={p}, kernel={k}")
 
 
-def _check_generator_sweep(n: int, phi: SkewMorphism) -> list[tuple[str, str]]:
+def _check_generator_sweep(n: int, phi: SkewMorphism, censuses: dict) -> list[tuple[str, str]]:
     """The "quotient law" violations of phi, as (law, detail), for the
     generator 1 (item (4) of the module docstring covers the others): the
     failures of `check_quotient_laws`, or the error that keeps the quotient
-    from being built.  A morphism whose kernel order does not divide n has
-    none (see `_kernel_divides`).  The name is kept from the sweep over
-    every generator that this replaced, because the layer timings of the
-    benchmark wrap this function by that name."""
+    from being built.  Then quotient membership (point (7)): the quotient
+    must be a line of `censuses[m]`, the census of its order m.  A
+    morphism whose kernel order does not divide n gets neither law (see
+    `_kernel_divides`).  Membership is skipped when the quotient cannot be
+    built, and when `censuses` holds no census of order m: `check_record`
+    passes none, and in `run_suite` an order outside 2..n-1 breaks "order
+    below group order" or "proper order shares a factor with n".  The name
+    is kept from the sweep over every generator that this replaced,
+    because the layer timings of the benchmark wrap this function by that
+    name."""
     if not _kernel_divides(n, phi):
         return []
     try:
-        failures = check_quotient_laws(phi).failures
+        report = check_quotient_laws(phi)
     except InternalCheckError as exc:
-        failures = [str(exc)]
-    return [("quotient law", failure) for failure in failures]
+        return [("quotient law", str(exc))]
+    laws = [("quotient law", failure) for failure in report.failures]
+    lines = censuses.get(phi.order)
+    if lines is not None and report.quotient.images not in lines:
+        detail = f"quotient [{report.quotient.canonical_str()}] is not listed"
+        laws.append(("quotient is a line of the census of its order", detail))
+    return laws
 
 
 def _check_prime_comparison(n: int, phi: SkewMorphism, out: list[Violation]) -> None:
@@ -335,11 +364,14 @@ def _periodicity_power_law(
     return None
 
 
-def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Violation]) -> None:
+def _check_pair_model(
+    n: int, morphisms: Sequence[SkewMorphism], out: list[Violation], censuses: dict
+) -> None:
     """The pair-model laws and the periodicity-power law, on stacks of pair
-    tables that mix orders, and the quotient laws (`_check_generator_sweep`),
-    for every listed morphism of Z_n.  `check_record` lists the leaders of
-    the conjugation orbits, about 3 per n on 2..32 and 12 on 2..161.
+    tables that mix orders, and the quotient laws and quotient membership
+    against `censuses` (`_check_generator_sweep`), for every listed morphism
+    of Z_n.  `check_record` lists the leaders of the conjugation orbits,
+    about 3 per n on 2..32 and 12 on 2..161.
 
     The morphisms are taken in ascending order of their orders and cut
     greedily into stacks whose padded tables hold at most `_STACK_ELEMENTS`
@@ -352,7 +384,7 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
     off row p of its tables (the proof is there); any other morphism has
     f^p verified from scratch.  Violations are listed in the order of
     `morphisms`, each morphism's in the order core, group axioms,
-    periodicity power, quotient laws.
+    periodicity power, quotient laws, quotient membership.
     """
     found: list[list[Violation]] = [[] for _ in morphisms]
     indices = sorted(range(len(morphisms)), key=lambda i: morphisms[i].order)
@@ -384,7 +416,7 @@ def _check_pair_model(n: int, morphisms: Sequence[SkewMorphism], out: list[Viola
             broken = _periodicity_power_law(phi, verdicts.get(k))
             if broken:
                 laws.append(broken)
-            laws += _check_generator_sweep(n, phi)
+            laws += _check_generator_sweep(n, phi, censuses)
             if laws:
                 name = phi.canonical_str()
                 found[chunk[k]] = [
@@ -464,7 +496,15 @@ def _check_record_level(
 
 def check_record(record: CensusRecord) -> list[Violation]:
     """All invariant checks for one stored census, each conjugation class
-    once (see the module docstring)."""
+    once (see the module docstring), but quotient membership, which reads
+    the censuses of smaller orders (`run_suite`)."""
+    return _check_record(record, {})
+
+
+def _check_record(record: CensusRecord, censuses: dict[int, set]) -> list[Violation]:
+    """`check_record`'s laws, with quotient membership against `censuses`
+    (the image tuples of the census of each order checked before, by
+    order), to which it then adds the record's own."""
     out: list[Violation] = []
     n = record.n
     well_formed = [phi for phi in record.morphisms if _well_formed(n, phi, out)]
@@ -475,15 +515,19 @@ def check_record(record: CensusRecord) -> list[Violation]:
     for phi in leaders:
         _check_morphism(n, phi, out)
         _check_prime_comparison(n, phi, out)
-    _check_pair_model(n, leaders, out)
+    _check_pair_model(n, leaders, out, censuses)
+    censuses[n] = {phi.images for phi in record.morphisms}
     return out
 
 
 def run_suite(store, max_n: int) -> list[Violation]:
-    """Run every check over the stored censuses for 2..max_n."""
+    """Run every check over the stored censuses for 2..max_n.  They are
+    checked in ascending order, so for quotient membership the census of
+    each leader's order, below n, is checked before it."""
     if max_n < 2:
         raise ValueError(f"expected max_n >= 2, got {max_n}")
     violations: list[Violation] = []
+    censuses: dict[int, set] = {}
     for n in range(2, max_n + 1):
-        violations.extend(check_record(store.load(n)))
+        violations += _check_record(store.load(n), censuses)
     return violations

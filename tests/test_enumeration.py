@@ -7,6 +7,7 @@ import pytest
 
 import skewcyc.enumeration as enum
 import skewcyc.skew_core
+from skewcyc import cli
 from skewcyc.cyclic_arith import euler_phi, mult_order, units
 from skewcyc.enumeration import (
     CensusRecord,
@@ -21,7 +22,7 @@ from skewcyc.enumeration import (
 )
 from skewcyc.quotient import quotient_of
 from skewcyc.skew_core import InternalCheckError, equivalence_classes, power, verify
-from skewcyc.store import MemoryStore, Store
+from skewcyc.store import IncompleteCensusError, MemoryStore, Store
 
 from naive import (
     naive_census,
@@ -227,8 +228,8 @@ def test_lift_orbits_are_the_generators_of_each_cyclic_group():
         sources = enum.lift_sources(n, store)
         images = {rho.images for rho in sources}
         seen = []
-        for rho, orbit in enum._lift_orbits(sources):
-            assert orbit == {power(rho, v) for v in units(rho.order)}, (n, rho.images)
+        for rho in enum._lift_orbits(sources):
+            orbit = {power(rho, v) for v in units(rho.order)}
             assert len(orbit) == euler_phi(rho.order), (n, rho.images)
             assert orbit <= images, (n, rho.images)
             seen += orbit
@@ -368,14 +369,15 @@ def test_prefilter_chunk_boundaries_inside_and_between_steppers(prefilter_calls,
     assert sum(len({k for k, _prefix, _total in found}) > 1 for found in whole) > 0
 
 
-def test_census_builds_no_quotient_the_lift_checked(monkeypatch):
-    # the lift checks that each lift it returns has the quotient rho; the
-    # class check of census builds the quotient of every other member only
+def test_census_builds_no_quotient_outside_the_search(monkeypatch):
+    # the lift's acceptance step builds the quotient of each survivor; no
+    # other step of the census builds one (`check` holds the stored
+    # quotients to the censuses of their orders)
     store = MemoryStore()
     for n in range(2, 54):
         census(n, store)
-    returned: set[tuple[int, ...]] = set()
     built: list[tuple[int, ...]] = []
+    searched = 0
     searching = False
     quotient = enum.quotient_of
 
@@ -391,24 +393,19 @@ def test_census_builds_no_quotient_the_lift_checked(monkeypatch):
         return run
 
     def counted(phi, *args):
-        if not searching:
+        nonlocal searched
+        if searching:
+            searched += 1
+        else:
             built.append(phi.images)
         return quotient(phi, *args)
 
-    lift_with_psis = in_search(enum._lift_with_psis)
-
-    def lifted(*args):
-        batch = lift_with_psis(*args)
-        returned.update(sk.images for sk in batch)
-        return batch
-
-    monkeypatch.setattr(enum, "_lift_with_psis", lifted)
+    monkeypatch.setattr(enum, "_lift_with_psis", in_search(enum._lift_with_psis))
     monkeypatch.setattr(enum, "_cp_base_search", in_search(enum._cp_base_search))
     monkeypatch.setattr(enum, "quotient_of", counted)
-    record = census(54, store)
-    lifts = {phi.images for phi in record.proper() if not phi.coset_preserving}
-    assert returned and returned < lifts
-    assert sorted(built) == sorted(lifts - returned)
+    census(54, store)
+    assert searched > 0
+    assert built == []
 
 
 def test_needed_thread_pruning_is_sound(monkeypatch, tmp_path):
@@ -635,14 +632,24 @@ def test_a_conjugate_in_the_wrong_task_trips_the_check(monkeypatch):
         enumerate_coset_preserving(21)
 
 
-def test_a_class_of_lifts_that_misses_a_quotient_trips_the_check(monkeypatch):
+def test_a_class_of_lifts_that_misses_a_conjugate_fails_on_load(monkeypatch, tmp_path, capsys):
     # the lifts are closed by `equivalence_classes`, which reads `conjugates`
     # in skew_core (the coset-preserving search reads it in enumeration, so
-    # its classes stay whole); a one-member orbit of a lift has one
-    # quotient, not every quotient of its source's orbit
-    monkeypatch.setattr(skewcyc.skew_core, "conjugates", lambda phi: {phi.images: phi})
-    with pytest.raises(InternalCheckError, match="exactly the quotients of its source's orbit"):
-        census(9, MemoryStore())
+    # its classes stay whole); one-member orbits of the lifts of Z_9 split
+    # each class, and the census saves them so.  The load's class walk,
+    # with the true `conjugates`, finds the first class short of a member.
+    with monkeypatch.context() as patched:
+        patched.setattr(skewcyc.skew_core, "conjugates", lambda phi: {phi.images: phi})
+        census(9, Store(tmp_path))
+    with pytest.raises(IncompleteCensusError, match=r"census_9\.jsonl:3: class 0 lacks 1 of its"):
+        Store(tmp_path).load(9)
+    capsys.readouterr()
+    assert cli.main(["table", "--from", "9", "--to", "9", "--store", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "census_9.jsonl:3: class 0 lacks 1 of its conjugates" in lines[0]
 
 
 def test_cp_order_bound_is_pruning_only(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import faulthandler
+import json
 import random
 import re
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 
 import skewcyc.invariants
 import skewcyc.skew_core
+from skewcyc import cli
 from skewcyc.cyclic_arith import divisors, units
 from skewcyc.enumeration import CensusRecord, brute_force, census
 from skewcyc.invariants import (
@@ -65,11 +67,11 @@ class TestCleanData:
             skewcyc.skew_core._verified_once.cache_clear()
             calls.clear()
             out = []
-            _check_pair_model(18, [phi], out)
+            _check_pair_model(18, [phi], out, {})
             assert out == [] and calls == [quotient]
         skewcyc.skew_core._verified_once.cache_clear()
         calls.clear()
-        _check_pair_model(18, morphisms, out)
+        _check_pair_model(18, morphisms, out, {})
         assert out == [] and sorted(calls) == sorted(set(quotients))
         assert len(set(quotients)) < len(quotients)
 
@@ -123,7 +125,7 @@ def test_periodicity_power_from_the_tables_matches_verify(store):
         calls.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(skewcyc.invariants, "verify", counted)
-            _check_pair_model(n, cases, out)
+            _check_pair_model(n, cases, out, {})
         # every case but the identity's (p = m = 1) is read off the tables
         assert calls == [n]
         swept = [v for v in out if v.law.startswith("quotient law")]
@@ -306,7 +308,7 @@ def test_the_pair_model_reports_exactly_the_scalar_quotient_law_failures(store):
         stack = [copy for phi in store.load(n).morphisms for copy in _damaged_copies(n, phi)]
         scalar = [_quotient_law_failures(phi) for phi in stack]
         out = []
-        _check_pair_model(n, stack, out)
+        _check_pair_model(n, stack, out, {})
         want = [
             Violation(n, "quotient law", f"[{phi.canonical_str()}] {failure}")
             for phi, failures in zip(stack, scalar)
@@ -358,7 +360,7 @@ def _leader_laws(n, stack):
     for phi in stack:
         skewcyc.invariants._check_morphism(n, phi, out)
         skewcyc.invariants._check_prime_comparison(n, phi, out)
-    _check_pair_model(n, stack, out)
+    _check_pair_model(n, stack, out, {})
     found = {phi.canonical_str(): [] for phi in stack}
     for v in out:
         name = v.witness[1 : v.witness.index("]")]
@@ -463,10 +465,10 @@ def test_a_mixed_order_stack_checks_each_row_alone():
         assert list(got) == want, n
 
         out, one_by_one, in_sorted_order = [], [], []
-        _check_pair_model(n, cases, out)
+        _check_pair_model(n, cases, out, {})
         for case in cases:
-            _check_pair_model(n, [case], one_by_one)
-        _check_pair_model(n, sorted(cases, key=lambda phi: phi.order), in_sorted_order)
+            _check_pair_model(n, [case], one_by_one, {})
+        _check_pair_model(n, sorted(cases, key=lambda phi: phi.order), in_sorted_order, {})
         assert out == one_by_one and Counter(out) == Counter(in_sorted_order), n
     assert mixed == 7  # every n but 2
 
@@ -608,6 +610,37 @@ class TestViolationDetection:
         laws = {v.law for v in check_record(self._without_last_class(record))}
         assert "census total at a power of two (census fit)" in laws
         assert check_record(record) == []
+
+    def test_a_census_without_its_last_class_fails_quotient_membership(
+        self, store, tmp_path, capsys
+    ):
+        # census_20.jsonl without its last class loads and passes every law
+        # of one record; the leaders of Z_25 whose quotients lie in that
+        # class break quotient membership, which reads the census of Z_20
+        saved = Store(tmp_path)
+        for n in range(2, 26):
+            saved.save(store.load(n))
+        path = tmp_path / "census_20.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        ids = [json.loads(line)["class_id"] for line in lines]
+        dropped = [json.loads(line)["images"] for line, cid in zip(lines, ids) if cid == max(ids)]
+        assert max(ids) == 2 and len(dropped) == 8
+        path.write_text("".join(line for line, cid in zip(lines, ids) if cid != max(ids)))
+        assert check_record(Store(tmp_path).load(20)) == []
+        assert cli.main(["check", "--max", "24", "--store", str(tmp_path)]) == 0
+
+        law = "quotient is a line of the census of its order"
+        out = run_suite(Store(tmp_path), 25)
+        assert out and {(v.n, v.law) for v in out} == {(25, law)}
+        for v in out:
+            quotient = re.fullmatch(r"\[[0-9,]+\] quotient \[([0-9,]+)\] is not listed", v.witness)
+            assert [int(x) for x in quotient[1].split(",")] in dropped
+        capsys.readouterr()
+        assert cli.main(["check", "--max", "25", "--store", str(tmp_path)]) == 1
+        checked = sum(Store(tmp_path).load(n).total for n in range(2, 26))
+        assert capsys.readouterr().out.splitlines() == [str(v) for v in out] + [
+            f"{len(out)} violations over {checked} morphisms (n <= 25)"
+        ]
 
     def test_a_record_changed_after_verify_is_reported_not_raised(self, store):
         # pi bumped at 0, 1 and n - 1: the quotient built from such a pi
