@@ -9,13 +9,17 @@ gives for the same dict, but it is written by one `%`-format: the image and
 pi lists are joined from a table of `str(i)` for i in 0..n, built once per
 order, so no int is converted again (the conversion was most of the
 encoding time).  The table is a dict whose misses fall back to `str`, so a
-value outside 0..n is still written as its own digits.  `from_json` takes
-only the keys and types `save` writes; a float stays text, equal to no int.
-The two flags are a valid line's only `true`/`false`, so only a line with
-another count of them is searched for a bool in images or pi.  The
-literals are counted, not a letter they hold: a key may be escaped
-(`"imag\\u0065s"` decodes to `images`), so the count of e's in a line
-with a bool can equal a valid line's.
+value outside 0..n is still written as its own digits.  `save` fills the
+format straight from each morphism, with no `StoreEntry`, and joins the pi
+text over one period: pi repeats with period n / |kernel|, so the text of
+its first period is repeated |kernel| times, and a pi that does not repeat
+so is an implementation bug (`InternalCheckError`), never other bytes.
+`from_json` takes only the keys and types `save` writes; a float stays
+text, equal to no int.  The two flags are a valid line's only
+`true`/`false`, so only a line with another count of them is searched for
+a bool in images or pi.  The literals are counted, not a letter they hold:
+a key may be escaped (`"imag\\u0065s"` decodes to `images`), so the count
+of e's in a line with a bool can equal a valid line's.
 
 Loading re-checks every line and every stored attribute in one walk over
 the lines, without a full `verify` or a JSON parse of each.  The census is
@@ -66,6 +70,7 @@ from .skew_core import (
     Orbit,
     SkewMorphism,
     SkewMorphismError,
+    _require,
     automorphism_table,
     conjugates,
     verify,
@@ -158,23 +163,11 @@ class StoreEntry:
     class_id: int
     schema_version: int = SCHEMA_VERSION
 
-    @classmethod
-    def from_morphism(cls, phi: SkewMorphism, class_id: int) -> "StoreEntry":
-        return cls(
-            n=phi.n,
-            images=phi.images,
-            order=phi.order,
-            kernel_order=phi.kernel_order,
-            pi=phi.pi,
-            coset_preserving=phi.coset_preserving,
-            automorphism=phi.automorphism,
-            class_id=class_id,
-        )
-
     def to_json(self) -> str:
         # byte-identical to the compact `json.dumps` of this entry as a dict,
         # which wrote the pinned files: the same keys in the same order, no
-        # spaces, ints in plain decimal and the flags as true/false
+        # spaces, ints in plain decimal and the flags as true/false; `_line`
+        # fills the same layout straight from a morphism
         word = _decimals(self.n).__getitem__
         return _LINE % (
             self.n,
@@ -218,8 +211,25 @@ class StoreEntry:
 
 
 def _line(phi: SkewMorphism, class_id: int) -> str:
-    """The line `save` writes for phi under class_id."""
-    return StoreEntry.from_morphism(phi, class_id).to_json()
+    """The line `save` writes for phi under class_id, in `to_json`'s layout.
+    pi has period n / |kernel|: `verify` builds it as |kernel| copies of
+    one period, and conjugation and the closed-form automorphisms keep
+    that, so its text is joined over one period and repeated."""
+    n, k = phi.n, phi.kernel_order
+    period = phi.pi[: n // k]
+    _require(phi.pi == period * k, "pi must repeat with period n/|kernel|")
+    word = _decimals(n).__getitem__
+    return _LINE % (
+        n,
+        ",".join(map(word, phi.images)),
+        phi.order,
+        k,
+        ",".join([",".join(map(word, period))] * k),
+        "true" if phi.coset_preserving else "false",
+        "true" if phi.automorphism else "false",
+        class_id,
+        SCHEMA_VERSION,
+    )
 
 
 def _parse(line: str, n: int, where: str) -> tuple[StoreEntry, tuple[int, ...]]:
@@ -278,8 +288,8 @@ class Store:
     docstring), and are served from the
     cache afterwards.  The directory is made by the first save, so reading
     never creates it; a path that is not a directory, where no file can
-    be made, or whose census file cannot be read, raises
-    `UnusableStoreError`.
+    be made, or whose census file cannot be written (the temp file is
+    removed) or read, raises `UnusableStoreError`.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -310,8 +320,10 @@ class Store:
                 fh.write("\n".join(lines) + "\n")
             os.chmod(tmp, 0o644)  # mkstemp creates 0600; census files are public data
             os.replace(tmp, path)
-        except BaseException:
+        except BaseException as exc:
             os.unlink(tmp)
+            if isinstance(exc, OSError):  # a full disk or quota, say
+                raise UnusableStoreError(f"{path}: cannot write: {exc.strerror or exc}") from exc
             raise
         self._cache[record.n] = record
         return path

@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -12,7 +14,7 @@ import skewcyc.skew_core
 import skewcyc.store
 from skewcyc import cli
 from skewcyc.enumeration import census, enumerate_coset_preserving
-from skewcyc.skew_core import verify
+from skewcyc.skew_core import InternalCheckError, verify
 from skewcyc.store import (
     IncompleteCensusError,
     MemoryStore,
@@ -21,6 +23,7 @@ from skewcyc.store import (
     Store,
     StoreEntry,
     VerificationFailedOnLoadError,
+    _line,
     emit_table,
 )
 
@@ -151,15 +154,20 @@ class TestStore:
     def test_store_entry_json_round_trip(self, store):
         record = census(8, store)
         for phi, cid in zip(record.morphisms, record.class_ids):
-            entry = StoreEntry.from_morphism(phi, cid)
+            entry = StoreEntry.from_json(_line(phi, cid))
+            assert (entry.n, entry.images, entry.pi, entry.class_id) == (8, phi.images, phi.pi, cid)
             assert StoreEntry.from_json(entry.to_json()) == entry
 
     def test_to_json_matches_json_dumps(self, census_to_60):
-        entries = [
-            StoreEntry.from_morphism(phi, cid)
-            for record in map(census_to_60.load, range(2, 61))
-            for phi, cid in zip(record.morphisms, record.class_ids)
-        ]
+        entries = []
+        for record in map(census_to_60.load, range(2, 61)):
+            for phi, cid in zip(record.morphisms, record.class_ids):
+                line = _line(phi, cid)
+                # the oracle reads phi's own pi, not the one period `_line` joins
+                fields = (phi.images, phi.order, phi.kernel_order, phi.pi)
+                flags = (phi.coset_preserving, phi.automorphism)
+                assert line == naive_entry_json(StoreEntry(phi.n, *fields, *flags, cid))
+                entries.append(StoreEntry.from_json(line))
         # values a census never holds: the table of 0..n must not misspell them
         entries += [
             StoreEntry(1, (0,), 1, 1, (1,), True, True, -1),  # n = 1
@@ -169,6 +177,26 @@ class TestStore:
         ]
         for entry in entries:
             assert entry.to_json() == naive_entry_json(entry)
+        phi = next(phi for phi in census_to_60.load(12).morphisms if phi.proper)
+        d = phi.n // phi.kernel_order
+        assert d < phi.n and phi.pi[d] == phi.pi[0] == 1
+        # the first period kept, a value past it changed: a join over one
+        # period would write a pi this morphism does not hold
+        bad = dataclasses.replace(phi, pi=phi.pi[:d] + (2,) + phi.pi[d + 1 :])
+        with pytest.raises(InternalCheckError, match="period"):
+            _line(bad, 0)
+
+    def test_an_os_error_while_saving_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        store_dir = tmp_path / "s"
+        assert cli.main(["census", "--max", "4", "--store", str(store_dir)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "census_2.jsonl" in lines[0] and os.strerror(errno.ENOSPC) in lines[0]
+        assert list(store_dir.iterdir()) == []
 
     def test_saved_census_matches_pinned_digests(self, store, census_to_60):
         for n in range(2, 61):
