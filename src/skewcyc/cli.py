@@ -149,8 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     n = args.n
     if n > BRUTE_FORCE_MAX_N:
-        print(f"oracle is limited to n <= {BRUTE_FORCE_MAX_N}")
-        return EXIT_FAILURE
+        raise ValueError(f"oracle is limited to n <= {BRUTE_FORCE_MAX_N}")
     store = _open_store(args)
     record = census(n, store)
     expected = [phi.images for phi in brute_force(n)]

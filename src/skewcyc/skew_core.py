@@ -409,7 +409,8 @@ def _unit_gathers(n: int) -> list[tuple[tuple[int, ...], itemgetter]]:
 
 
 def conjugates(phi: SkewMorphism) -> Orbit:
-    """Every conjugate of phi under Aut(Z_n), keyed by image tuple.
+    """Every conjugate of phi under Aut(Z_n), keyed by image tuple, in the
+    order of the least unit that gives each one (so phi.images comes first).
 
     Theorem: for a unit t of Z_n, g(a) = t*f(t^{-1} a) is again a skew
     morphism, with power function pi_g(a) = pi(t^{-1} a).  Indeed
@@ -419,23 +420,49 @@ def conjugates(phi: SkewMorphism) -> Orbit:
     the same order, and kernel cosets onto kernel cosets, so the kernel
     order, the periodicity and both flags are unchanged.  The values are
     therefore built, not verified: two gathers give g, one gives pi_g.
+
+    Each conjugate is built once, by orbit-stabilizer.  The units t with
+    t*f*t^{-1} = f form a subgroup H of the (abelian) unit group, and t, u
+    give the same conjugate exactly when t lies in the coset uH.  A unit in
+    H has g(t) = t*f(1) = f(t), a cheap filter before the full comparison,
+    and each unit found in H is closed into it by powers.  One conjugate is
+    then built from the least unit of each coset, in ascending order: that
+    is the unit a walk over all units would keep first for each image
+    tuple, so the keys come in the same order, 1's coset H first.
     """
     if phi.n == 1:
         return {phi.images: phi}
+    f = phi.images
+    gathers = _unit_gathers(phi.n)
+    stabilizer = {1}
+    for times_t, at_tinv in gathers:
+        t = times_t[1]
+        if t in stabilizer or f[t] != times_t[f[1]]:
+            continue
+        if itemgetter(*at_tinv(f))(times_t) == f:
+            step = list(stabilizer)
+            while (step := [times_t[h] for h in step])[0] not in stabilizer:
+                stabilizer.update(step)
+    # the coset tH gathered from the row a -> t*a; the index 1 is in H, and
+    # naming it once more keeps the gather a tuple when H = {1}
+    coset = itemgetter(1, *stabilizer)
+    built: set[int] = set()
     orbit: Orbit = {}
-    for times_t, at_tinv in _unit_gathers(phi.n):
-        images = itemgetter(*at_tinv(phi.images))(times_t)
-        if images not in orbit:
-            orbit[images] = SkewMorphism(
-                n=phi.n,
-                images=images,
-                pi=at_tinv(phi.pi),
-                order=phi.order,
-                kernel_order=phi.kernel_order,
-                periodicity=phi.periodicity,
-                coset_preserving=phi.coset_preserving,
-                automorphism=phi.automorphism,
-            )
+    for times_t, at_tinv in gathers:
+        if times_t[1] in built:
+            continue
+        built.update(coset(times_t))
+        images = itemgetter(*at_tinv(f))(times_t)
+        orbit[images] = SkewMorphism(
+            n=phi.n,
+            images=images,
+            pi=at_tinv(phi.pi),
+            order=phi.order,
+            kernel_order=phi.kernel_order,
+            periodicity=phi.periodicity,
+            coset_preserving=phi.coset_preserving,
+            automorphism=phi.automorphism,
+        )
     return orbit
 
 
@@ -445,8 +472,10 @@ def equivalence_classes(morphisms: Iterable[SkewMorphism]) -> list[Orbit]:
 
     Each orbit is built once by `conjugates`, from the first listed
     morphism not in an earlier orbit, so that morphism's images are the
-    orbit's first key (`_unit_gathers` lists the unit 1 first).  An orbit
-    holds every conjugate, listed or not; the orbits are disjoint, since
+    orbit's first key: `conjugates` builds from the least unit of each
+    stabilizer coset in ascending order, and the coset of 1 is the
+    stabilizer itself, which gives the morphism back.  An orbit holds
+    every conjugate, listed or not; the orbits are disjoint, since
     conjugation by the units is a group action on image tuples, and images
     of different lengths never meet.
     """

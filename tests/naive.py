@@ -8,6 +8,7 @@ over all pairs, so these can serve as ground truth for small n.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from itertools import accumulate, product
 from math import gcd
 
@@ -160,6 +161,21 @@ def naive_conjugate(images, t: int) -> tuple[int, ...]:
     n = len(images)
     tinv = pow(t, -1, n)
     return tuple(t * images[tinv * a % n] % n for a in range(n))
+
+
+def naive_conjugates(phi) -> dict[tuple[int, ...], object]:
+    """The conjugation orbit of phi, one unit at a time: each unit t in
+    ascending order gives g = t*f*t^{-1}, with pi_g(a) = pi(t^{-1} a) and the
+    other fields of phi, and the first unit to give an image tuple keeps it."""
+    n = phi.n
+    orbit = {}
+    for t in naive_units(n) or [1]:
+        images = naive_conjugate(phi.images, t)
+        if images not in orbit:
+            tinv = pow(t, -1, n)
+            pi = tuple(phi.pi[tinv * a % n] for a in range(n))
+            orbit[images] = replace(phi, images=images, pi=pi)
+    return orbit
 
 
 def naive_classes(morphisms) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:

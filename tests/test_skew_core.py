@@ -28,6 +28,7 @@ from skewcyc.store import MemoryStore
 from naive import (
     naive_classes,
     naive_conjugate,
+    naive_conjugates,
     naive_is_skew,
     naive_order,
     naive_pi,
@@ -349,6 +350,30 @@ class TestConjugate:
         assert list(conjugates(verify(6, PHI6))) == [PHI6, (0, 5, 2, 1, 4, 3)]
         with pytest.raises(ValueError):
             automorphism_of(6, 3)
+
+    def test_matches_the_per_unit_loop_on_every_leader_to_60(self, proper_up_to_60):
+        # one conjugate per stabilizer coset: same keys, same key order, same values
+        for n, proper in proper_up_to_60.items():
+            for orbit in equivalence_classes(proper):
+                leader = next(iter(orbit.values()))
+                assert list(conjugates(leader).items()) == list(naive_conjugates(leader).items()), n
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            automorphism_of(12, 5),  # the stabilizer is every unit
+            verify(2, (0, 1)),
+            verify(1, (0,)),
+            # the stabilizer is {1}: all 12 units of Z_21 give distinct conjugates
+            verify(21, (0, 4, 11, 3, 7, 14, 6, 10, 17, 9, 13, 20, 12, 16, 2, 15, 19, 5, 18, 1, 8)),
+        ],
+        ids=["automorphism", "n2", "n1", "trivial-stabilizer"],
+    )
+    def test_matches_the_per_unit_loop_on_edge_cases(self, phi):
+        orbit = list(conjugates(phi).items())
+        assert orbit == list(naive_conjugates(phi).items())
+        assert orbit[0] == (phi.images, phi)
+        assert len(orbit) == (1 if phi.automorphism else len(naive_units(phi.n)))
 
     def test_values_equal_verify(self, census_up_to_30):
         for phi in census_up_to_30:

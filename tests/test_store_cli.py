@@ -590,6 +590,7 @@ class TestCli:
         "argv, expect",
         [
             (["oracle", "--n", "1"], ""),
+            (["oracle", "--n", "11"], "oracle is limited to n <= 10"),
             (["families", "--p", "4"], ""),
             (["verify", "--n", "0", "--perm", "0"], ""),
             (["census", "--max", "6", "--jobs", "-3"], ""),
@@ -603,6 +604,7 @@ class TestCli:
         ],
         ids=[
             "oracle-n1",
+            "oracle-n11",
             "families-p4",
             "verify-n0",
             "census-jobs-negative",
