@@ -63,9 +63,10 @@ has a residue mod R = ord(rho) that neither the seeds nor the stepper
 change (every stepper fixes residues, each seed pool is one coset, R
 divides T), so each walk step reads one prefix column for all rows.
 Each survivor takes its period sums to `_realize_lift`, the one
-acceptance step of the lift: `verify`, then its quotient and its p-th
-power.  The pass is tested against the same walk run one row at a time
-(`naive_seed_survivors` in the test suite).
+acceptance step of the lift: `verify`, then its p-th power.  Its quotient
+is rho (proved there), so the census builds no quotient.  The pass is
+tested against the same walk run one row at a time (`naive_seed_survivors`
+in the test suite).
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -81,7 +82,7 @@ from itertools import product  # unused here; perfbench/layers.py traces enumera
 from math import gcd
 
 from .cyclic_arith import euler_phi, factorize, mult_order, units
-from .quotient import generator_orbit, quotient_of
+from .quotient import generator_orbit
 from .skew_core import (
     Orbit,
     SkewMorphism,
@@ -472,7 +473,10 @@ def psi_candidates(rho: SkewMorphism, n: int, cp_list: list[SkewMorphism]) -> li
 
 
 def lift(rho: SkewMorphism, n: int, cp_list: list[SkewMorphism]) -> list[SkewMorphism]:
-    """All non-coset-preserving f of Z_n whose quotient (generator 1) is rho."""
+    """All non-coset-preserving f of Z_n whose quotient (generator 1) is rho.
+
+    rho must be a verified skew morphism (built by `verify`): no quotient
+    is checked, as the proof in `_realize_lift` rests on rho being skew."""
     if not rho.proper:
         raise ValueError("lift requires a proper quotient")
     if not _can_lift(rho, n):
@@ -524,9 +528,9 @@ def _lift_with_psis(
     (`_free_threads`) by a seed from the kernel coset that pi_rho gives
     it.  `_batched_seed_survivors` walks every (stepper, seeds) row and
     yields the period sums of the rows whose orbit of 1 is consistent;
-    `_realize_lift` keeps those that are skew of order m, with quotient
-    rho and p-th power their stepper.  A kept lift that is coset-preserving
-    or that repeats is an implementation bug.
+    `_realize_lift` keeps those that are skew of order m, with p-th power
+    their stepper; their quotient is rho (proved there).  A kept lift that
+    is coset-preserving or that repeats is an implementation bug.
     """
     if not psis:
         return []
@@ -541,7 +545,7 @@ def _lift_with_psis(
     survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, orbit_l)
     results: dict[tuple[int, ...], SkewMorphism] = {}
     for k, prefix, total in survivors:
-        sk = _realize_lift(n, m, big_r, p, rho, psis[k], prefix, total)
+        sk = _realize_lift(n, m, big_r, p, psis[k], prefix, total)
         if sk is None:
             continue
         _require(not sk.coset_preserving, "lift produced a coset-preserving map")
@@ -687,24 +691,44 @@ def _realize_lift(
     m: int,
     big_r: int,
     p: int,
-    rho: SkewMorphism,
     psi: SkewMorphism,
     prefix: list[int],
     total: int,
 ) -> SkewMorphism | None:
     """The candidate with period sums `prefix` and `total` (see
-    `_verified_of_order`) when it is a lift of rho with stepper psi: fully
-    verified, of order m, with quotient rho and f^p = psi; None otherwise.
+    `_verified_of_order`) when it is a lift with stepper psi: fully
+    verified, of order m, and with f^p = psi; None otherwise.  The f^p
+    check is the stack's dedup: a lift can pass the walk under a stepper
+    other than its own f^p, and is kept under that one only.
 
-    The quotient check rejects none of the 4,490 survivors of 2..161.  It
-    guards a rho that is not skew, like the one known input it rejects: the
-    rho0 of `test_a_source_without_lifts_claims_no_orbit`, which keeps the
-    orbit of 1 and the pi of a source.  A skew morphism is fixed by those,
-    f(k + 1) = f(k) + f^(pi(k))(1), so rho0 is never a census source.
-    Whether the check can reject a candidate for a skew rho is open.
+    Every candidate accepted here has the quotient rho of its task, so
+    none is built.  rho is skew: every source is a line of a census, built
+    by `census` or verified by `Store.load`.  With R = ord(rho),
+    e_j = rho^j(1) = orbit_l[j] and x_e the pre-filter's orbit value at
+    position e (`_batched_seed_survivors`), the period sums are
+    prefix[j] = sum_{i<j} x_(e_i), which reach T (mod n) at j = R.
+    - x_e = f^e(1) for every e in orbit_l: the walk is the orbit of 1
+      under f, and it checks o_t = seed_t at each free thread t < p and
+      o_t = psi(o_(t-p)) for t >= p; every needed position lies in
+      thread 0 or in a free thread (`_free_threads`).
+    - f(k + 1) - f(k) = x_(e_(k mod R)) for every k: inside a period it
+      is prefix[j+1] - prefix[j], and across a period boundary it is
+      T - prefix[R-1].  The skew identity at a = k, x = 1 makes the same
+      step f^(pi_f(k))(1), and the orbit of 1 has m = ord(f) points, so
+      pi_f(k) = rho^k(1) (mod m).
+    - Each psi fixes residues mod R, and the seed of thread j lies in
+      pi_rho(j) + R*Z_n (thread 0's is 1 = pi_rho(0)), so
+      x_e = pi_rho(e mod p) = pi_rho(e) (mod R), pi_rho having period p.
+      With R | T, f(x) = sigma(x mod R) (mod R) for sigma(j) =
+      sum_{i<j} pi_rho(e_i), which is Q(rho) (the pre-filter requires
+      this residue structure).  Law (a) for rho, pi_rho(i) = sigma^i(1)
+      (mod R), then gives f^i(1) = pi_rho(i) (mod R).
+    - So, rho^R being the identity, Q(f)(k) = sum_{i<k} pi_f(f^i(1)) =
+      sum_{i<k} rho^(pi_rho(i))(1) = sum_{i<k} (rho(i + 1) - rho(i)) =
+      rho(k) (mod m), by rho's skew identity at a = i, x = 1: Q(f) = rho.
     """
     sk = _verified_of_order(n, m, big_r, prefix, total)
-    if sk is None or quotient_of(sk).images != rho.images or power(sk, p) != psi.images:
+    if sk is None or power(sk, p) != psi.images:
         return None
     return sk
 

@@ -34,9 +34,11 @@ only among the generators of the cyclic group <rho>.
 Many morphisms share a quotient: the 24,385 skew morphisms of Z_n for
 n in 2..161 have 1,312 distinct quotients for the generator 1.  `verify`
 is a pure function of (m, images), so each distinct quotient is verified
-once per process, through `skew_core._verified_once`, an unbounded cache
-that the census bounds; the postconditions that relate f to its quotient
-still run on every call.
+once per process, through `skew_core._verified_once`, an unbounded cache;
+the postconditions that relate f to its quotient still run on every call.
+The census builds no quotient (proved in `enumeration._realize_lift`), so
+only `check` fills the cache: `check --max 161` leaves 1,617 entries,
+quotients and induced maps, after 3,863 hits.
 """
 
 from __future__ import annotations

