@@ -10,25 +10,41 @@ cross-checks, the order/kernel constraints on Z_{4p}, and the census
 total at odd prime powers; and, across orders, quotient membership: each
 quotient is a line of the census of its order.
 
-Each conjugation class is checked once.  Every line must first be well
-formed: n images in Z_n, a power function of n values and an order of at
-least 1, each a law of its own (`_well_formed`); the other laws index by
-those fields, so a line that breaks one is reported for it alone.  Then:
+Each conjugation class is checked once, and a line is walked only when no
+walk has proved it.  `_check_record` branches once, on
+`CensusRecord.leaders`:
 
-- an automorphism is compared, field by field, with its closed form
-  `automorphism_of(n, f(1))`, and no other law runs on it
-  ("automorphism is a -> f(1)*a");
-- the well-formed proper lines are partitioned into conjugation orbits
-  by `equivalence_classes`, each built once from its first line in the
-  record (its least, in a sorted record), and every member of an orbit
-  must be listed, equal in every field ("census closed under
-  conjugation").  A record that carries its leaders
-  (`CensusRecord.leaders`) skips this walk: the walk that built it
-  proved the law (point (2)).  Each orbit's first line, its leader, gets
-  the laws of one morphism (`_check_morphism`, `_check_prime_comparison`)
-  and the pair model, with the periodicity-power law and the quotient
-  laws for the generator 1 (`_check_pair_model`); no other line does;
-- the record laws (counts, census fits, class ids, Z_{4p}) read every line;
+- a record that carries its leaders, as every record that `census` or
+  `Store.load` builds does, gets the record laws and its leaders' laws
+  alone.  The walk that built it proved every law of a line (points (2),
+  (5) and (6) below): every automorphism in it is the closed-form object
+  of `automorphism_table(n)`, and every proper line is a conjugate that
+  `conjugates` built from a verified leader, listed with its whole orbit
+  under ids that number the orbits;
+- a record without leaders (built by hand, or copied by
+  `dataclasses.replace`, which drops them) is walked by `_check_lines`,
+  which holds every law of a line and finds the leaders.  Every line must
+  first be well formed: n images in Z_n, a power function of n values and
+  an order of at least 1, each a law of its own (`_well_formed`); the
+  other laws index by those fields, so a line that breaks one is reported
+  for it alone.  An automorphism is compared, field by field, with its
+  closed form `automorphism_of(n, f(1))`, and no other law runs on it
+  ("automorphism is a -> f(1)*a").  The well-formed proper lines are
+  partitioned into conjugation orbits by `equivalence_classes`, each built
+  once from its first line in the record (its least, in a sorted record),
+  its leader; every member of an orbit must be listed, equal in every
+  field ("census closed under conjugation"), and the class ids must
+  number the orbits ("equivalence class ids", asked only when every line
+  is well formed).
+
+Then, on either kind of record:
+
+- the record laws (`_check_record_level`: proper existence, the two census
+  fits, the Z_{4p} pairs) read every line;
+- each leader gets the laws of one morphism (`_check_morphism`,
+  `_check_prime_comparison`) and the pair model, with the
+  periodicity-power law and the quotient laws for the generator 1
+  (`_check_pair_model`); no other line does;
 - `run_suite` loads the orders in ascending order and holds the quotient
   of each leader of Z_n, for the generator 1, to the census of its order
   m < n, loaded before ("quotient is a line of the census of its order",
@@ -50,13 +66,14 @@ postconditions of `quotient_of` pin the periodicity and both flags.
 periodicity and flags, h(a) = t*f(t^{-1} a) and pi_h(a) = pi(t^{-1} a).
 Two units that give the same images give the same pi, which the images
 decide within [1, m].  A listed line equal to it in every field is h.
-A record that carries its leaders was built by a walk that proved every
-proper line such an h of its class's leader, and every h listed: `census`
-lists the orbits that `conjugates` built, whole and disjoint
-(`_finalize_census`), and `Store.load` requires each line to be a member,
-equal in every stored field, of the orbit built from its class's first
-line, and every member listed.  `check` walks only a record without
-leaders (built by hand, or copied by `dataclasses.replace`, which drops them).
+A record that carries its leaders was built by a walk that made every
+proper line such an h of its class's leader, a morphism that `verify`
+built, and listed every h: `census` lists the orbits that `conjugates`
+built, whole and disjoint (`_finalize_census`), and `Store.load` lists,
+for each line, the member built for it in the orbit of its class's first
+line, once its stored fields are found equal, and requires every member
+listed.  Each such line is well formed, as `verify` and `conjugates` build
+n images in Z_n, n values of pi and an order of at least 1.
 (3) h passes each law of one morphism that reads no generator, because f
 does.  The order, divisibility, kernel-order and flag laws read only the
 fields that conjugation keeps.  pi_h takes the values of pi (the range
@@ -104,6 +121,10 @@ f^1 = f is skew and coset-preserving.  Its quotient for 1 is
 Q(k) = sum_{i<k} 1 = k, the identity of Z_m: of order 1 = n/|kernel|, as
 `quotient_of` requires; law (a) reads pi = 1 = Q^k(1), law (b)
 periodicity 1 = m/m, and law (c) has nothing to check.
+A record that carries its leaders lists as each automorphism the object
+of `automorphism_table(n)`, which is `automorphism_of(n, s)`: `census`
+takes them from `automorphisms(n)`, and `Store.load` takes the one with
+the line's images once its stored fields are found equal.
 (6) The class-id law numbers the orbits of `equivalence_classes`, and the
 orbits of a record that passes are the conjugation classes.  A record
 that carries its leaders was numbered so by its builder.
@@ -131,10 +152,8 @@ violation of that law, with the error as its witness.  A stored kernel
 order that no subgroup of Z_n has is reported as "kernel order divides
 n", and the laws that need the kernel subgroup are skipped for that
 morphism.  No law leans on `Store.load`'s `verify`: the laws of one
-morphism re-derive every field of each leader.  The closure and class-id
-laws of a record that carries its leaders lean on the walk that built it
-(points (2) and (6)), the only way such a record is made.  A clean run
-over a census is the package's acceptance gate.
+morphism re-derive every field of each leader.  A clean run over a census
+is the package's acceptance gate.
 """
 
 from __future__ import annotations
@@ -425,16 +444,43 @@ def _check_pair_model(
     out.extend(v for violations in found for v in violations)
 
 
-def _check_record_level(
-    record: CensusRecord, out: list[Violation], well_formed: Sequence[SkewMorphism]
-) -> Sequence[SkewMorphism]:
-    """The laws of the whole record, and the closure law (see the module
-    docstring) over the orbits of the `well_formed` proper lines, which
-    conjugation indexes by.  Returns the leaders of the orbits, in the
-    order of the orbits.  The class ids are checked only when every line
-    is well formed.  A record that carries its leaders had both laws
-    proved by the walk that built it (points (2) and (6) of the module
-    docstring), so its orbits are not built again."""
+def _check_lines(record: CensusRecord, out: list[Violation]) -> list[SkewMorphism]:
+    """Every law of a line, for a record without leaders: each line well
+    formed, each well-formed automorphism its closed form, the census closed
+    under conjugation over the orbits of the well-formed proper lines, and
+    class ids that number those orbits, checked only when every line is
+    well formed.  Returns the leaders of the orbits, in the order of the
+    orbits."""
+    n = record.n
+    well_formed = [phi for phi in record.morphisms if _well_formed(n, phi, out)]
+    for phi in well_formed:
+        if phi.automorphism:
+            _check_automorphism(n, phi, out)
+    listed = {phi.images: phi for phi in well_formed}
+    proper = {images: phi for images, phi in listed.items() if phi.proper}
+    stored_id = dict(zip((phi.images for phi in record.morphisms), record.class_ids))
+    leaders, stale = [], False
+    for k, orbit in enumerate(equivalence_classes(proper.values())):
+        leader = listed[next(iter(orbit))]
+        where = f"orbit of [{leader.canonical_str()}]"
+        leaders.append(leader)
+        stale = stale or any(stored_id[key] != k for key in orbit if key in proper)
+        for key, conjugate in orbit.items():
+            other = listed.get(key)
+            if other != conjugate:
+                detail = "is not listed" if other is None else "differs in " + _differing(
+                    other, conjugate
+                )
+                witness = f"[{conjugate.canonical_str()}] {detail} ({where})"
+                out.append(Violation(n, "census closed under conjugation", witness))
+    if stale and len(well_formed) == record.total:
+        out.append(Violation(n, "equivalence class ids", "stored ids differ from recomputation"))
+    return leaders
+
+
+def _check_record_level(record: CensusRecord, out: list[Violation]) -> None:
+    """The record laws: proper morphisms exist where they must, the two
+    census fits, and the kernel/order pairs on Z_{4p}."""
     n = record.n
 
     def bad(law: str, witness: str) -> None:
@@ -461,29 +507,6 @@ def _check_record_level(
         if law and record.total != fit:
             bad(law, f"total={record.total}, fit={fit}")
 
-    leaders = record.leaders  # the walk that built the record proved both laws
-    if leaders is None:
-        listed = {phi.images: phi for phi in well_formed}
-        proper = {images: phi for images, phi in listed.items() if phi.proper}
-        stored_id = dict(zip((phi.images for phi in record.morphisms), record.class_ids))
-        leaders, stale = [], False
-        for k, orbit in enumerate(equivalence_classes(proper.values())):
-            leader = listed[next(iter(orbit))]
-            where = f"orbit of [{leader.canonical_str()}]"
-            leaders.append(leader)
-            stale = stale or any(stored_id[key] != k for key in orbit if key in proper)
-            for key, conjugate in orbit.items():
-                other = listed.get(key)
-                if other != conjugate:
-                    detail = "is not listed" if other is None else "differs in " + _differing(
-                        other, conjugate
-                    )
-                    witness = f"[{conjugate.canonical_str()}] {detail} ({where})"
-                    bad("census closed under conjugation", witness)
-
-        if stale and len(well_formed) == record.total:
-            bad("equivalence class ids", "stored ids differ from recomputation")
-
     if n in PROP62_ORDERS:
         p = n // 4
         allowed = {(p, p), (2 * p, p), (2 * p, 2 * p)}
@@ -491,7 +514,6 @@ def _check_record_level(
             if phi.proper and (phi.kernel_order, phi.order) not in allowed:
                 pair = f"({phi.kernel_order}, {phi.order})"
                 bad("kernel/order pairs on Z_4p", f"[{phi.canonical_str()}] {pair}")
-    return leaders
 
 
 def check_record(record: CensusRecord) -> list[Violation]:
@@ -507,11 +529,10 @@ def _check_record(record: CensusRecord, censuses: dict[int, set]) -> list[Violat
     order), to which it then adds the record's own."""
     out: list[Violation] = []
     n = record.n
-    well_formed = [phi for phi in record.morphisms if _well_formed(n, phi, out)]
-    for phi in well_formed:
-        if phi.automorphism:
-            _check_automorphism(n, phi, out)
-    leaders = _check_record_level(record, out, well_formed)
+    leaders = record.leaders  # the walk that built the record proved every law of a line
+    if leaders is None:
+        leaders = _check_lines(record, out)
+    _check_record_level(record, out)
     for phi in leaders:
         _check_morphism(n, phi, out)
         _check_prime_comparison(n, phi, out)

@@ -243,7 +243,7 @@ def verify(n: int, images) -> SkewMorphism:
             raise NoPowerExponentError(a)
         if a and (i or order) == 1:  # a = d: pi has period d (see the docstring)
             _require(n % a == 0, f"least kernel element {a} does not divide {n}")
-            return _finish(n, images, tuple(pi) * (n // a), order, iterate)
+            return _finish(n, images, tuple(pi), order, iterate)
         pi.append(i or order)
 
     # K = {0}, a kernel that _finish rejects for n >= 2
@@ -276,19 +276,19 @@ def _iterates(images: tuple[int, ...]) -> Callable[[int], tuple[int, ...]]:
 def _finish(
     n: int,
     images: tuple[int, ...],
-    pi: tuple[int, ...],
+    period: tuple[int, ...],
     order: int,
     iterate: Callable[[int], tuple[int, ...]],
 ) -> SkewMorphism:
-    """Kernel, flags and periodicity, with theorem-backed postconditions."""
-    _require(pi[0] == 1, "pi(0) must be 1")
+    """Kernel, flags and periodicity, with theorem-backed postconditions.
 
-    kord = pi.count(1)
-    _require(n % kord == 0, f"kernel size {kord} does not divide {n}")
-    step = n // kord
-    # kord points have pi = 1 and there are kord multiples of step, so the
-    # kernel is the subgroup of order kord iff pi is 1 on every multiple
-    _require(pi[::step] == (1,) * kord, "kernel is not the subgroup of its order")
+    `period` is the one period of pi that `verify`'s row loop built: its
+    length d divides n, period[0] = 1 and no other value is 1, so pi is the
+    period repeated n/d times and the kernel is the subgroup of order n/d,
+    the multiples of d."""
+    step = len(period)
+    kord = n // step
+    pi = period * kord
     _require(
         sorted(images[::step]) == list(range(0, n, step)),
         "kernel is not preserved by the morphism",

@@ -90,6 +90,39 @@ class TestCleanData:
         assert check_quotient_laws(phi, 5) == cold and calls == []
 
 
+def test_only_a_record_without_leaders_is_walked_line_by_line(store, tmp_path, monkeypatch):
+    """A record that `Store.load` or `census` built carries the leaders its
+    walk proved, so `check` runs no law of a line on it; a copy made by
+    `dataclasses.replace` drops them and has every line walked once."""
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(skewcyc.invariants, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(skewcyc.invariants, name, counted)
+
+    for name in ("_well_formed", "_check_automorphism", "equivalence_classes"):
+        counting(name)
+    saved = Store(tmp_path)
+    for n in range(2, 33):
+        saved.save(store.load(n))
+    assert run_suite(Store(tmp_path), 32) == [] and not calls
+    record = census(20, MemoryStore())
+    assert record.leaders is not None and check_record(record) == [] and not calls
+
+    copy = dataclasses.replace(record)
+    assert copy.leaders is None and check_record(copy) == []
+    assert calls == {
+        "_well_formed": copy.total,
+        "_check_automorphism": copy.automorphism_count,
+        "equivalence_classes": 1,
+    }
+
+
 def test_periodicity_power_from_the_tables_matches_verify(store):
     """The law read off the pair tables gives `verify`'s verdict on f^p (law,
     witness, coset-preserving flag), for the stored periodicity and for

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewcyc import skew_core
-from skewcyc.enumeration import census
+from skewcyc.enumeration import brute_force, census
 from skewcyc.skew_core import (
     IdentityNotFixedError,
     InternalCheckError,
@@ -30,12 +30,14 @@ from naive import (
     naive_conjugate,
     naive_conjugates,
     naive_is_skew,
+    naive_kernel,
     naive_order,
     naive_pi,
     naive_power,
     naive_power_table,
     naive_units,
     naive_witness,
+    perm_powers,
 )
 from test_invariants import _damaged_copies
 
@@ -236,6 +238,31 @@ class TestKernelCosetRows:
         # and 1, and the periodicity check in _finish: one gather each, where
         # a check of all twelve rows would make fourteen
         assert len(gathers) == 4
+
+
+def test_derived_fields_match_the_oracle():
+    # every skew morphism of Z_n, n <= 8: the kernel order, order,
+    # periodicity and both flags that verify derives from its row loop,
+    # against the oracle's power function and direct loops over it
+    for n in range(1, 9):
+        for phi in brute_force(n):
+            f = phi.images
+            pi, powers = naive_pi(n, f), perm_powers(f)
+            order = naive_order(f)
+            periodicity = next(
+                p for p in range(1, order + 1)
+                if all(pi[powers[p % order][x]] == pi[x] for x in range(n))
+            )
+            coset_preserving = all(pi[f[x]] == pi[x] for x in range(n))
+            automorphism = all(
+                f[(a + b) % n] == (f[a] + f[b]) % n for a in range(n) for b in range(n)
+            )
+            want = (len(naive_kernel(n, f)), order, periodicity, coset_preserving, automorphism)
+            got = (
+                phi.kernel_order, phi.order, phi.periodicity, phi.coset_preserving,
+                phi.automorphism,
+            )
+            assert list(phi.pi) == pi and got == want, (n, f)
 
 
 class TestPeriodicity:
