@@ -5,75 +5,47 @@ import pytest
 import skewcyc.families as families
 from skewcyc.cli import main
 from skewcyc.enumeration import census
-from skewcyc.families import (
-    FAMILY_MAX_P,
-    FamilyParams,
-    family_4p,
-    make_x,
-    make_y,
-    make_z,
-    sqrt_minus_one,
-)
+from skewcyc.families import FAMILY_MAX_P, family_4p
 from skewcyc.skew_core import equivalence_classes
 from skewcyc.store import MemoryStore
 
 
-class TestConstructors:
-    def test_x_on_z12(self):
-        phi = make_x(3, 2)
-        assert phi.images == (0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 1)
+def _member(p, images):
+    return next(phi for phi in family_4p(p) if phi.images == images)
+
+
+class TestMembers:
+    def test_x2_on_z12(self):
+        phi = _member(3, (0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 1))
         assert phi.kernel_order == 6
 
-    def test_x_excludes_the_automorphism_shift(self):
-        with pytest.raises(ValueError):
-            make_x(3, 6)  # i = (p-1)/2 would give the automorphism a -> (2p+1)a
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_the_automorphism_shift_is_no_member(self, p):
+        n = 4 * p
+        automorphism = tuple((2 * p + 1) * a % n for a in range(n))
+        assert automorphism not in {phi.images for phi in family_4p(p)}
 
-    def test_x_on_z20(self):
-        phi = make_x(5, 2)
-        assert phi.n == 20 and phi.kernel_order == 10
-
-    def test_y_on_z12_and_z20(self):
-        assert make_y(3, 4).kernel_order == 6
-        assert make_y(5, 4).n == 20
-
-    def test_y_rejects_wrong_residue(self):
-        with pytest.raises(ValueError):
-            make_y(3, 6)
-
-    def test_z_on_z20(self):
-        phi = make_z(5, 2, 4)
-        assert phi.n == 20
+    def test_z_2_4_on_z20(self):
+        shift = (0, 4, 12, 8)  # (0, s, s(w+1), sw) for w = 2, s = 4
+        phi = _member(5, tuple((a + shift[a % 4]) % 20 for a in range(20)))
         assert phi.kernel_order == 5
         assert phi.order == 5
 
-    def test_z_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            make_z(3, 1, 4)  # p = 3 mod 4
-        with pytest.raises(ValueError):
-            make_z(5, 1, 4)  # 1^2 != -1 mod 5
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_kernel_2p_members_split_between_orders_p_and_2p(self, p):
+        members = [phi for phi in family_4p(p) if phi.kernel_order == 2 * p]
+        assert Counter(phi.order for phi in members) == {p: p - 1, 2 * p: p - 1}
 
-    def test_all_members_verify_with_claimed_kernels(self):
-        # x and y have kernel of order 2p; z has kernel of order p
-        for p in (3, 5, 7):
-            half = (p - 1) // 2
-            for i in range(p):
-                if i != half:
-                    assert make_x(p, 4 * i + 2).kernel_order == 2 * p
-            for i in range(1, p):
-                assert make_y(p, 4 * i).kernel_order == 2 * p
-        for w in sqrt_minus_one(5):
-            for i in range(1, 5):
-                assert make_z(5, w, 4 * i).kernel_order == 5
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_the_other_members_have_kernel_and_order_p(self, p):
+        others = [phi for phi in family_4p(p) if phi.kernel_order != 2 * p]
+        assert len(others) == (2 * (p - 1) if p % 4 == 1 else 0)
+        assert all(phi.kernel_order == p and phi.order == p for phi in others)
 
-
-class TestFamilyParams:
-    def test_rejects_even_or_composite_p(self):
-        with pytest.raises(ValueError):
-            FamilyParams(p=2, kind="x", s=2)
-        with pytest.raises(ValueError):
-            FamilyParams(p=9, kind="y", s=4)
-        with pytest.raises(ValueError):
-            FamilyParams(p=5, kind="w", s=4)
+    @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15])
+    def test_rejects_p_that_is_not_an_odd_prime(self, p):
+        with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
+            family_4p(p)
 
 
 class TestFamily4p:
@@ -85,14 +57,6 @@ class TestFamily4p:
         assert len(members) == count
         assert len(equivalence_classes(members)) == classes
         assert all(phi.coset_preserving and phi.proper for phi in members)
-
-    def test_shift_families_split_between_orders_p_and_2p(self):
-        for p in (3, 5, 7):
-            half = (p - 1) // 2
-            shift = [make_x(p, 4 * i + 2) for i in range(p) if i != half]
-            shift += [make_y(p, 4 * i) for i in range(1, p)]
-            orders = Counter(phi.order for phi in shift)
-            assert orders == {p: p - 1, 2 * p: p - 1}
 
     def test_equals_census_proper_part(self):
         store = MemoryStore()
