@@ -54,19 +54,25 @@ candidate is a bijection iff gcd(T, n) equals the kernel index, and the
 whole orbit of 1 can be walked with O(1) evaluations.  The base search
 decides that walk in closed form, in (u, w) alone; the step-by-step walk
 is its oracle in the test suite (`naive_cp_base_search`).  The lift runs
-these checks on all seed combinations of all the steppers of a task at
-once (`_batched_seed_survivors`), iterating the steppers on the seeds
-alone (orbit position e is psi^(e//p) at the seed of thread e % p); the
+these checks on the (stepper, seed combination) rows of a task at once
+(`_batched_seed_survivors`), iterating the steppers on the seeds alone
+(orbit position e is psi^(e//p) at the seed of thread e % p); the
 stepper is a leading axis of its tables.  Its prefix sums are separable,
 one table of partial sums per thread and stepper, and every orbit value
 has a residue mod R = ord(rho) that neither the seeds nor the stepper
 change (every stepper fixes residues, each seed pool is one coset, R
 divides T), so each walk step reads one prefix column for all rows.
-Each survivor takes its period sums to `_realize_lift`, the one
-acceptance step of the lift: `verify`, then its p-th power.  Its quotient
-is rho (proved there), so the census builds no quotient.  The pass is
-tested against the same walk run one row at a time (`naive_seed_survivors`
-in the test suite).
+The prefix columns split into two tables over the seeds of the first
+and the second half of the free threads, and for a fixed T the orbit
+value at each seed position is a sum of one term from each half, so a
+join of the two halves (`_seed_join`) hands the walk only the rows that
+pass the T filter and every seed check; the rest of the seed product is
+never built.  Each survivor takes its period sums to `_realize_lift`, the
+one acceptance step of the lift: `verify`, then its p-th power.  Its
+quotient is rho (proved there), so the census builds no quotient.  The
+pass is tested against the same walk run one row at a time
+(`naive_seed_survivors` in the test suite), and the join against the
+rows that pass its checks one row at a time (`naive_seed_rows`).
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -526,8 +532,9 @@ def _lift_with_psis(
 
     Thread 0 of the orbit of 1 is seeded by 1, and each free thread
     (`_free_threads`) by a seed from the kernel coset that pi_rho gives
-    it.  `_batched_seed_survivors` walks every (stepper, seeds) row and
-    yields the period sums of the rows whose orbit of 1 is consistent;
+    it.  `_batched_seed_survivors` walks the (stepper, seeds) rows that
+    pass its seed join and yields the period sums of the rows whose orbit
+    of 1 is consistent;
     `_realize_lift` keeps those that are skew of order m, with p-th power
     their stepper; their quotient is rho (proved there).  A kept lift that
     is coset-preserving or that repeats is an implementation bug.
@@ -557,10 +564,11 @@ def _lift_with_psis(
     return sorted(results.values(), key=lambda q: q.images)
 
 
-# (stepper, seed combination) rows per pre-filter pass; bounds its working
-# set.  Peak RSS of census(81): 32.8 MB, against 34.3 MB with 1 << 15 and
-# 34.5 MB when each stepper had a pass of its own; 1 << 15 walks the
-# largest stack of census(81) (39,366 rows) about 10% faster.
+# (stepper, seed combination) rows per walk pass; bounds its working set.
+# Since the walk reads only the rows of the seed join (or the product of a
+# task with one free thread), no task of census 2..161 fills a chunk: the
+# largest walk reads 7,680 rows, and the largest join keeps 3,330.  Peak
+# RSS of census(81) is 31.2 MB, as it was when the walk read the product.
 _CHUNK = 1 << 14
 
 
@@ -574,16 +582,16 @@ def _batched_seed_survivors(
     pools: list[list[int]],
     orbit_l: list[int],
 ):
-    """Vectorised pre-filter over all seed combinations of every stepper of a task.
+    """Vectorised pre-filter over the seed combinations of every stepper of a task.
 
     Runs the checks that the orbit of 1 of a lift passes (one-period total
     T with gcd(T, n) = R, orbit walk with first return at m, seed replay,
-    psi thread relation) on every (stepper, combination) row at once, and
+    psi thread relation) on (stepper, combination) rows at once, and
     yields each survivor as (index into psis, its R prefix sums mod n, T),
     stepper by stepper in `product(*pools)` order.  The survivors go to
     `_realize_lift`, which verifies each, so this stage can only discard,
     never admit.  Its reference is `naive_seed_survivors` in tests/naive.py,
-    the same walk one row at a time.
+    the same walk one row at a time on every row.
 
     Period term i is psi^(orbit_l[i] // p) at the seed of thread
     orbit_l[i] % p, so the pass iterates the steppers (one stack x n array
@@ -593,9 +601,10 @@ def _batched_seed_survivors(
     column c is the part of thread 0 plus one per-thread partial sum for
     each free thread, read from an (R+1) x nfree x kord table per stepper.
     Those are folded into two tables over the seed digits of the first and
-    the second half of the free threads, and the stepper axis is flattened
-    into their columns, so a column costs two gathers per row.  The period
-    total T is column R; the gcd(T, n) = R filter runs first.
+    the second half of the free threads, `hi_sums` and `lo_sums`, and the
+    stepper axis is flattened into their columns, so a column costs two
+    gathers per row.  The period total T is column R; the gcd(T, n) = R
+    filter runs first.
 
     Every orbit value has the same residue mod R in all rows, whatever the
     stepper: every psi from `psi_candidates` fixes each residue mod R, so
@@ -605,7 +614,34 @@ def _batched_seed_survivors(
     walk step reads a single prefix column, built on the rows still alive,
     and the rows that fail a check are dropped at once.  Every value is
     below n^2 (two sums mod n plus (o // R) * T < n^2 / 2), so the tables
-    are int32 unless n is large.  It imports numpy itself: the package loads without it.
+    are int32 unless n is large.
+
+    The walk reads only the rows that `_seed_join` returns when the task
+    has two or more free threads, and these are exactly the rows that
+    pass the T filter and every seed check (collisions aside, which only
+    add rows).  Proof, with kord = n/R:
+    - every orbit value is o = rho + R*q with a residue rho < R shared by
+      every row (above), so hi_sums[c, x] = rho^h_c + R*a_c[x] and
+      lo_sums[c, y] = rho^l_c + R*b_c[y], and column c of row (x, y) is
+      rho_c + R*gamma_c with gamma_c = a_c[x] + b_c[y] + carry_c (mod kord),
+      carry_c = (rho^h_c + rho^l_c) // R;
+    - T = R*tau with tau = gamma_R (rho_R = 0: R | T, see `_can_lift`),
+      and gcd(T, n) = R*gcd(tau, kord), so the T filter keeps the rows
+      whose tau is a unit mod kord;
+    - walk step t reads column c_t, the residue of o_(t-1), which is the
+      same on every row, so q_t = gamma_(c_t) + tau*q_(t-1) (mod kord)
+      with q_0 = 0 (o_0 = 1 < R);
+    - so for a fixed tau, q_t = QA_t[x] + QB_t[y], QA over a alone and QB
+      over b and the carries alone;
+    - the seed check at free thread t, o_t = pools[k][d_k], holds exactly
+      when rho_(c_t), the residue of o_t, is that of the pool (else no
+      row passes) and QA_t[x] + QB_t[y] = pools[k][d_k] // R, with the
+      digit d_k read from x for k < half and from y otherwise.
+    Each condition is an equation between a term of x and a term of y, so
+    the join matches keys per tau.  A task with one free thread walks its
+    product: its hi half is empty, and its one seed check, at t = 1, holds
+    on every row (o_1 = prefix[1] is the seed of thread 1).
+    It imports numpy itself: the package loads without it.
     """
     import numpy as np
     nfree, kord, stack = len(free), len(pools[0]), len(psis)
@@ -650,9 +686,14 @@ def _batched_seed_survivors(
     place = [kord ** ((half if k < half else nfree) - 1 - k) for k in range(nfree)]
     valid_total = np.gcd(np.arange(n), n) == big_r
 
-    rows = stack * hi_size * lo_size
-    for start in range(0, rows, _CHUNK):
-        hi, lo = np.divmod(np.arange(start, min(start + _CHUNK, rows)), lo_size)
+    if nfree == 1:  # an empty hi half, and the one seed check passes on every row
+        rows = stack * hi_size * lo_size
+        chunks = (np.arange(start, min(start + _CHUNK, rows)) for start in range(0, rows, _CHUNK))
+    else:
+        ids = _seed_join(big_r, free, pools, hi_sums, lo_sums, place)
+        chunks = (ids[start : start + _CHUNK] for start in range(0, len(ids), _CHUNK))
+    for chunk in chunks:
+        hi, lo = np.divmod(chunk, lo_size)
         lo += hi // hi_size * lo_size  # hi // hi_size is the stepper
         tot = (hi_sums[big_r, hi] + lo_sums[big_r, lo]) % n
         live = valid_total[tot]
@@ -684,6 +725,75 @@ def _batched_seed_survivors(
         cols = (hi_sums[:, hi] + lo_sums[:, lo]) % n  # prefix columns 0..R of each survivor
         for k, col in zip((hi // hi_size).tolist(), cols.T.tolist()):
             yield k, col[:big_r], col[big_r]
+
+
+def _seed_join(big_r, free, pools, hi_sums, lo_sums, place):
+    """The ids of the rows of `_batched_seed_survivors` whose period total
+    passes the gcd(T, n) = R filter and whose orbit passes the seed of
+    every free thread, ascending (see there for the layout and the proof).
+
+    For each unit tau of Z_kord it builds one key per hi index x and one
+    per lo index y, which are equal exactly when the row (x, y) has
+    T = R*tau and passes every seed check: tau and the stepper, a_R[x]
+    against tau - carry_R - b_R[y], and per check QA_t[x] against
+    pools[k][d_k] // R - QB_t[y], the digit d_k moved to the side it is
+    read from.  The lo keys are sorted and each hi key is matched against
+    them.  Keys are compared by `_join_hash`, so a collision only adds a
+    row, which the walk drops."""
+    import numpy as np
+    kord, half = len(pools[0]), len(free) // 2
+    hi_size, lo_size = kord**half, kord ** (len(free) - half)
+    xs, ys = np.arange(hi_sums.shape[1]), np.arange(lo_sums.shape[1])
+    a, b = hi_sums // big_r, lo_sums // big_r
+    carry, residue = np.divmod(hi_sums[:, 0] % big_r + lo_sums[:, 0] % big_r, big_r)
+    carry, residue = carry.tolist(), residue.tolist()
+    _require(residue[big_r] == 0, "R divides the period total (proved in `_can_lift`)")
+    taus = np.flatnonzero(np.gcd(np.arange(kord), kord) == 1)[:, None]
+    group = taus * (len(xs) // hi_size)  # tau and the stepper, one label
+    keys_x = [group + xs // hi_size, a[big_r]]
+    keys_y = [group + ys // lo_size, (taus - carry[big_r] - b[big_r]) % kord]
+    thread_of = {j: k for k, j in enumerate(free)}
+    qa, qb = np.zeros((len(taus), len(xs)), np.int64), np.zeros((len(taus), len(ys)), np.int64)
+    column = 1  # o_0 = 1
+    for t in range(1, max(free) + 1):
+        qa = (a[column] + taus * qa) % kord
+        qb = (b[column] + carry[column] + taus * qb) % kord
+        column = residue[column]  # the residue of o_t
+        if t not in thread_of:
+            continue
+        k = thread_of[t]
+        if column != pools[k][0] % big_r:  # no o_t is a seed of thread t
+            return np.zeros(0, np.int64)
+        seed = np.asarray(pools[k]) // big_r
+        if k < half:
+            keys_x.append((qa - seed[xs // place[k] % kord]) % kord)
+            keys_y.append(-qb % kord)
+        else:
+            keys_x.append(qa)
+            keys_y.append((seed[ys // place[k] % kord] - qb) % kord)
+    hx, hy = _join_hash(keys_x, kord).ravel(), _join_hash(keys_y, kord).ravel()
+    order = np.argsort(hy, kind="stable")
+    hy = hy[order]
+    first = np.searchsorted(hy, hx, "left")
+    count = np.searchsorted(hy, hx, "right") - first
+    # match j of hi key i = x_of[j] is lo key order[first[i] + j - (the matches before i)]
+    x_of = np.repeat(np.arange(len(hx)), count)
+    y_of = order[np.arange(len(x_of)) + np.repeat(first + count - np.cumsum(count), count)]
+    ids = np.sort(x_of % len(xs) * lo_size + y_of % len(ys) % lo_size)
+    # a row met under two keys is a collision; np.unique would import numpy.ma (1.7 MB)
+    return ids[np.diff(ids, prepend=-1) != 0]
+
+
+def _join_hash(parts, kord):
+    """One int64 per key of `_seed_join`: its first part (a label below
+    kord * stack) and then its other parts (each in [0, kord)) read as
+    digits base kord.  Exact while stack * kord^(nfree + 2) < 2^63 (below
+    2^25 on every task of census 2..161); larger keys wrap, and a
+    collision only adds a row to the join."""
+    key = parts[0]
+    for part in parts[1:]:
+        key = key * kord + part
+    return key
 
 
 def _realize_lift(

@@ -326,6 +326,28 @@ def naive_seed_survivors(n, m, big_r, p, psis, free, pools, orbit_l):
                 yield k, prefix, total
 
 
+def naive_seed_rows(n, m, big_r, p, psis, free, pools, orbit_l):
+    """The index in `product(range(len(psis)), product(*pools))` of each
+    row whose period total T has gcd(T, n) = R and whose orbit of 1 under
+    f(j + k*R) = prefix[j] + k*T passes the seed of each free thread j at
+    position j: the rows that `_seed_join` must keep, one row at a time.
+    A row that `naive_seed_survivors` keeps is one of them."""
+    index = 0
+    for psi in psis:
+        rows = naive_power_table(psi.images, max(orbit_l) // p + 1)
+        for combo in product(*pools):
+            seeds = dict(zip(free, combo))
+            prefix = list(accumulate((rows[e // p][seeds.get(e % p, 1)] for e in orbit_l), initial=0))
+            total = prefix[big_r] % n
+            orb = [1]
+            for _ in range(max(free)):
+                x = orb[-1]
+                orb.append((prefix[x % big_r] + (x // big_r) * total) % n)
+            if gcd(total, n) == big_r and all(orb[j] == seed for j, seed in seeds.items()):
+                yield index
+            index += 1
+
+
 def naive_entry_json(entry) -> str:
     """A census line as `json.dumps` writes the entry's fields, in the
     store's key order, with compact separators: the encoder the store

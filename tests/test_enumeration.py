@@ -30,6 +30,7 @@ from naive import (
     naive_coset_preserving,
     naive_cp_base_search,
     naive_partial_sums,
+    naive_seed_rows,
     naive_seed_survivors,
 )
 
@@ -349,28 +350,101 @@ def test_prefilter_matches_scalar_walk():
     assert stacked > 0  # some stack has survivors under two steppers
 
 
-def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
-    # calls beyond one chunk first occur at n = 81; shrink the chunk instead
+def _joined_rows(args):
+    """The row ids that `_seed_join` hands the walk in the pre-filter call
+    `args`, ascending, and its survivors; None for the rows when the call
+    takes no join (a task with one free thread)."""
+    joined = []
+    join = enum._seed_join
+
+    def record(*join_args):
+        joined.append(join(*join_args))
+        return joined[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enum, "_seed_join", record)
+        found = list(enum._batched_seed_survivors(*args))
+    assert len(joined) == (len(args[5]) >= 2)
+    return (joined[0].tolist() if joined else None), found
+
+
+def test_seed_join_keeps_exactly_the_rows_that_pass_the_total_and_seed_checks():
+    # on every lift task of 2..60 and on the six (81, 54, 27, 18) tasks, the
+    # join keeps the rows whose period total and seed replay pass, no more;
+    # those include every row the scalar walk keeps, checked where it is
+    # cheap (one (81, 54, 27, 18) task takes it 2.5 s)
+    calls = _record_prefilter_calls(range(2, 61))
+    wide = [args for args in _record_prefilter_calls([81]) if args[:4] == (81, 54, 27, 18)]
+    assert len(wide) == 6 and all(_rows(args) == 39366 for args in wide)
+    joins = kept = wide_rows = 0
+    for args in calls + wide:
+        rows, found = _joined_rows(args)
+        if rows is None:
+            assert len(args[5]) == 1
+            continue
+        assert rows == list(naive_seed_rows(*args))
+        assert {_row_index(args, survivor) for survivor in found} <= set(rows)
+        if args in calls:
+            scalar = {_row_index(args, survivor) for survivor in naive_seed_survivors(*args)}
+            assert scalar <= set(rows)
+            kept += len(scalar)
+        else:
+            wide_rows += len(rows)
+        joins += 1
+    assert joins > 0 and kept > 0
+    assert wide_rows == 54  # of the 6 * 39,366 rows of the seed products
+
+
+def test_seed_join_only_discards(prefilter_calls, monkeypatch):
+    # with every key colliding, the join hands the walk the whole product,
+    # and the pre-filter's output does not change
     whole = [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls]
+    monkeypatch.setattr(enum, "_join_hash", lambda parts, kord: parts[0] * 0)
+    joined = [_joined_rows(args) for args in prefilter_calls]
+    assert [found for _rows_of, found in joined] == whole
+    products = [(rows, _rows(args)) for args, (rows, _found) in zip(prefilter_calls, joined) if rows]
+    assert products and all(rows == list(range(size)) for rows, size in products)
+
+
+def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
+    # no walk of 2..161 fills a chunk; shrink it so that chunk boundaries
+    # cut the joined rows of a call
+    joined = [_joined_rows(args) for args in prefilter_calls]
     monkeypatch.setattr(enum, "_CHUNK", 7)
-    assert [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls] == whole
+    assert [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls] == [
+        found for _rows_of, found in joined
+    ]
     spread = 0
-    for args, found in zip(prefilter_calls, whole):
-        spread = max(spread, len({_row_index(args, row) // 7 for row in found}))
-    assert spread > 1  # some call yields survivors from several chunks
+    for args, (rows, found) in zip(prefilter_calls, joined):
+        if rows is not None:
+            spread = max(spread, len({rows.index(_row_index(args, row)) // 7 for row in found}))
+    assert spread > 1  # some call yields survivors from several chunks of its joined rows
 
 
-def test_prefilter_chunk_boundaries_inside_and_between_steppers(prefilter_calls, monkeypatch):
-    # a chunk of kord rows divides each stepper's kord**nfree rows into
-    # several chunks: boundaries fall inside a stepper and between two
-    stacked = [args for args in prefilter_calls if len(args[4]) >= 2 and len(args[5]) >= 2]
-    whole = [list(enum._batched_seed_survivors(*args)) for args in stacked]
-    for args, found in zip(stacked, whole):
-        kord, nfree = len(args[6][0]), len(args[5])
-        assert kord < kord**nfree  # a boundary at kord, inside stepper 0
-        monkeypatch.setattr(enum, "_CHUNK", kord)
-        assert list(enum._batched_seed_survivors(*args)) == found
-    assert sum(len({k for k, _prefix, _total in found}) > 1 for found in whole) > 0
+def test_prefilter_chunk_boundaries_inside_and_between_steppers(prefilter_calls):
+    # a chunk size that divides the c0 >= 2 joined rows of the first
+    # stepper puts a boundary between two joined rows of that stepper and
+    # one between it and the next stepper's rows
+    stacked = cut = 0
+    for args in prefilter_calls:
+        if len(args[4]) < 2 or len(args[5]) < 2:
+            continue
+        rows, found = _joined_rows(args)
+        steppers = [row // (_rows(args) // len(args[4])) for row in rows]
+        c0 = steppers.count(steppers[0]) if rows else 0
+        if c0 < 2 or c0 == len(rows):
+            continue
+        size = max(d for d in range(1, c0) if c0 % d == 0)
+        bounds = range(size, len(rows), size)
+        inside = any(steppers[b - 1] == steppers[b] for b in bounds)
+        between = any(steppers[b - 1] != steppers[b] for b in bounds)
+        assert inside and between
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enum, "_CHUNK", size)
+            assert list(enum._batched_seed_survivors(*args)) == found
+        stacked += len({k for k, _prefix, _total in found}) > 1
+        cut += 1
+    assert cut > 0 and stacked > 0
 
 
 def test_census_builds_no_quotient(monkeypatch):
