@@ -40,10 +40,12 @@ Strategy, for each n (recursively over smaller orders):
    taken for: Q(t*f*t^{-1}) is the quotient of f for t^{-1}, which is
    rho^(t^{-1}) (proved in `quotient`).  So the sources that pass the
    lift gate (`_can_lift`) are grouped by the generators of their cyclic
-   group <rho> (`_lift_orbits`), only one rho per group is lifted, and
-   its lifts are closed into conjugation classes by
-   `equivalence_classes`, which hold the lifts of the whole group, built
-   by gathers and not verified again.  These classes and the
+   group <rho> (`_lift_orbits`), and only one rho per group is lifted.
+   The lift closes what it accepts into conjugation classes
+   (`conjugates`), as the base search does, and skips a candidate whose
+   first R + 1 images are those of a member of a built class before it
+   is verified; the classes hold the lifts of the whole group, built by
+   gathers and not verified again.  These classes and the
    coset-preserving ones number the census's class ids.  That every
    stored quotient is a line of the census of its order is a law of
    `check` (`invariants`), not a run-time check here.
@@ -67,12 +69,14 @@ and the second half of the free threads, and for a fixed T the orbit
 value at each seed position is a sum of one term from each half, so a
 join of the two halves (`_seed_join`) hands the walk only the rows that
 pass the T filter and every seed check; the rest of the seed product is
-never built.  Each survivor takes its period sums to `_realize_lift`, the
-one acceptance step of the lift: `verify`, then its p-th power.  Its
-quotient is rho (proved there), so the census builds no quotient.  The
-pass is tested against the same walk run one row at a time
-(`naive_seed_survivors` in the test suite), and the join against the
-rows that pass its checks one row at a time (`naive_seed_rows`).
+never built.  The walk gathers the prefix columns of its rows once,
+fills the orbit of 1 of every row in one pass, and tests the whole
+orbit at once.  Each survivor that no built class holds takes its period
+sums to `_realize_lift`, the one acceptance step of the lift: `verify`
+with order m.  Its quotient is rho (proved there), so the census builds
+no quotient.  The pass is tested against the same walk run one row at a
+time (`naive_seed_survivors` in the test suite), and the join against
+the rows that pass its checks one row at a time (`naive_seed_rows`).
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -96,7 +100,6 @@ from .skew_core import (
     _require,
     automorphism_table,
     conjugates,
-    equivalence_classes,
     power,
     verify,
 )
@@ -439,7 +442,7 @@ def _cp_task(args: tuple[int, int, int]) -> list[Orbit]:
     return _cp_base_search(*args)
 
 
-def _lift_task(args: tuple[SkewMorphism, int, list[SkewMorphism]]) -> list[SkewMorphism]:
+def _lift_task(args: tuple[SkewMorphism, int, list[SkewMorphism]]) -> list[Orbit]:
     rho, n, psis = args
     return _lift_with_psis(rho, n, psis)
 
@@ -479,15 +482,24 @@ def psi_candidates(rho: SkewMorphism, n: int, cp_list: list[SkewMorphism]) -> li
 
 
 def lift(rho: SkewMorphism, n: int, cp_list: list[SkewMorphism]) -> list[SkewMorphism]:
-    """All non-coset-preserving f of Z_n whose quotient (generator 1) is rho.
+    """All non-coset-preserving f of Z_n whose quotient (generator 1) is
+    rho, sorted by images.
 
     rho must be a verified skew morphism (built by `verify`): no quotient
-    is checked, as the proof in `_realize_lift` rests on rho being skew."""
+    is checked, as the proof in `_realize_lift` rests on rho being skew.
+    `_lift_with_psis` returns the classes of these lifts, whose members
+    have the quotients rho^v, v a unit of Z_R (see `_lift_orbits`); the
+    lifts of rho are the members f with pi_f(1) = rho(1) (mod m):
+    Q(f)(1) = pi_f(f^0(1)) = pi_f(1) (mod m), and rho^v(1) = rho(1) only
+    when v = 1 (mod R), the orbit of 1 under rho having R points."""
     if not rho.proper:
         raise ValueError("lift requires a proper quotient")
     if not _can_lift(rho, n):
         return []
-    return _lift_with_psis(rho, n, psi_candidates(rho, n, cp_list))
+    m, at_1 = rho.n, rho.images[1]
+    classes = _lift_with_psis(rho, n, psi_candidates(rho, n, cp_list))
+    lifts = [f for cls in classes for f in cls.values() if f.pi[1] % m == at_1]
+    return sorted(lifts, key=lambda f: f.images)
 
 
 def _can_lift(rho: SkewMorphism, n: int) -> bool:
@@ -524,20 +536,33 @@ def _free_threads(orbit_l: list[int], p: int) -> list[int]:
     return sorted({e % p for e in orbit_l} - {0})
 
 
-def _lift_with_psis(
-    rho: SkewMorphism, n: int, psis: list[SkewMorphism]
-) -> list[SkewMorphism]:
-    """The lifts of rho to Z_n whose p-th power is one of the steppers
-    `psis` (see `psi_candidates`), sorted by images.
+def _lift_with_psis(rho: SkewMorphism, n: int, psis: list[SkewMorphism]) -> list[Orbit]:
+    """The conjugation classes of the lifts of rho to Z_n whose p-th power
+    is one of the steppers `psis` (see `psi_candidates`), in the order of
+    the survivor each is built from.  Their members have the quotients
+    rho^v, v a unit of Z_R, and those of rho are its lifts (see `lift`).
 
     Thread 0 of the orbit of 1 is seeded by 1, and each free thread
     (`_free_threads`) by a seed from the kernel coset that pi_rho gives
     it.  `_batched_seed_survivors` walks the (stepper, seeds) rows that
     pass its seed join and yields the period sums of the rows whose orbit
-    of 1 is consistent;
-    `_realize_lift` keeps those that are skew of order m, with p-th power
-    their stepper; their quotient is rho (proved there).  A kept lift that
-    is coset-preserving or that repeats is an implementation bug.
+    of 1 is consistent; `_realize_lift` keeps those that are skew of order
+    m, and their quotient is rho (proved there).  A kept lift that is
+    coset-preserving is an implementation bug.
+
+    Each class is built (`conjugates`) from the first survivor that
+    `_realize_lift` keeps, as in `_cp_base_search`.  Every member g has
+    the kernel RZ_n of the lifts (conjugation by a unit maps the kernel
+    onto itself), so g(j + k*R) = g(j) + k*g(R), and its images are fixed
+    by images[:R+1]; those of a survivor are its prefix sums and T.  So
+    `known` holds the images[:R+1] of every member of a built class, and
+    a survivor whose (prefix, T) is there is skipped before it is
+    verified: it is that member.  Every lift f of rho is a survivor under
+    its own stepper f^p, one of `psis`, and is then either kept, opening
+    its class, or skipped as a member of a class built already; the
+    survivors under the other steppers are verified at most once per
+    class too.  So each class is verified once, none twice, and every
+    lift of rho is in one of them.
     """
     if not psis:
         return []
@@ -550,25 +575,28 @@ def _lift_with_psis(
     pools = [[(rho.pi[j] + t * big_r) % n for t in range(kord)] for j in free]
 
     survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, orbit_l)
-    results: dict[tuple[int, ...], SkewMorphism] = {}
-    for k, prefix, total in survivors:
-        sk = _realize_lift(n, m, big_r, p, psis[k], prefix, total)
+    known: set[tuple[int, ...]] = set()  # images[:R+1] of every member of a built class
+    classes: list[Orbit] = []
+    for _k, prefix, total in survivors:
+        if (*prefix, total) in known:
+            continue
+        sk = _realize_lift(n, m, big_r, prefix, total)
         if sk is None:
             continue
         _require(not sk.coset_preserving, "lift produced a coset-preserving map")
-        if sk.images in results:
-            raise DuplicateFoundError(
-                f"lift of {rho.canonical_str()} repeated {sk.canonical_str()}"
-            )
-        results[sk.images] = sk
-    return sorted(results.values(), key=lambda q: q.images)
+        _require(sk.kernel_order == kord, "a lift has the kernel RZ_n")
+        orbit = conjugates(sk)
+        known.update(images[: big_r + 1] for images in orbit)
+        classes.append(orbit)
+    return classes
 
 
-# (stepper, seed combination) rows per walk pass; bounds its working set.
-# Since the walk reads only the rows of the seed join (or the product of a
-# task with one free thread), no task of census 2..161 fills a chunk: the
-# largest walk reads 7,680 rows, and the largest join keeps 3,330.  Peak
-# RSS of census(81) is 31.2 MB, as it was when the walk read the product.
+# (stepper, seed combination) rows per walk pass; bounds its working set,
+# the (m+1) x rows orbit matrix among it.  Since the walk reads only the
+# rows of the seed join (or the product of a task with one free thread), no
+# task of census 2..161 fills a chunk: the largest walk reads 7,680 rows,
+# and its largest orbit matrix is 81 x 6,144 int32 (2 MB).  Peak RSS of
+# census(81) is 31.9-32.1 MB (31.2-31.5 MB with the step-by-step walk).
 _CHUNK = 1 << 14
 
 
@@ -610,11 +638,16 @@ def _batched_seed_survivors(
     stepper: every psi from `psi_candidates` fixes each residue mod R, so
     psi^q(s) = s (mod R) and each period term has the residue of its
     thread's seed; each seed pool lies in one coset of R; and R | T.  So
-    the residues of the prefix sums are shared by the whole stack, each
-    walk step reads a single prefix column, built on the rows still alive,
-    and the rows that fail a check are dropped at once.  Every value is
-    below n^2 (two sums mod n plus (o // R) * T < n^2 / 2), so the tables
-    are int32 unless n is large.
+    the residues of the prefix sums are shared by the whole stack, and
+    walk step t reads the same prefix column c_t on every row.  The walk
+    gathers the R+1 prefix columns of the rows that pass the T filter
+    once (a chunk with no such row is skipped), fills an (m+1) x rows
+    orbit matrix in one pass, o_t = cols[c_t] + (o_(t-1) // R) * T
+    (mod n) in four in-place ops per step, and then tests the whole orbit
+    at once: first return at m, the psi-thread relation
+    o_t = psi(o_(t-p)) for p <= t < m, and the seed of each free thread.
+    Every value is below n^2 (two sums mod n plus (o // R) * T < n^2 / 2),
+    so the tables and the orbit matrix are int32 unless n is large.
 
     The walk reads only the rows that `_seed_join` returns when the task
     has two or more free threads, and these are exactly the rows that
@@ -650,38 +683,42 @@ def _batched_seed_survivors(
     steppers = np.asarray([psi.images for psi in psis], dtype=dtype)  # row s: psis[s]
     # seeds[k, d]: seed digit d of free thread k; row nfree is thread 0, seeded by 1
     seeds = np.asarray(pools + [[1] * kord], dtype=dtype)
-    # orbits[q][s, k * kord + d] = psi_s^q(seeds[k, d]), one gather per power
-    orbits = [np.tile(seeds.ravel(), (stack, 1))]
-    for _ in range(max(orbit_l) // p):
-        orbits.append(np.take_along_axis(steppers, orbits[-1], axis=1))
-    # terms[s, i, k, d]: what period step i adds under stepper s when thread
+    # powers[q, s, k, d] = psi_s^q(seeds[k, d])
+    powers = np.empty((max(orbit_l) // p + 1, stack, nfree + 1, kord), dtype=dtype)
+    powers[0] = seeds
+    by_stepper = np.arange(stack)[:, None, None]
+    for q in range(1, len(powers)):
+        powers[q] = steppers[by_stepper, powers[q - 1]]
+    # terms[i, s, k, d]: what period step i adds under stepper s when thread
     # slot k has seed digit d (zero for the slots other than its thread's)
-    terms = np.zeros((stack, big_r, nfree + 1, kord), dtype=np.int64)
-    for i, e in enumerate(orbit_l):
-        k = thread_of.get(e % p, nfree)
-        terms[:, i, k] = orbits[e // p][:, k * kord : (k + 1) * kord]
-    sums = np.zeros((stack, big_r + 1, nfree + 1, kord), dtype=np.int64)
-    np.cumsum(terms, axis=1, out=sums[:, 1:])
+    slot = np.asarray([thread_of.get(e % p, nfree) for e in orbit_l])
+    terms = np.zeros((big_r, stack, nfree + 1, kord), dtype=dtype)
+    terms[np.arange(big_r), :, slot] = powers[np.asarray(orbit_l) // p, :, slot]
+    sums = np.zeros((big_r + 1, stack, nfree + 1, kord), dtype=np.int64)
+    np.cumsum(terms, axis=0, dtype=np.int64, out=sums[1:])
     sums %= n
     _require(
-        bool((sums % big_r == sums[:1, :, :, :1] % big_r).all()),
+        bool((sums % big_r == sums[:, :1, :, :1] % big_r).all()),
         "prefix residues mod R must not depend on the stepper or the seeds",
     )
     # a step that reads prefix column c lands on residue next_residue[c]
-    next_residue = (sums[0, :, :, 0].sum(axis=1) % big_r).tolist()
+    next_residue = (sums[:, 0, :, 0].sum(axis=1) % big_r).tolist()
+    columns = [1]  # walk step t reads prefix column columns[t - 1], the residue of o_(t-1)
+    for _ in range(m - 1):
+        columns.append(next_residue[columns[-1]])
 
     # row (s * hi_size + h) * lo_size + l, for stepper s and the seed digits
     # h, l of the first and the second half of the free threads, reads
     # column c as hi_sums[c, s * hi_size + h] + lo_sums[c, s * lo_size + l] (mod n)
     def fold(acc, threads):
         for k in threads:
-            acc = (acc[:, :, :, None] + sums[:, :, k, None, :]).reshape(stack, big_r + 1, -1)
-        return (acc % n).astype(dtype).transpose(1, 0, 2).reshape(big_r + 1, -1)
+            acc = (acc[:, :, :, None] + sums[:, :, k, None, :]).reshape(big_r + 1, stack, -1)
+        return (acc % n).astype(dtype).reshape(big_r + 1, -1)
 
     half = nfree // 2
     hi_size, lo_size = kord**half, kord ** (nfree - half)
     hi_sums = fold(sums[:, :, nfree, :1], range(half))
-    lo_sums = fold(np.zeros((stack, big_r + 1, 1), dtype=np.int64), range(half, nfree))
+    lo_sums = fold(np.zeros((big_r + 1, stack, 1), dtype=np.int64), range(half, nfree))
     # seed digit k of a row is hi // place[k] % kord for k < half, else lo // place[k] % kord
     place = [kord ** ((half if k < half else nfree) - 1 - k) for k in range(nfree)]
     valid_total = np.gcd(np.arange(n), n) == big_r
@@ -694,36 +731,29 @@ def _batched_seed_survivors(
         chunks = (ids[start : start + _CHUNK] for start in range(0, len(ids), _CHUNK))
     for chunk in chunks:
         hi, lo = np.divmod(chunk, lo_size)
-        lo += hi // hi_size * lo_size  # hi // hi_size is the stepper
-        tot = (hi_sums[big_r, hi] + lo_sums[big_r, lo]) % n
-        live = valid_total[tot]
-        hi, lo, tot = hi[live], lo[live], tot[live]
-        o = np.ones_like(tot)
-        last = [o]  # latest orbit value of each thread reached so far
-        residue = 1
-        for t in range(1, m + 1):
-            if not len(tot):
-                break
-            o = (hi_sums[residue, hi] + lo_sums[residue, lo] + (o // big_r) * tot) % n
-            residue = next_residue[residue]
-            if t == m:
-                live = o == 1
-            else:
-                live = o != 1
-                if t >= p:
-                    live &= o == steppers[hi // hi_size, last[t % p]]
-                    last[t % p] = o
-                else:
-                    if t in thread_of:
-                        k = thread_of[t]
-                        digits = hi if k < half else lo
-                        live &= o == seeds[k, digits // place[k] % kord]
-                    last.append(o)
-            if not live.all():
-                hi, lo, tot, o = hi[live], lo[live], tot[live], o[live]
-                last = [a[live] for a in last]
-        cols = (hi_sums[:, hi] + lo_sums[:, lo]) % n  # prefix columns 0..R of each survivor
-        for k, col in zip((hi // hi_size).tolist(), cols.T.tolist()):
+        stepper = hi // hi_size
+        lo += stepper * lo_size
+        live = valid_total[(hi_sums[big_r, hi] + lo_sums[big_r, lo]) % n]
+        if not live.any():
+            continue
+        hi, lo, stepper = hi[live], lo[live], stepper[live]
+        cols = (hi_sums[:, hi] + lo_sums[:, lo]) % n  # prefix columns 0..R of each row
+        tot = cols[big_r]
+        # orbit[t] = o_t = f^t(1) on every row, o_t = cols[c_t] + (o_(t-1) // R) * T (mod n)
+        orbit = np.empty((m + 1, len(tot)), dtype=dtype)
+        orbit[0] = 1
+        for t, column in enumerate(columns, 1):
+            step = orbit[t]
+            np.floor_divide(orbit[t - 1], big_r, out=step)
+            step *= tot
+            step += cols[column]
+            step %= n
+        live = (orbit[m] == 1) & (orbit[1:m] != 1).all(axis=0)
+        live &= (orbit[p:m] == steppers[stepper, orbit[: m - p]]).all(axis=0)
+        for j, k in thread_of.items():
+            digits = hi if k < half else lo
+            live &= orbit[j] == seeds[k, digits // place[k] % kord]
+        for k, col in zip(stepper[live].tolist(), cols[:, live].T.tolist()):
             yield k, col[:big_r], col[big_r]
 
 
@@ -797,19 +827,15 @@ def _join_hash(parts, kord):
 
 
 def _realize_lift(
-    n: int,
-    m: int,
-    big_r: int,
-    p: int,
-    psi: SkewMorphism,
-    prefix: list[int],
-    total: int,
+    n: int, m: int, big_r: int, prefix: list[int], total: int
 ) -> SkewMorphism | None:
     """The candidate with period sums `prefix` and `total` (see
-    `_verified_of_order`) when it is a lift with stepper psi: fully
-    verified, of order m, and with f^p = psi; None otherwise.  The f^p
-    check is the stack's dedup: a lift can pass the walk under a stepper
-    other than its own f^p, and is kept under that one only.
+    `_verified_of_order`) when it is a lift: fully verified and of order
+    m; None otherwise.  Its stepper is not checked: a lift can pass the
+    walk under a stepper other than its own f^p, and `_lift_with_psis`
+    skips every survivor of a class it has built, so none is kept twice.
+    It keeps a name of its own, which the benchmark's trace counts as a
+    lift candidate.
 
     Every candidate accepted here has the quotient rho of its task, so
     none is built.  rho is skew: every source is a line of a census, built
@@ -819,8 +845,8 @@ def _realize_lift(
     prefix[j] = sum_{i<j} x_(e_i), which reach T (mod n) at j = R.
     - x_e = f^e(1) for every e in orbit_l: the walk is the orbit of 1
       under f, and it checks o_t = seed_t at each free thread t < p and
-      o_t = psi(o_(t-p)) for t >= p; every needed position lies in
-      thread 0 or in a free thread (`_free_threads`).
+      o_t = psi(o_(t-p)) for t >= p, psi the row's stepper; every needed
+      position lies in thread 0 or in a free thread (`_free_threads`).
     - f(k + 1) - f(k) = x_(e_(k mod R)) for every k: inside a period it
       is prefix[j+1] - prefix[j], and across a period boundary it is
       T - prefix[R-1].  The skew identity at a = k, x = 1 makes the same
@@ -837,10 +863,7 @@ def _realize_lift(
       sum_{i<k} rho^(pi_rho(i))(1) = sum_{i<k} (rho(i + 1) - rho(i)) =
       rho(k) (mod m), by rho's skew identity at a = i, x = 1: Q(f) = rho.
     """
-    sk = _verified_of_order(n, m, big_r, prefix, total)
-    if sk is None or power(sk, p) != psi.images:
-        return None
-    return sk
+    return _verified_of_order(n, m, big_r, prefix, total)
 
 
 def lift_sources(n: int, store) -> list[SkewMorphism]:
@@ -881,13 +904,13 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
     (`_lift_orbits`).  A source that fails the gate has no lift.
     Conjugation maps the lifts of one generator one-to-one onto those of
     another, so a group that has lifts passes the gate whole.  Only one
-    quotient per group is lifted; its lifts are closed into conjugation
-    classes by `equivalence_classes`, whose quotients are the generators
-    of <rho> by the theorem Q(t*f*t^{-1}) = Q(f)^(t^{-1}) of `quotient`
-    (`check` holds every stored leader's quotient to the census of its
-    order).  Those classes and the coset-preserving ones
-    (`_coset_preserving`) are all the classes of proper morphisms, and
-    number the class ids.  With an executor (no path in `src/` passes
+    quotient per group is lifted, and the lift returns the conjugation
+    classes of its lifts (`_lift_with_psis`), taken as they are; their
+    quotients are the generators of <rho> by the theorem
+    Q(t*f*t^{-1}) = Q(f)^(t^{-1}) of `quotient` (`check` holds every
+    stored leader's quotient to the census of its order).  Those classes
+    and the coset-preserving ones (`_coset_preserving`) are all the
+    classes of proper morphisms, and number the class ids.  With an executor (no path in `src/` passes
     one, the benchmark's pooled phases do), the independent base-search
     and lift tasks run on worker processes; merging happens in task order
     and the final record is sorted, so output is identical to the serial
@@ -903,7 +926,7 @@ def census(n: int, store, *, executor=None) -> CensusRecord:
     sources = _lift_orbits(lift_sources(n, store))
     tasks = [(rho, n, psi_candidates(rho, n, cp)) for rho in sources]
     batches = (map if executor is None else executor.map)(_lift_task, tasks)
-    lifted = [cls for batch in batches for cls in equivalence_classes(batch)]
+    lifted = [cls for batch in batches for cls in batch]
     _merge(collected, lifted, f"census of Z_{n}")
 
     record = _finalize_census(n, list(collected.values()), classes + lifted)

@@ -234,7 +234,8 @@ class _PairTables:
         """
         witness = np.full(len(rows), -1, dtype=np.intp)
         coset_preserving = np.ones(len(rows), dtype=bool)
-        for p in np.unique(exponents):
+        # not np.unique: its first call imports numpy.ma (1.7 MB of peak RSS)
+        for p in sorted(set(exponents.tolist())):
             at = np.flatnonzero(exponents == p)
             s = self.prefix[rows[at], p]
             off = s % p != 0

@@ -15,6 +15,7 @@ from math import gcd
 from skewcyc.cyclic_arith import mult_order, units
 from skewcyc.enumeration import (
     OrbitTemplate,
+    _batched_seed_survivors,
     _cp_base_search,
     _finalize_census,
     _lift_with_psis,
@@ -271,20 +272,58 @@ def naive_coset_preserving(n: int):
 def naive_census(n: int, store):
     """The census of Z_n with one `_lift_with_psis` per lift source.
 
-    The library lifts one quotient per conjugation orbit and closes its
-    lifts under conjugation; this is the loop it replaced, which lifts
-    every source on its own.  The class ids come from `naive_classes`.
-    Smaller orders are read from (and computed into) `store`.
+    The library lifts one quotient per conjugation orbit and takes the
+    classes of its lifts whole; this is the loop it replaced, which lifts
+    every source on its own and keeps from the classes of each source only
+    its lifts, those with pi(1) = rho(1) (mod m).  The class ids come from
+    `naive_classes`.  Smaller orders are read from (and computed into)
+    `store`.
     """
     cp = enumerate_coset_preserving(n)
     collected = {sk.images: sk for sk in cp}
     for rho in lift_sources(n, store):
-        for sk in _lift_with_psis(rho, n, psi_candidates(rho, n, cp)):
-            assert sk.images not in collected, f"Z_{n}: {sk.images} found twice"
-            collected[sk.images] = sk
+        for cls in _lift_with_psis(rho, n, psi_candidates(rho, n, cp)):
+            for sk in cls.values():
+                if sk.pi[1] % rho.n == rho.images[1]:
+                    assert sk.images not in collected, f"Z_{n}: {sk.images} found twice"
+                    collected[sk.images] = sk
     proper = [sk for sk in collected.values() if sk.proper]
     classes = [members for _key, members in naive_classes(proper)]
     return _finalize_census(n, list(collected.values()), classes)
+
+
+def naive_lift(rho, n: int, cp) -> list[tuple[int, ...]]:
+    """The images of the lifts of rho to Z_n, sorted, by the per-survivor
+    loop that `_lift_with_psis` replaced: every survivor of the library's
+    pre-filter is built from its period sums, checked to be skew of order
+    m by `verify` and to have the p-th power of its stepper by
+    `naive_power`, and kept; a lift kept twice is an error.  It closes no
+    class and skips nothing."""
+    m, big_r = rho.n, rho.order
+    p = m // rho.kernel_order
+    if n % big_r or m > p * (n // big_r):  # the lift gate, `_can_lift`
+        return []
+    psis = psi_candidates(rho, n, cp)
+    if not psis:
+        return []
+    orbit_l = [1]
+    while len(orbit_l) < big_r:
+        orbit_l.append(rho.images[orbit_l[-1]])
+    free = sorted({e % p for e in orbit_l} - {0})
+    pools = [[(rho.pi[j] + t * big_r) % n for t in range(n // big_r)] for j in free]
+    kept: list[tuple[int, ...]] = []
+    for k, prefix, total in _batched_seed_survivors(n, m, big_r, p, psis, free, pools, orbit_l):
+        images = tuple((prefix[a % big_r] + a // big_r * total) % n for a in range(n))
+        try:
+            if verify(n, images).order != m:
+                continue
+        except SkewMorphismError:
+            continue
+        if naive_power(images, m, p) != psis[k].images:
+            continue
+        assert images not in kept, f"lift of {rho.images} repeated {images}"
+        kept.append(images)
+    return sorted(kept)
 
 
 def naive_seed_survivors(n, m, big_r, p, psis, free, pools, orbit_l):

@@ -29,6 +29,7 @@ from naive import (
     naive_census,
     naive_coset_preserving,
     naive_cp_base_search,
+    naive_lift,
     naive_partial_sums,
     naive_seed_rows,
     naive_seed_survivors,
@@ -470,11 +471,11 @@ def test_census_builds_no_quotient(monkeypatch):
 def test_every_verified_lift_candidate_has_the_quotient_it_lifts(monkeypatch):
     # the proof of `_realize_lift`, checked: every survivor of the
     # pre-filter that `verify` accepts with order m has the quotient rho,
-    # those that the f^p check then rejects included
+    # those that the lift skips as members of a class it built included
     lifting: list = []
-    checked = rejected = 0
-    lift_with_psis, realize_lift = enum._lift_with_psis, enum._realize_lift
-    verified_of_order = enum._verified_of_order
+    survivors = checked = realized = 0
+    lift_with_psis, batched = enum._lift_with_psis, enum._batched_seed_survivors
+    realize_lift, verified_of_order = enum._realize_lift, enum._verified_of_order
 
     def lift_of(rho, n, psis):
         lifting.append(rho)
@@ -483,20 +484,98 @@ def test_every_verified_lift_candidate_has_the_quotient_it_lifts(monkeypatch):
         finally:
             lifting.pop()
 
-    def realize(n, m, big_r, p, psi, prefix, total):
-        nonlocal checked, rejected
-        sk = verified_of_order(n, m, big_r, prefix, total)
-        if sk is not None:
-            assert quotient_of(sk) == lifting[-1], sk.canonical_str()
-            checked += 1
-        found = realize_lift(n, m, big_r, p, psi, prefix, total)
-        rejected += sk is not None and found is None
-        return found
+    def prefilter(n, m, big_r, *rest):
+        nonlocal survivors, checked
+        for survivor in batched(n, m, big_r, *rest):
+            _k, prefix, total = survivor
+            sk = verified_of_order(n, m, big_r, prefix, total)
+            if sk is not None:
+                assert quotient_of(sk) == lifting[-1], sk.canonical_str()
+                checked += 1
+            survivors += 1
+            yield survivor
+
+    def realize(*args):
+        nonlocal realized
+        realized += 1
+        return realize_lift(*args)
 
     monkeypatch.setattr(enum, "_lift_with_psis", lift_of)
+    monkeypatch.setattr(enum, "_batched_seed_survivors", prefilter)
     monkeypatch.setattr(enum, "_realize_lift", realize)
     enum.census_range(MemoryStore(), 81)
-    assert checked > 0 and rejected > 0
+    assert checked > 0
+    assert survivors > realized > 0  # the lift skipped some survivors before `verify`
+
+
+def test_each_lift_class_is_verified_once(monkeypatch):
+    # on 2..81, `_realize_lift` accepts exactly once per class of lifts,
+    # every survivor the lift skips is a member of a class it built before
+    # in the same task, and `lift` returns what the per-survivor loop of
+    # `naive_lift` keeps, for every source
+    # per lift task, its events in order: ("survivor" | "accept" | "reject", images)
+    # and ("class", the images of its members)
+    tasks: list = []
+    lift_with_psis, batched = enum._lift_with_psis, enum._batched_seed_survivors
+    realize_lift, conjugates = enum._realize_lift, enum.conjugates
+
+    def images_of(n, big_r, prefix, total):
+        return tuple((prefix[a % big_r] + a // big_r * total) % n for a in range(n))
+
+    def lift_of(rho, n, psis):
+        tasks.append([])
+        return lift_with_psis(rho, n, psis)
+
+    def prefilter(n, m, big_r, *rest):
+        for survivor in batched(n, m, big_r, *rest):
+            tasks[-1].append(("survivor", images_of(n, big_r, *survivor[1:])))
+            yield survivor
+
+    def realize(n, m, big_r, prefix, total):
+        sk = realize_lift(n, m, big_r, prefix, total)
+        tasks[-1].append(("accept" if sk else "reject", images_of(n, big_r, prefix, total)))
+        return sk
+
+    def closed(phi):
+        orbit = conjugates(phi)
+        if tasks and tasks[-1] and tasks[-1][-1][0] == "accept":  # not a cp class
+            tasks[-1].append(("class", set(orbit)))
+        return orbit
+
+    monkeypatch.setattr(enum, "_lift_with_psis", lift_of)
+    monkeypatch.setattr(enum, "_batched_seed_survivors", prefilter)
+    monkeypatch.setattr(enum, "_realize_lift", realize)
+    monkeypatch.setattr(enum, "conjugates", closed)
+    store = MemoryStore()
+    classes = skipped = 0
+    for n in range(2, 82):
+        tasks.clear()
+        record = census(n, store)
+        accepted = 0
+        for task in tasks:
+            built: set = set()
+            for i, (kind, images) in enumerate(task):
+                if kind == "survivor" and (i + 1 == len(task) or task[i + 1][0] == "survivor"):
+                    assert images in built, (n, images)
+                    skipped += 1
+                elif kind == "accept":
+                    assert images not in built and task[i + 1][0] == "class"
+                    assert images in task[i + 1][1]
+                    accepted += 1
+                elif kind == "class":
+                    built |= images
+        lifted = {
+            cid
+            for phi, cid in zip(record.morphisms, record.class_ids)
+            if phi.proper and not phi.coset_preserving
+        }
+        assert accepted == len(lifted), n
+        classes += accepted
+        cp = enumerate_coset_preserving(n)
+        for rho in enum.lift_sources(n, store):
+            got = [phi.images for phi in lift(rho, n, cp)]
+            assert got == naive_lift(rho, n, cp), (n, rho.images)
+    assert classes > 0 and skipped > 0
 
 
 def test_needed_thread_pruning_is_sound(monkeypatch, tmp_path):
@@ -724,13 +803,17 @@ def test_a_conjugate_in_the_wrong_task_trips_the_check(monkeypatch):
 
 
 def test_a_class_of_lifts_that_misses_a_conjugate_fails_on_load(monkeypatch, tmp_path, capsys):
-    # the lifts are closed by `equivalence_classes`, which reads `conjugates`
-    # in skew_core (the coset-preserving search reads it in enumeration, so
-    # its classes stay whole); one-member orbits of the lifts of Z_9 split
-    # each class, and the census saves them so.  The load's class walk,
-    # with the true `conjugates`, finds the first class short of a member.
+    # the lift closes its lifts into classes with `conjugates`, which it
+    # reads in enumeration, as the load reads it in skew_core; patched in
+    # both, one-member orbits split each class of the lifts of Z_9 (which
+    # has no coset-preserving search task; the smaller orders are built
+    # first, unpatched), and the census saves them so.  The load's class
+    # walk, with the true `conjugates`, finds the first class short of a
+    # member.
+    enum.census_range(Store(tmp_path), 8)
     with monkeypatch.context() as patched:
-        patched.setattr(skewcyc.skew_core, "conjugates", lambda phi: {phi.images: phi})
+        for module in (enum, skewcyc.skew_core):
+            patched.setattr(module, "conjugates", lambda phi: {phi.images: phi})
         census(9, Store(tmp_path))
     with pytest.raises(IncompleteCensusError, match=r"census_9\.jsonl:3: class 0 lacks 1 of its"):
         Store(tmp_path).load(9)

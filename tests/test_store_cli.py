@@ -755,3 +755,32 @@ def test_reading_a_census_never_loads_numpy(tmp_path, capsys):
     assert got["blocked"] is True
     assert got["runs"] == expected
     assert got["cp146"] == [list(phi.images) for phi in enumerate_coset_preserving(146)]
+
+
+# Runs `check` in a fresh interpreter; argv[1] is the store.  Prints whether
+# numpy.ma was imported.
+_CHECK_SCRIPT = """
+import contextlib, io, json, sys
+import skewcyc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = skewcyc.cli.main(["check", "--max", "32", "--store", sys.argv[1]])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_check_never_imports_numpy_ma(tmp_path):
+    """`check` uses numpy but not `numpy.ma`, which `np.unique` imports on
+    its first call (1.7 MB of peak RSS)."""
+    store_dir = str(tmp_path / "s")
+    assert cli.main(["census", "--max", "32", "--store", store_dir]) == 0
+    src = str(Path(skewcyc.store.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CHECK_SCRIPT, store_dir],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"code": 0, "numpy": True, "ma": False}
