@@ -21,12 +21,12 @@ Strategy, for each n (recursively over smaller orders):
    only the pairs that pass all three are built into a candidate.
    Conjugating f by a unit t changes its quotient alpha_s to
    alpha_(s^(t^{-1})), so only the least s of each cyclic subgroup <s> is
-   searched; it builds the class (`conjugates`) of each solution it meets
-   first.  Every member of a class is fixed by its first r + 1 images, so
-   a candidate whose period sums match those of a built member is skipped
-   before it is verified.  The classes hold the solutions of every task
-   of <s>, built by gathers, and each class is checked to meet exactly
-   those tasks.
+   searched; `_accepted_classes`, which the lift shares, builds the class
+   (`conjugates`) of each solution it meets first, and skips a candidate
+   whose period sums, which fix every member of a class, match a built
+   member before it is verified.  The classes hold the solutions of every
+   task of <s>, built by gathers, and each class is checked to meet
+   exactly those tasks.
 
 3. Morphisms that are not coset-preserving have a proper quotient rho
    on Z_m for some 2 <= m < n with m | n*phi(n) and gcd(m, n) > 1.
@@ -41,14 +41,13 @@ Strategy, for each n (recursively over smaller orders):
    rho^(t^{-1}) (proved in `quotient`).  So the sources that pass the
    lift gate (`_can_lift`) are grouped by the generators of their cyclic
    group <rho> (`_lift_orbits`), and only one rho per group is lifted.
-   The lift closes what it accepts into conjugation classes
-   (`conjugates`), as the base search does, and skips a candidate whose
-   first R + 1 images are those of a member of a built class before it
-   is verified; the classes hold the lifts of the whole group, built by
-   gathers and not verified again.  These classes and the
-   coset-preserving ones number the census's class ids.  That every
-   stored quotient is a line of the census of its order is a law of
-   `check` (`invariants`), not a run-time check here.
+   The lift's survivors go to the base search's `_accepted_classes`,
+   which closes each lift it accepts into its class and skips the other
+   members before they are verified; the classes hold the lifts of the
+   whole group, built by gathers and not verified again.  These classes
+   and the coset-preserving ones number the census's class ids.  That
+   every stored quotient is a line of the census of its order is a law
+   of `check` (`invariants`), not a run-time check here.
 
 Candidate filtering before full verification exploits the period-r
 structure of the partial sums: with T the sum over one period, the
@@ -69,12 +68,12 @@ and the second half of the free threads, and for a fixed T the orbit
 value at each seed position is a sum of one term from each half, so a
 join of the two halves (`_seed_join`) hands the walk only the rows that
 pass the T filter and every seed check; the rest of the seed product is
-never built.  The walk gathers the prefix columns of its rows once,
-fills the orbit of 1 of every row in one pass, and tests the whole
-orbit at once.  Each survivor that no built class holds takes its period
-sums to `_realize_lift`, the one acceptance step of the lift: `verify`
-with order m.  Its quotient is rho (proved there), so the census builds
-no quotient.  The pass is tested against the same walk run one row at a
+never built.  The walk reads all its rows in one pass: it gathers their
+prefix columns once, fills the orbit of 1 of every row, and tests the
+whole orbit at once.  Each survivor that no built class holds takes its
+period sums to `_realize_lift` in the shared step: `verify` with order
+m.  Its quotient is rho (proved there), so the census builds no
+quotient.  The pass is tested against the same walk run one row at a
 time (`naive_seed_survivors` in the test suite), and the join against
 the rows that pass its checks one row at a time (`naive_seed_rows`).
 
@@ -248,35 +247,35 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     And f(1 + r*z) = x_1 + z*T, which is x_(k+1) = 1 + r*(u*z_k + w) at
     z = z_k exactly when z_k*(c - u) = 0 (mod kq); every z_k is a multiple
     of z_1 = w, so the orbit of 1 under f replays x_1, ..., x_m exactly
-    when w*(c - u) = 0 (mod kq).  The loop tests, in this order, each on
-    (u, w) alone: the replay congruence, c a unit, the period m, and
-    `_kernel_test` on T = r*c.  Only then are the period sums built, and
-    a pair that passes all four reaches `_realize_candidate`, in (u, w)
-    order, unless it is a member of a class built already; no orbit is
-    walked to find them.  A pair that passes them is a solution of the
-    task exactly when `verify` accepts its candidate with order m: its
-    quotient is then alpha_s (proved in `_realize_candidate`).
+    when w*(c - u) = 0 (mod kq).  The loop of `_cp_candidates` tests, in
+    this order, each on (u, w) alone: the replay congruence, c a unit, the
+    period m, and `_kernel_test` on T = r*c.  Only then are the period
+    sums built, and a pair that passes all four goes, in (u, w) order, to
+    the acceptance-and-closure step `_accepted_classes` with
+    `_realize_candidate`; no orbit is walked to find them.  A pair that
+    passes them is a solution of the task exactly when `verify` accepts
+    its candidate with order m: its quotient is then alpha_s (proved in
+    `_realize_candidate`).
 
-    Each class is built (`conjugates`) from its first solution in (u, w)
-    order, its first key.  Every member g has the kernel rZ_n of f, so
-    g(j + k*r) = g(j) + g(k*r) = g(j) + k*g(r) (r is in the kernel, where g
-    is additive): its images are fixed by images[:r+1], and those of the
-    candidate are prefix sums and T.  So `known` holds the images[:r+1] of
-    every member, and a candidate whose (prefix, T) is there is skipped
-    before it is verified: it is that member, skew of order m, so its
-    quotient is alpha_s (see `_realize_candidate`) and it is a solution
-    already there.  No candidate of this task is a member of another task
-    of <s> (see `_coset_preserving`); this task's members are those with
-    pi(1) = s (mod m).
+    Each class is built from its first solution in (u, w) order.  A
+    candidate skipped as a member of a built class is skew of order m, so
+    its quotient is alpha_s and it is a solution already there.  No
+    candidate of this task is a member of another task of <s> (see
+    `_coset_preserving`); this task's members have pi(1) = s (mod m).
     """
     r = mult_order(s, m)
     _require(r >= 2 and n % r == 0, "alpha_s must be proper, and the closed form needs r | n")
+    if m > n // r:  # the orbit of 1 lies in the coset 1 + K (`cp_search_tasks` drops these tasks)
+        return []
+    candidates = _cp_candidates(n, m, s, r)
+    return _accepted_classes(n, m, r, candidates, _realize_candidate, coset_preserving=True)
+
+
+def _cp_candidates(n: int, m: int, s: int, r: int):
+    """The period sums (prefix, T) of the (u, w) pairs of the task (m, s)
+    that pass the closed forms of `_cp_base_search`, in (u, w) order."""
     exps = [pow(s, i, m) for i in range(r)]  # one period of partial-sum exponents
     kq = n // r  # kernel order
-    if m > kq:  # the orbit of 1 lies in the coset 1 + K (`cp_search_tasks` drops these tasks)
-        return []
-    known: set[tuple[int, ...]] = set()  # images[:r+1] of every member of a built class
-    classes: list[Orbit] = []
     primes = list(factorize(m))
     for u, sums in _unit_partial_sums(kq):
         d_m = kq // gcd(sums[m], kq)
@@ -294,16 +293,40 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
             # prefix sums of one period of orbit values: f(j + k*r) = prefix[j] + k*T
             prefix = list(accumulate((1 + r * (w * sums[e] % kq) for e in exps), initial=0))
             _require(prefix[r] % n == total, "the period total is r*(1 + w*sigma) (mod n)")
-            prefix = [q % n for q in prefix[:r]]
-            if (*prefix, total) in known:
-                continue
-            sk = _realize_candidate(n, m, r, prefix, total)
-            if sk is None:
-                continue
-            _require(sk.kernel_order == kq, "a solution has the kernel rZ_n")
-            orbit = conjugates(sk)
-            known.update(images[: r + 1] for images in orbit)
-            classes.append(orbit)
+            yield [q % n for q in prefix[:r]], total
+
+
+def _accepted_classes(
+    n: int, m: int, width: int, candidates, realize, *, coset_preserving: bool
+) -> list[Orbit]:
+    """The conjugation classes (`conjugates`) of the candidates that
+    `realize` accepts, in candidate order: the acceptance-and-closure step
+    of the cp search and the lift.  A candidate (prefix, T) is the map
+    f(j + k*w) = prefix[j] + k*T, w = `width`, and `realize` returns it
+    verified with order m, or None.  An accepted f without the kernel wZ_n,
+    or cp when `coset_preserving` is false (or not cp when it is true), is
+    an implementation bug.
+
+    Every member g of a class has the kernel wZ_n (conjugation by a unit
+    maps each subgroup onto itself), and a = k*w lies in it, where g is
+    additive, so g(j + k*w) = g(j) + k*g(w): images[:w+1] fix g, and those
+    of a candidate are its prefix sums and T.  So a candidate whose
+    (prefix, T) is in `known` is skipped before it is verified: it is that
+    member.
+    """
+    known: set[tuple[int, ...]] = set()  # images[:w+1] of every member of a built class
+    classes: list[Orbit] = []
+    for prefix, total in candidates:
+        if (*prefix, total) in known:
+            continue
+        sk = realize(n, m, width, prefix, total)
+        if sk is None:
+            continue
+        _require(sk.kernel_order == n // width, "an accepted map has the kernel wZ_n")
+        _require(sk.coset_preserving == coset_preserving, "a producer's maps are cp, or none is")
+        orbit = conjugates(sk)
+        known.update(images[: width + 1] for images in orbit)
+        classes.append(orbit)
     return classes
 
 
@@ -315,13 +338,13 @@ def _realize_candidate(
     verified and of order m; None otherwise.  It keeps a name of its own,
     which the benchmark's trace counts as a cp-search candidate.
 
-    `_cp_base_search` sends only pairs that pass its closed forms for
+    It sees only pairs that pass the closed forms of `_cp_base_search` for
     bijectivity and the orbit replay and the kernel test, and that no
-    built class holds (see there).  Every candidate accepted here has the
-    quotient alpha_s of its task, so none is built.  With w, S_e and kq as
-    there, the orbit values are x_e = 1 + r*(w*S_e mod kq), and the period
-    sums are prefix[j] = sum_{i<j} x_(s^i mod m), which reach T (mod n) at
-    j = r (`_cp_base_search` requires it).
+    built class holds (`_accepted_classes`).  Every candidate accepted here
+    has the quotient alpha_s of its task, so none is built.  With w, S_e
+    and kq as there, the orbit values are x_e = 1 + r*(w*S_e mod kq), and
+    the period sums are prefix[j] = sum_{i<j} x_(s^i mod m), which reach
+    T (mod n) at j = r (`_cp_candidates` requires it).
     - f(a + 1) - f(a) = x_(s^a mod m) for every a: inside a period it is
       prefix[j+1] - prefix[j], and across a period boundary it is
       T - prefix[r-1]; s^r = 1 (mod m).  The orbit replay makes
@@ -401,9 +424,7 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
         classes += batch
     found = {phi.images: phi for phi in automorphisms(n)}
     _merge(found, classes, f"coset-preserving search of Z_{n}")
-    result = sorted(found.values(), key=lambda p: p.images)
-    _require(all(sk.coset_preserving for sk in result), "base search must yield cp maps")
-    return result, classes
+    return sorted(found.values(), key=lambda p: p.images), classes
 
 
 def _search_groups(n: int) -> list[tuple[int, int, set[int]]]:
@@ -546,23 +567,13 @@ def _lift_with_psis(rho: SkewMorphism, n: int, psis: list[SkewMorphism]) -> list
     (`_free_threads`) by a seed from the kernel coset that pi_rho gives
     it.  `_batched_seed_survivors` walks the (stepper, seeds) rows that
     pass its seed join and yields the period sums of the rows whose orbit
-    of 1 is consistent; `_realize_lift` keeps those that are skew of order
-    m, and their quotient is rho (proved there).  A kept lift that is
-    coset-preserving is an implementation bug.
-
-    Each class is built (`conjugates`) from the first survivor that
-    `_realize_lift` keeps, as in `_cp_base_search`.  Every member g has
-    the kernel RZ_n of the lifts (conjugation by a unit maps the kernel
-    onto itself), so g(j + k*R) = g(j) + k*g(R), and its images are fixed
-    by images[:R+1]; those of a survivor are its prefix sums and T.  So
-    `known` holds the images[:R+1] of every member of a built class, and
-    a survivor whose (prefix, T) is there is skipped before it is
-    verified: it is that member.  Every lift f of rho is a survivor under
-    its own stepper f^p, one of `psis`, and is then either kept, opening
-    its class, or skipped as a member of a class built already; the
-    survivors under the other steppers are verified at most once per
-    class too.  So each class is verified once, none twice, and every
-    lift of rho is in one of them.
+    of 1 is consistent.  The cp search's `_accepted_classes` keeps, with
+    `_realize_lift`, those that are skew of order m (their quotient is
+    rho, proved there), and builds the class of each it keeps first.
+    Every lift f of rho is a survivor under its own stepper f^p, one of
+    `psis`, and is then either kept, opening its class, or skipped as a
+    member of a class built already.  So each class is verified once,
+    none twice, and every lift of rho is in one of them.
     """
     if not psis:
         return []
@@ -575,29 +586,8 @@ def _lift_with_psis(rho: SkewMorphism, n: int, psis: list[SkewMorphism]) -> list
     pools = [[(rho.pi[j] + t * big_r) % n for t in range(kord)] for j in free]
 
     survivors = _batched_seed_survivors(n, m, big_r, p, psis, free, pools, orbit_l)
-    known: set[tuple[int, ...]] = set()  # images[:R+1] of every member of a built class
-    classes: list[Orbit] = []
-    for _k, prefix, total in survivors:
-        if (*prefix, total) in known:
-            continue
-        sk = _realize_lift(n, m, big_r, prefix, total)
-        if sk is None:
-            continue
-        _require(not sk.coset_preserving, "lift produced a coset-preserving map")
-        _require(sk.kernel_order == kord, "a lift has the kernel RZ_n")
-        orbit = conjugates(sk)
-        known.update(images[: big_r + 1] for images in orbit)
-        classes.append(orbit)
-    return classes
-
-
-# (stepper, seed combination) rows per walk pass; bounds its working set,
-# the (m+1) x rows orbit matrix among it.  Since the walk reads only the
-# rows of the seed join (or the product of a task with one free thread), no
-# task of census 2..161 fills a chunk: the largest walk reads 7,680 rows,
-# and its largest orbit matrix is 81 x 6,144 int32 (2 MB).  Peak RSS of
-# census(81) is 31.9-32.1 MB (31.2-31.5 MB with the step-by-step walk).
-_CHUNK = 1 << 14
+    candidates = ((prefix, total) for _k, prefix, total in survivors)
+    return _accepted_classes(n, m, big_r, candidates, _realize_lift, coset_preserving=False)
 
 
 def _batched_seed_survivors(
@@ -640,14 +630,16 @@ def _batched_seed_survivors(
     thread's seed; each seed pool lies in one coset of R; and R | T.  So
     the residues of the prefix sums are shared by the whole stack, and
     walk step t reads the same prefix column c_t on every row.  The walk
-    gathers the R+1 prefix columns of the rows that pass the T filter
-    once (a chunk with no such row is skipped), fills an (m+1) x rows
-    orbit matrix in one pass, o_t = cols[c_t] + (o_(t-1) // R) * T
-    (mod n) in four in-place ops per step, and then tests the whole orbit
-    at once: first return at m, the psi-thread relation
-    o_t = psi(o_(t-p)) for p <= t < m, and the seed of each free thread.
-    Every value is below n^2 (two sums mod n plus (o // R) * T < n^2 / 2),
-    so the tables and the orbit matrix are int32 unless n is large.
+    reads all its rows in one pass (its orbit matrix, at most 2 MB on
+    census 2..161, is about the size of the task's tables and join keys):
+    it gathers the R+1 prefix columns of the rows that pass the T filter
+    once, fills an (m+1) x rows orbit matrix with
+    o_t = cols[c_t] + (o_(t-1) // R) * T (mod n) in four in-place ops per
+    step, and tests the whole orbit at once: first return at m, the
+    psi-thread relation o_t = psi(o_(t-p)) for p <= t < m, and the seed of
+    each free thread.  Every value is below n^2 (two sums mod n plus
+    (o // R) * T < n^2 / 2), so the tables and the matrix are int32 unless
+    n is large.
 
     The walk reads only the rows that `_seed_join` returns when the task
     has two or more free threads, and these are exactly the rows that
@@ -723,38 +715,38 @@ def _batched_seed_survivors(
     place = [kord ** ((half if k < half else nfree) - 1 - k) for k in range(nfree)]
     valid_total = np.gcd(np.arange(n), n) == big_r
 
-    if nfree == 1:  # an empty hi half, and the one seed check passes on every row
-        rows = stack * hi_size * lo_size
-        chunks = (np.arange(start, min(start + _CHUNK, rows)) for start in range(0, rows, _CHUNK))
+    # An empty hi half, and the one seed check passes on every row: the walk
+    # reads the whole product, as `_seed_join` made the 18 such tasks of
+    # census(81) slower, 5.3 to 9.1 ms (ROADMAP.md, "Closed by measurement").
+    if nfree == 1:
+        ids = np.arange(stack * hi_size * lo_size)
     else:
         ids = _seed_join(big_r, free, pools, hi_sums, lo_sums, place)
-        chunks = (ids[start : start + _CHUNK] for start in range(0, len(ids), _CHUNK))
-    for chunk in chunks:
-        hi, lo = np.divmod(chunk, lo_size)
-        stepper = hi // hi_size
-        lo += stepper * lo_size
-        live = valid_total[(hi_sums[big_r, hi] + lo_sums[big_r, lo]) % n]
-        if not live.any():
-            continue
-        hi, lo, stepper = hi[live], lo[live], stepper[live]
-        cols = (hi_sums[:, hi] + lo_sums[:, lo]) % n  # prefix columns 0..R of each row
-        tot = cols[big_r]
-        # orbit[t] = o_t = f^t(1) on every row, o_t = cols[c_t] + (o_(t-1) // R) * T (mod n)
-        orbit = np.empty((m + 1, len(tot)), dtype=dtype)
-        orbit[0] = 1
-        for t, column in enumerate(columns, 1):
-            step = orbit[t]
-            np.floor_divide(orbit[t - 1], big_r, out=step)
-            step *= tot
-            step += cols[column]
-            step %= n
-        live = (orbit[m] == 1) & (orbit[1:m] != 1).all(axis=0)
-        live &= (orbit[p:m] == steppers[stepper, orbit[: m - p]]).all(axis=0)
-        for j, k in thread_of.items():
-            digits = hi if k < half else lo
-            live &= orbit[j] == seeds[k, digits // place[k] % kord]
-        for k, col in zip(stepper[live].tolist(), cols[:, live].T.tolist()):
-            yield k, col[:big_r], col[big_r]
+    hi, lo = np.divmod(ids, lo_size)
+    stepper = hi // hi_size
+    lo += stepper * lo_size
+    live = valid_total[(hi_sums[big_r, hi] + lo_sums[big_r, lo]) % n]
+    if not live.any():
+        return
+    hi, lo, stepper = hi[live], lo[live], stepper[live]
+    cols = (hi_sums[:, hi] + lo_sums[:, lo]) % n  # prefix columns 0..R of each row
+    tot = cols[big_r]
+    # orbit[t] = o_t = f^t(1) on every row, o_t = cols[c_t] + (o_(t-1) // R) * T (mod n)
+    orbit = np.empty((m + 1, len(tot)), dtype=dtype)
+    orbit[0] = 1
+    for t, column in enumerate(columns, 1):
+        step = orbit[t]
+        np.floor_divide(orbit[t - 1], big_r, out=step)
+        step *= tot
+        step += cols[column]
+        step %= n
+    live = (orbit[m] == 1) & (orbit[1:m] != 1).all(axis=0)
+    live &= (orbit[p:m] == steppers[stepper, orbit[: m - p]]).all(axis=0)
+    for j, k in thread_of.items():
+        digits = hi if k < half else lo
+        live &= orbit[j] == seeds[k, digits // place[k] % kord]
+    for k, col in zip(stepper[live].tolist(), cols[:, live].T.tolist()):
+        yield k, col[:big_r], col[big_r]
 
 
 def _seed_join(big_r, free, pools, hi_sums, lo_sums, place):

@@ -407,47 +407,6 @@ def test_seed_join_only_discards(prefilter_calls, monkeypatch):
     assert products and all(rows == list(range(size)) for rows, size in products)
 
 
-def test_prefilter_chunks_agree(prefilter_calls, monkeypatch):
-    # no walk of 2..161 fills a chunk; shrink it so that chunk boundaries
-    # cut the joined rows of a call
-    joined = [_joined_rows(args) for args in prefilter_calls]
-    monkeypatch.setattr(enum, "_CHUNK", 7)
-    assert [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls] == [
-        found for _rows_of, found in joined
-    ]
-    spread = 0
-    for args, (rows, found) in zip(prefilter_calls, joined):
-        if rows is not None:
-            spread = max(spread, len({rows.index(_row_index(args, row)) // 7 for row in found}))
-    assert spread > 1  # some call yields survivors from several chunks of its joined rows
-
-
-def test_prefilter_chunk_boundaries_inside_and_between_steppers(prefilter_calls):
-    # a chunk size that divides the c0 >= 2 joined rows of the first
-    # stepper puts a boundary between two joined rows of that stepper and
-    # one between it and the next stepper's rows
-    stacked = cut = 0
-    for args in prefilter_calls:
-        if len(args[4]) < 2 or len(args[5]) < 2:
-            continue
-        rows, found = _joined_rows(args)
-        steppers = [row // (_rows(args) // len(args[4])) for row in rows]
-        c0 = steppers.count(steppers[0]) if rows else 0
-        if c0 < 2 or c0 == len(rows):
-            continue
-        size = max(d for d in range(1, c0) if c0 % d == 0)
-        bounds = range(size, len(rows), size)
-        inside = any(steppers[b - 1] == steppers[b] for b in bounds)
-        between = any(steppers[b - 1] != steppers[b] for b in bounds)
-        assert inside and between
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enum, "_CHUNK", size)
-            assert list(enum._batched_seed_survivors(*args)) == found
-        stacked += len({k for k, _prefix, _total in found}) > 1
-        cut += 1
-    assert cut > 0 and stacked > 0
-
-
 def test_census_builds_no_quotient(monkeypatch):
     # the lift proves the quotient of each lift (`_realize_lift`) and the cp
     # search that of each solution (`_realize_candidate`), so no step of the
@@ -644,19 +603,20 @@ def test_unit_partial_sums_match_the_naive_sums():
             assert sums == naive_partial_sums(u, kq), (kq, u)
 
 
-def test_a_cp_morphism_is_fixed_by_its_first_images():
-    # the lemma behind the skip key of `_cp_base_search`: r = n/|kernel| lies
-    # in the kernel, so f(j + k*r) = f(j) + k*f(r), and images[:r+1] fix f
-    checked = 0
+def test_a_proper_morphism_is_fixed_by_its_first_images():
+    # the lemma behind the skip key of `_accepted_classes`, which the cp
+    # search and the lift share: w = n/|kernel| lies in the kernel, so
+    # f(j + k*w) = f(j) + k*f(w), and images[:w+1] fix f
+    store = MemoryStore()
+    checked = {True: 0, False: 0}
     for n in range(2, 61):
-        for f in enumerate_coset_preserving(n):
-            if f.proper:
-                r = n // f.kernel_order
-                head = f.images[: r + 1]
-                rebuilt = tuple((head[k % r] + k // r * head[r]) % n for k in range(n))
-                assert rebuilt == f.images, (n, f.images)
-                checked += 1
-    assert checked == 818
+        for f in census(n, store).proper():
+            w = n // f.kernel_order
+            head = f.images[: w + 1]
+            rebuilt = tuple((head[k % w] + k // w * head[w]) % n for k in range(n))
+            assert rebuilt == f.images, (n, f.images)
+            checked[f.coset_preserving] += 1
+    assert (checked[True], checked[False]) == (818, 696)
 
 
 def test_cp_search_order_changes_nothing(monkeypatch):
