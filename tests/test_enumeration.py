@@ -619,6 +619,58 @@ def test_a_proper_morphism_is_fixed_by_its_first_images():
     assert (checked[True], checked[False]) == (818, 696)
 
 
+def _kinds(n, store):
+    # the proper morphisms of Z_n grouped by (order, width, cp): one group
+    # is the candidate stream of one call of `_accepted_classes`
+    kinds = {}
+    for f in census(n, store).proper():
+        kinds.setdefault((f.order, n // f.kernel_order, f.coset_preserving), []).append(f)
+    return kinds
+
+
+def test_accepted_classes_verifies_one_member_per_class():
+    # a stream that offers every member of a kind twice, each pass in
+    # reverse, and a non-skew candidate before each pass: each class is
+    # verified once, from its first candidate, and built once; the reject
+    # is verified each time it is offered, as it joins no class
+    store = MemoryStore()
+    tried = 0
+    for n in (24, 36, 54, 63):
+        for (m, w, cp), group in _kinds(n, store).items():
+            bogus = ([0] * w, 0)  # f = 0 is no bijection
+            members = [(list(f.images[:w]), f.images[w]) for f in reversed(group)]
+            calls = []
+
+            def realize(*args):
+                calls.append(args)
+                return enum._verified_of_order(*args)
+
+            stream = [bogus, *members, bogus, *members]
+            classes = enum._accepted_classes(n, m, w, stream, realize, coset_preserving=cp)
+            expected = equivalence_classes(reversed(group))
+            assert [list(c) for c in classes] == [list(c) for c in expected], (n, m, w)
+            assert len(calls) == len(expected) + 2, (n, m, w)
+            tried += 1
+    assert tried > 10
+
+
+def test_accepted_classes_requires_the_kernel_and_the_kind():
+    # an accepted map whose kernel is not wZ_n, or whose cp flag is not the
+    # producer's, is an implementation bug
+    store = MemoryStore()
+    for cp in (True, False):
+        (m, w, _cp), group = next(
+            (key, group) for key, group in _kinds(36, store).items() if key[2] == cp
+        )
+        f = group[0]
+        candidate = [(list(f.images[:w]), f.images[w])]
+        assert list(enum._accepted_classes(36, m, w, candidate, lambda *a: f, coset_preserving=cp))
+        with pytest.raises(InternalCheckError, match="cp, or none is"):
+            enum._accepted_classes(36, m, w, candidate, lambda *a: f, coset_preserving=not cp)
+        with pytest.raises(InternalCheckError, match="the kernel wZ_n"):
+            enum._accepted_classes(36, m, 2 * w, candidate, lambda *a: f, coset_preserving=cp)
+
+
 def test_cp_search_order_changes_nothing(monkeypatch):
     # the groups run sorted by r, to share the partial sums of a kernel
     # order; run in reverse, every list, class and record is the same
