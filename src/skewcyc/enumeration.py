@@ -13,12 +13,14 @@ Strategy, for each n (recursively over smaller orders):
    with S_k = 1 + u + ... + u^(k-1), so the pairs (u, w) whose orbit has
    period m are picked out by divisibility alone; f itself is recovered
    as the partial sums f(k) = sum_{i<k} o_{s^i mod m}.  The sums S_k
-   depend on u and the kernel order n/r alone, so they are computed once
-   per kernel order and the tasks of one r run one after another.  Closed
-   forms in (u, w), tested inside the search loop, decide bijectivity and
-   the orbit replay, and a necessary condition on the kernel action
-   (`_kernel_test`) turns away the other non-skew pairs there too, so
-   only the pairs that pass all three are built into a candidate.
+   depend on u and the kernel order n/r alone, and the units u that have
+   a w of period m, with the gcds g = gcd(w, n/r) of those w, on u, n/r
+   and m alone, so each is built once and the tasks of one (r, m) run one
+   after another.  The orbit replay is a linear congruence in w/g, solved
+   for each such g, so no w is scanned; closed forms in (u, w) decide
+   bijectivity, and a necessary condition on the kernel action
+   (`_kernel_test`) turns away the other non-skew pairs, so only the
+   pairs that pass all three are built into a candidate.
    Conjugating f by a unit t changes its quotient alpha_s to
    alpha_(s^(t^{-1})), so only the least s of each cyclic subgroup <s> is
    searched; `_accepted_classes`, which the lift shares, builds the class
@@ -90,7 +92,7 @@ from itertools import accumulate, permutations
 from itertools import product  # unused here; perfbench/layers.py traces enumeration.product
 from math import gcd
 
-from .cyclic_arith import euler_phi, factorize, mult_order, units
+from .cyclic_arith import divisors, euler_phi, factorize, mult_order, units
 from .quotient import generator_orbit
 from .skew_core import (
     Orbit,
@@ -215,8 +217,9 @@ def _unit_partial_sums(kq: int) -> list[tuple[int, list[int]]]:
 
     A task (m, s) of Z_n reads S_k for k <= m <= kq = n/r (`cp_search_tasks`
     keeps m*r <= n), and the sums depend on neither m nor s, so the tasks of
-    one kernel order share them (`_search_groups` runs those tasks one
-    after another)."""
+    one kernel order share them: `_cp_unit_filter` reads them once per
+    (kq, m), and `_search_groups` runs the tasks of one r one after
+    another."""
     table = []
     for u in units(kq):
         sums, acc = [0], 0
@@ -238,8 +241,10 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     and z_k = 0 exactly when d_k = kq/gcd(S_k, kq) divides w.  Those k are
     the multiples of the period, so the period is m exactly when d_m | w
     and no d_(m/q) | w for a prime q | m.  Each d_(m/q) is a multiple of
-    d_m, so a u with d_(m/q) = d_m has no such w.  The sums S_k come from
-    `_unit_partial_sums`, shared by every task of the kernel order kq.
+    d_m, so a u with d_(m/q) = d_m has no such w.  Every d_k divides kq,
+    so the test reads only g = gcd(w, kq); `_cp_unit_filter`, shared by the
+    tasks of one (kq, m), keeps the u that have a w of period m and the g
+    that pass, from the sums S_k of `_unit_partial_sums`.
 
     The candidate built from such a pair has period total T = r*c (mod n),
     c = 1 + w*sigma with sigma the sum of S_e over one period of exponents
@@ -247,11 +252,13 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     And f(1 + r*z) = x_1 + z*T, which is x_(k+1) = 1 + r*(u*z_k + w) at
     z = z_k exactly when z_k*(c - u) = 0 (mod kq); every z_k is a multiple
     of z_1 = w, so the orbit of 1 under f replays x_1, ..., x_m exactly
-    when w*(c - u) = 0 (mod kq).  The loop of `_cp_candidates` tests, in
-    this order, each on (u, w) alone: the replay congruence, c a unit, the
-    period m, and `_kernel_test` on T = r*c.  Only then are the period
-    sums built, and a pair that passes all four goes, in (u, w) order, to
-    the acceptance-and-closure step `_accepted_classes` with
+    when w*(c - u) = 0 (mod kq).  For each u and each g that passes the
+    period test, `_replay_solutions` solves that congruence, linear in
+    v = w/g, and `_cp_candidates` takes the solutions w of all those g in
+    ascending order and tests c a unit and `_kernel_test` on T = r*c.  No
+    other w is looked at.  Only then are the period sums built, and a pair
+    that passes all four tests goes, in (u, w) order, to the
+    acceptance-and-closure step `_accepted_classes` with
     `_realize_candidate`; no orbit is walked to find them.  A pair that
     passes them is a solution of the task exactly when `verify` accepts
     its candidate with order m: its quotient is then alpha_s (proved in
@@ -273,27 +280,71 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
 
 def _cp_candidates(n: int, m: int, s: int, r: int):
     """The period sums (prefix, T) of the (u, w) pairs of the task (m, s)
-    that pass the closed forms of `_cp_base_search`, in (u, w) order."""
+    that pass the closed forms of `_cp_base_search`, in (u, w) order.
+
+    The w of a unit u that pass the period test and the replay congruence
+    come from `_cp_unit_filter` and `_replay_solutions`, ascending; each
+    then takes the unit test of c and `_kernel_test`."""
     exps = [pow(s, i, m) for i in range(r)]  # one period of partial-sum exponents
     kq = n // r  # kernel order
-    primes = list(factorize(m))
-    for u, sums in _unit_partial_sums(kq):
-        d_m = kq // gcd(sums[m], kq)
-        d_mq = [kq // gcd(sums[m // q], kq) for q in primes]
-        if d_m in d_mq:  # each d_(m/q) is a multiple of d_m
-            continue
+    for u, sums, periods in _cp_unit_filter(kq, m):
         sigma = sum(sums[e] for e in exps)
-        for w in range(0, kq, d_m):
+        for w in sorted(w for g in periods for w in _replay_solutions(kq, g, u, sigma)):
             c = 1 + w * sigma
-            if w * (c - u) % kq or gcd(c, kq) != 1 or any(w % d == 0 for d in d_mq):
-                continue
             total = r * c % n
-            if not _kernel_test(n, r, s, total):
+            if gcd(c, kq) != 1 or not _kernel_test(n, r, s, total):
                 continue
             # prefix sums of one period of orbit values: f(j + k*r) = prefix[j] + k*T
             prefix = list(accumulate((1 + r * (w * sums[e] % kq) for e in exps), initial=0))
             _require(prefix[r] % n == total, "the period total is r*(1 + w*sigma) (mod n)")
             yield [q % n for q in prefix[:r]], total
+
+
+@lru_cache(maxsize=1)
+def _cp_unit_filter(kq: int, m: int) -> list[tuple[int, list[int], list[int]]]:
+    """(u, sums, periods) for each unit u of kq, ascending, that has a w of
+    period m (see `_cp_base_search`), with sums = [S_0, ..., S_kq] from
+    `_unit_partial_sums` and periods the ascending divisors g of kq that
+    pass the period test: d_m | g and no d_(m/q) | g, q a prime of m.
+    Built once for the latest (kq, m); `_search_groups` runs the tasks of
+    one (r, m), which share it, one after another.
+
+    Every d_k divides kq, so d | w exactly when d | gcd(w, kq): a w passes
+    the period test exactly when g = gcd(w, kq) is one of `periods`.  A u
+    with d_m in the d_(m/q) has no such g, each d_(m/q) being a multiple of
+    d_m, and is left out."""
+    primes, gs = list(factorize(m)), divisors(kq)
+    table = []
+    for u, sums in _unit_partial_sums(kq):
+        d_m = kq // gcd(sums[m], kq)
+        d_mq = [kq // gcd(sums[m // q], kq) for q in primes]
+        if d_m in d_mq:  # each d_(m/q) is a multiple of d_m
+            continue
+        periods = [g for g in gs if g % d_m == 0 and all(g % d for d in d_mq)]
+        table.append((u, sums, periods))
+    return table
+
+
+def _replay_solutions(kq: int, g: int, u: int, sigma: int) -> list[int]:
+    """The w in [0, kq) with gcd(w, kq) = g, g | kq, that pass the replay
+    congruence w*(1 - u + sigma*w) = 0 (mod kq) of `_cp_base_search`,
+    ascending.
+
+    Such a w is g*v with v a unit mod k = kq/g, v in [0, k) (v = 0 when
+    k = 1).  kq = g*k divides g*v*(1 - u + sigma*g*v) exactly when k
+    divides v*(1 - u + sigma*g*v), and, v being a unit mod k, exactly when
+    a*v = u - 1 (mod k) with a = sigma*g mod k.  With h = gcd(a, k) that
+    has a solution exactly when h | u - 1, and then its solutions are
+    v = v0 (mod k/h), v0 = ((u - 1)/h) * (a/h)^(-1) (mod k/h): h of them in
+    [0, k), of which the units mod k are kept."""
+    k = kq // g
+    a = sigma * g % k
+    h = gcd(a, k)
+    if (u - 1) % h:
+        return []
+    step = k // h
+    v0 = (u - 1) // h * pow(a // h, -1, step) % step
+    return [g * v for v in range(v0, k, step) if gcd(v, k) == 1]
 
 
 def _accepted_classes(
@@ -430,8 +481,9 @@ def _coset_preserving(n: int, executor=None) -> tuple[list[SkewMorphism], list[O
 def _search_groups(n: int) -> list[tuple[int, int, set[int]]]:
     """The tasks of `cp_search_tasks(n)` grouped by the cyclic subgroup <s>:
     (m, s, {s^v mod m : v a unit of Z_r}) with s the least of its group,
-    sorted by r = ord_m(s), so that the tasks of one kernel order n/r run
-    one after another and share its `_unit_partial_sums`.
+    sorted by (r, m), r = ord_m(s), so that the tasks of one kernel order
+    n/r run one after another and share its `_unit_partial_sums`, and
+    those of one (r, m) share its `_cp_unit_filter`.
 
     This is the grouping of `_lift_orbits` at rho = alpha_s: the
     generators of <alpha_s> are alpha_s^v = alpha_(s^v).  The tasks are
@@ -444,7 +496,7 @@ def _search_groups(n: int) -> list[tuple[int, int, set[int]]]:
             group = {pow(s, v, m) for v in units(r)}
             placed.update((m, sv) for sv in group)
             groups.append((r, m, s, group))
-    groups.sort(key=lambda group: group[0])
+    groups.sort(key=lambda group: group[:2])
     return [(m, s, group) for _r, m, s, group in groups]
 
 
@@ -469,15 +521,21 @@ def _lift_task(args: tuple[SkewMorphism, int, list[SkewMorphism]]) -> list[Orbit
 
 
 def cp_search_tasks(n: int) -> list[tuple[int, int]]:
-    """The (order, quotient-automorphism) pairs the base search must cover."""
-    tasks = []
+    """The (order, quotient-automorphism) pairs the base search must cover:
+    the (m, s), s != 1 a unit of m, with r = ord_m(s) dividing n and
+    m*r <= n (`_cp_base_search`).
+
+    That holds exactly when s^r' = 1 (mod m) for some divisor r' >= 2 of n
+    with m*r' <= n: r' = r is one, and s^r' = 1 makes r divide r', so
+    r | n and m*r <= m*r' <= n.  So no order is walked: each s tries the
+    few such divisors with `pow`, and an m with none has no task."""
+    tasks, rs = [], divisors(n)[1:]
     for m in _candidate_orders(n):
-        for s in units(m):
-            if s == 1:
-                continue
-            r = mult_order(s, m)
-            if n % r == 0 and m * r <= n:
-                tasks.append((m, s))
+        bounded = [r for r in rs if m * r <= n]
+        if bounded:
+            tasks += [
+                (m, s) for s in units(m) if s != 1 and any(pow(s, r, m) == 1 for r in bounded)
+            ]
     return tasks
 
 

@@ -12,13 +12,16 @@ from dataclasses import replace
 from itertools import accumulate, product
 from math import gcd
 
-from skewcyc.cyclic_arith import mult_order, units
+from skewcyc.cyclic_arith import factorize, mult_order, units
 from skewcyc.enumeration import (
     OrbitTemplate,
     _batched_seed_survivors,
+    _candidate_orders,
     _cp_base_search,
     _finalize_census,
+    _kernel_test,
     _lift_with_psis,
+    _unit_partial_sums,
     automorphisms,
     cp_search_tasks,
     enumerate_coset_preserving,
@@ -242,6 +245,44 @@ def naive_cp_base_search(n: int, m: int, s: int) -> tuple[list[tuple[int, ...]],
                 out.append(sk.images)
                 conjugates.update(naive_conjugate(sk.images, t) for t in naive_units(n))
     return out, period_m, replayed, realized
+
+
+def naive_cp_search_tasks(n: int) -> list[tuple[int, int]]:
+    """The (m, s) of `cp_search_tasks`, each kept on its full multiplicative
+    order r = ord_m(s): s != 1, r | n and m*r <= n."""
+    tasks = []
+    for m in _candidate_orders(n):
+        for s in units(m):
+            if s == 1:
+                continue
+            r = mult_order(s, m)
+            if n % r == 0 and m * r <= n:
+                tasks.append((m, s))
+    return tasks
+
+
+def naive_cp_candidates(n: int, m: int, s: int, r: int):
+    """The (prefix, T) of `_cp_candidates`, by a scan of every w of each
+    unit u that is a multiple of d_m, with every test run on w itself: the
+    replay congruence, c a unit, the period m and `_kernel_test`."""
+    exps = [pow(s, i, m) for i in range(r)]
+    kq = n // r
+    primes = list(factorize(m))
+    for u, sums in _unit_partial_sums(kq):
+        d_m = kq // gcd(sums[m], kq)
+        d_mq = [kq // gcd(sums[m // q], kq) for q in primes]
+        if d_m in d_mq:
+            continue
+        sigma = sum(sums[e] for e in exps)
+        for w in range(0, kq, d_m):
+            c = 1 + w * sigma
+            if w * (c - u) % kq or gcd(c, kq) != 1 or any(w % d == 0 for d in d_mq):
+                continue
+            total = r * c % n
+            if not _kernel_test(n, r, s, total):
+                continue
+            prefix = list(accumulate((1 + r * (w * sums[e] % kq) for e in exps), initial=0))
+            yield [q % n for q in prefix[:r]], total
 
 
 def naive_partial_sums(u: int, kq: int) -> list[int]:

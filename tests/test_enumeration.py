@@ -29,6 +29,8 @@ from naive import (
     naive_census,
     naive_coset_preserving,
     naive_cp_base_search,
+    naive_cp_candidates,
+    naive_cp_search_tasks,
     naive_lift,
     naive_partial_sums,
     naive_seed_rows,
@@ -603,6 +605,59 @@ def test_unit_partial_sums_match_the_naive_sums():
             assert sums == naive_partial_sums(u, kq), (kq, u)
 
 
+def test_replay_solutions_match_the_scan():
+    # the congruence solver against the scan of the multiples w of d that
+    # it replaces: the solutions of every g with d | g | kq, ascending, are
+    # the w with w*(1 + w*sigma - u) = 0 (mod kq); kq = 1 has the one unit 0
+    zeros = whole = 0
+    for kq in range(1, 41):
+        divisors = [g for g in range(1, kq + 1) if kq % g == 0]
+        for d in divisors:
+            for u in units(kq) or [0]:
+                for sigma in range(kq):
+                    got = [
+                        w
+                        for g in divisors
+                        if g % d == 0
+                        for w in enum._replay_solutions(kq, g, u, sigma)
+                    ]
+                    scan = [w for w in range(0, kq, d) if w * (1 + w * sigma - u) % kq == 0]
+                    assert sorted(got) == scan, (kq, d, u, sigma)
+                    zeros += 0 in got
+                    # h = gcd(sigma*g mod k, k) = k, k = kq/g > 1, with a solution
+                    whole += any(
+                        sigma * g % (kq // g) == 0 and enum._replay_solutions(kq, g, u, sigma)
+                        for g in divisors[:-1]
+                        if g % d == 0
+                    )
+    assert zeros > 0 and whole > 0
+
+
+def test_cp_search_tasks_match_the_order_walk():
+    # `cp_search_tasks` tries the divisors of n with `pow`; the oracle
+    # keeps each (m, s) on the full order of s
+    pairs = 0
+    for n in range(2, 162):
+        tasks = cp_search_tasks(n)
+        assert tasks == naive_cp_search_tasks(n), n
+        pairs += len(tasks)
+    assert pairs == 2465
+
+
+def test_cp_candidates_match_the_scan():
+    # the candidates of every searched task of 2..100 against the scan of
+    # every multiple w of d_m, in the same order
+    tasks = found = 0
+    for n in range(2, 101):
+        for m, s, _group in enum._search_groups(n):
+            r = mult_order(s, m)
+            got = list(enum._cp_candidates(n, m, s, r))
+            assert got == list(naive_cp_candidates(n, m, s, r)), (n, m, s)
+            tasks += 1
+            found += len(got)
+    assert (tasks, found) == (825, 3122)
+
+
 def test_a_proper_morphism_is_fixed_by_its_first_images():
     # the lemma behind the skip key of `_accepted_classes`, which the cp
     # search and the lift share: w = n/|kernel| lies in the kernel, so
@@ -672,7 +727,7 @@ def test_accepted_classes_requires_the_kernel_and_the_kind():
 
 
 def test_cp_search_order_changes_nothing(monkeypatch):
-    # the groups run sorted by r, to share the partial sums of a kernel
+    # the groups run sorted by (r, m), to share the partial sums of a kernel
     # order; run in reverse, every list, class and record is the same
     expected = {n: enum._coset_preserving(n) for n in range(2, 61)}
     groups = enum._search_groups
