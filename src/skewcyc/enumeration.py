@@ -17,10 +17,10 @@ Strategy, for each n (recursively over smaller orders):
    a w of period m, with the gcds g = gcd(w, n/r) of those w, on u, n/r
    and m alone, so each is built once and the tasks of one (r, m) run one
    after another.  The orbit replay is a linear congruence in w/g, solved
-   for each such g, so no w is scanned; closed forms in (u, w) decide
-   bijectivity, and a necessary condition on the kernel action
-   (`_kernel_test`) turns away the other non-skew pairs, so only the
-   pairs that pass all three are built into a candidate.
+   for each such g, so no w is scanned; its every solution is a bijection
+   (proved in `_cp_base_search`), and a necessary condition on the kernel
+   action (`_kernel_test`) turns away the other non-skew pairs, so only
+   the pairs that pass both are built into a candidate.
    Conjugating f by a unit t changes its quotient alpha_s to
    alpha_(s^(t^{-1})), so only the least s of each cyclic subgroup <s> is
    searched; `_accepted_classes`, which the lift shares, builds the class
@@ -68,16 +68,17 @@ divides T), so each walk step reads one prefix column for all rows.
 The prefix columns split into two tables over the seeds of the first
 and the second half of the free threads, and for a fixed T the orbit
 value at each seed position is a sum of one term from each half, so a
-join of the two halves (`_seed_join`) hands the walk only the rows that
-pass the T filter and every seed check; the rest of the seed product is
-never built.  The walk reads all its rows in one pass: it gathers their
-prefix columns once, fills the orbit of 1 of every row, and tests the
-whole orbit at once.  Each survivor that no built class holds takes its
-period sums to `_realize_lift` in the shared step: `verify` with order
-m.  Its quotient is rho (proved there), so the census builds no
-quotient.  The pass is tested against the same walk run one row at a
-time (`naive_seed_survivors` in the test suite), and the join against
-the rows that pass its checks one row at a time (`naive_seed_rows`).
+join of the two halves (`_seed_join`) hands the walk exactly the rows
+that pass the T filter and every seed check; the rest of the seed
+product is never built.  The walk reads all its rows in one pass: it
+gathers their prefix columns once, fills the orbit of 1 of every row,
+and tests the orbit alone, all of it at once.  Each survivor that no
+built class holds takes its period sums to `_realize_lift` in the shared
+step: `verify` with order m.  Its quotient is rho (proved there), so the
+census builds no quotient.  The pass is tested against the same walk
+run one row at a time (`naive_seed_survivors` in the test suite), and
+the join against the rows that pass its checks one row at a time
+(`naive_seed_rows`).
 
 Everything is cross-checked against `brute_force` (filtering all
 permutations) for small n in the test suite.
@@ -255,14 +256,16 @@ def _cp_base_search(n: int, m: int, s: int) -> list[Orbit]:
     when w*(c - u) = 0 (mod kq).  For each u and each g that passes the
     period test, `_replay_solutions` solves that congruence, linear in
     v = w/g, and `_cp_candidates` takes the solutions w of all those g in
-    ascending order and tests c a unit and `_kernel_test` on T = r*c.  No
-    other w is looked at.  Only then are the period sums built, and a pair
-    that passes all four tests goes, in (u, w) order, to the
-    acceptance-and-closure step `_accepted_classes` with
-    `_realize_candidate`; no orbit is walked to find them.  A pair that
-    passes them is a solution of the task exactly when `verify` accepts
-    its candidate with order m: its quotient is then alpha_s (proved in
-    `_realize_candidate`).
+    ascending order and tests `_kernel_test` on T = r*c; no other w is
+    looked at.  Each is a bijection, c a unit mod kq: w = g*v, v a unit
+    mod k = kq/g, with sigma*g*v = u - 1 (mod k), so c = u (mod k), c = 1
+    modulo every prime of g, and every prime of kq divides k or g.  Only
+    then are the period sums built, and a pair that passes all three
+    tests goes, in (u, w) order, to the acceptance-and-closure step
+    `_accepted_classes` with `_realize_candidate`; no orbit is walked to
+    find them.  A pair that passes them is a solution of the task exactly
+    when `verify` accepts its candidate with order m: its quotient is then
+    alpha_s (proved in `_realize_candidate`).
 
     Each class is built from its first solution in (u, w) order.  A
     candidate skipped as a member of a built class is skew of order m, so
@@ -284,15 +287,14 @@ def _cp_candidates(n: int, m: int, s: int, r: int):
 
     The w of a unit u that pass the period test and the replay congruence
     come from `_cp_unit_filter` and `_replay_solutions`, ascending; each
-    then takes the unit test of c and `_kernel_test`."""
+    is a bijection and then takes `_kernel_test`."""
     exps = [pow(s, i, m) for i in range(r)]  # one period of partial-sum exponents
     kq = n // r  # kernel order
     for u, sums, periods in _cp_unit_filter(kq, m):
         sigma = sum(sums[e] for e in exps)
         for w in sorted(w for g in periods for w in _replay_solutions(kq, g, u, sigma)):
-            c = 1 + w * sigma
-            total = r * c % n
-            if gcd(c, kq) != 1 or not _kernel_test(n, r, s, total):
+            total = r * (1 + w * sigma) % n
+            if not _kernel_test(n, r, s, total):
                 continue
             # prefix sums of one period of orbit values: f(j + k*r) = prefix[j] + k*T
             prefix = list(accumulate((1 + r * (w * sums[e] % kq) for e in exps), initial=0))
@@ -390,7 +392,7 @@ def _realize_candidate(
     which the benchmark's trace counts as a cp-search candidate.
 
     It sees only pairs that pass the closed forms of `_cp_base_search` for
-    bijectivity and the orbit replay and the kernel test, and that no
+    the orbit replay (so bijections) and the kernel test, and that no
     built class holds (`_accepted_classes`).  Every candidate accepted here
     has the quotient alpha_s of its task, so none is built.  With w, S_e
     and kq as there, the orbit values are x_e = 1 + r*(w*S_e mod kq), and
@@ -672,15 +674,14 @@ def _batched_seed_survivors(
     Period term i is psi^(orbit_l[i] // p) at the seed of thread
     orbit_l[i] % p, so the pass iterates the steppers (one stack x n array
     of images) on the seeds alone (each free thread's pool and thread 0's
-    seed 1), one gather per power; the walk's psi-thread and seed-replay
-    checks read the same two arrays.  The prefix sums are separable:
-    column c is the part of thread 0 plus one per-thread partial sum for
-    each free thread, read from an (R+1) x nfree x kord table per stepper.
+    seed 1), one gather per power, and the walk's psi-thread check reads
+    the same stepper array.  The prefix sums are separable: column c is
+    the part of thread 0 plus one per-thread partial sum for each free
+    thread, read from an (R+1) x nfree x kord table per stepper.
     Those are folded into two tables over the seed digits of the first and
     the second half of the free threads, `hi_sums` and `lo_sums`, and the
     stepper axis is flattened into their columns, so a column costs two
-    gathers per row.  The period total T is column R; the gcd(T, n) = R
-    filter runs first.
+    gathers per row.  The period total T is column R.
 
     Every orbit value has the same residue mod R in all rows, whatever the
     stepper: every psi from `psi_candidates` fixes each residue mod R, so
@@ -690,19 +691,17 @@ def _batched_seed_survivors(
     walk step t reads the same prefix column c_t on every row.  The walk
     reads all its rows in one pass (its orbit matrix, at most 2 MB on
     census 2..161, is about the size of the task's tables and join keys):
-    it gathers the R+1 prefix columns of the rows that pass the T filter
-    once, fills an (m+1) x rows orbit matrix with
-    o_t = cols[c_t] + (o_(t-1) // R) * T (mod n) in four in-place ops per
-    step, and tests the whole orbit at once: first return at m, the
-    psi-thread relation o_t = psi(o_(t-p)) for p <= t < m, and the seed of
-    each free thread.  Every value is below n^2 (two sums mod n plus
-    (o // R) * T < n^2 / 2), so the tables and the matrix are int32 unless
-    n is large.
+    it gathers the R+1 prefix columns of its rows once, fills an
+    (m+1) x rows orbit matrix with o_t = cols[c_t] + (o_(t-1) // R) * T
+    (mod n) in four in-place ops per step, and tests the orbit alone, all
+    of it at once: first return at m and the psi-thread relation
+    o_t = psi(o_(t-p)) for p <= t < m.  Every value is below n^2 (two sums
+    mod n plus (o // R) * T < n^2 / 2), so the tables and the matrix are
+    int32 unless n is large.
 
-    The walk reads only the rows that `_seed_join` returns when the task
-    has two or more free threads, and these are exactly the rows that
-    pass the T filter and every seed check (collisions aside, which only
-    add rows).  Proof, with kord = n/R:
+    The walk reads only rows that pass the T filter and every seed check:
+    with two or more free threads, exactly those that `_seed_join`
+    returns.  Proof, with kord = n/R:
     - every orbit value is o = rho + R*q with a residue rho < R shared by
       every row (above), so hi_sums[c, x] = rho^h_c + R*a_c[x] and
       lo_sums[c, y] = rho^l_c + R*b_c[y], and column c of row (x, y) is
@@ -717,13 +716,14 @@ def _batched_seed_survivors(
     - so for a fixed tau, q_t = QA_t[x] + QB_t[y], QA over a alone and QB
       over b and the carries alone;
     - the seed check at free thread t, o_t = pools[k][d_k], holds exactly
-      when rho_(c_t), the residue of o_t, is that of the pool (else no
-      row passes) and QA_t[x] + QB_t[y] = pools[k][d_k] // R, with the
-      digit d_k read from x for k < half and from y otherwise.
+      when QA_t[x] + QB_t[y] = pools[k][d_k] // R, with the digit d_k read
+      from x for k < half and from y otherwise: rho_(c_t), the residue of
+      o_t, is that of the pool (proved in `_seed_join`).
     Each condition is an equation between a term of x and a term of y, so
-    the join matches keys per tau.  A task with one free thread walks its
-    product: its hi half is empty, and its one seed check, at t = 1, holds
-    on every row (o_1 = prefix[1] is the seed of thread 1).
+    the join matches keys per tau.  A task with one free thread walks the
+    rows of its product that pass the T filter: its hi half is empty, and
+    its one seed check, at t = 1, holds on every row (o_1 = prefix[1] is
+    the seed of thread 1).
     It imports numpy itself: the package loads without it.
     """
     import numpy as np
@@ -731,11 +731,9 @@ def _batched_seed_survivors(
     dtype = np.int32 if n < 1 << 15 else np.int64
     thread_of = {j: k for k, j in enumerate(free)}
     steppers = np.asarray([psi.images for psi in psis], dtype=dtype)  # row s: psis[s]
-    # seeds[k, d]: seed digit d of free thread k; row nfree is thread 0, seeded by 1
-    seeds = np.asarray(pools + [[1] * kord], dtype=dtype)
-    # powers[q, s, k, d] = psi_s^q(seeds[k, d])
+    # powers[q, s, k, d] = psi_s^q(seed digit d of free thread k); slot nfree is thread 0's seed 1
     powers = np.empty((max(orbit_l) // p + 1, stack, nfree + 1, kord), dtype=dtype)
-    powers[0] = seeds
+    powers[0] = pools + [[1] * kord]
     by_stepper = np.arange(stack)[:, None, None]
     for q in range(1, len(powers)):
         powers[q] = steppers[by_stepper, powers[q - 1]]
@@ -769,24 +767,21 @@ def _batched_seed_survivors(
     hi_size, lo_size = kord**half, kord ** (nfree - half)
     hi_sums = fold(sums[:, :, nfree, :1], range(half))
     lo_sums = fold(np.zeros((big_r + 1, stack, 1), dtype=np.int64), range(half, nfree))
-    # seed digit k of a row is hi // place[k] % kord for k < half, else lo // place[k] % kord
-    place = [kord ** ((half if k < half else nfree) - 1 - k) for k in range(nfree)]
-    valid_total = np.gcd(np.arange(n), n) == big_r
 
     # An empty hi half, and the one seed check passes on every row: the walk
-    # reads the whole product, as `_seed_join` made the 18 such tasks of
-    # census(81) slower, 5.3 to 9.1 ms (ROADMAP.md, "Closed by measurement").
+    # reads the product rows that pass the T filter (row s*kord + l reads hi
+    # column s), as `_seed_join` made the 18 such tasks of census(81) slower,
+    # 5.3 to 9.1 ms (ROADMAP.md, "Closed by measurement").
     if nfree == 1:
-        ids = np.arange(stack * hi_size * lo_size)
+        ids = np.arange(stack * lo_size)
+        ids = ids[np.gcd((hi_sums[big_r, ids // lo_size] + lo_sums[big_r, ids]) % n, n) == big_r]
     else:
-        ids = _seed_join(big_r, free, pools, hi_sums, lo_sums, place)
+        ids = _seed_join(big_r, free, pools, hi_sums, lo_sums)
+    if not len(ids):
+        return
     hi, lo = np.divmod(ids, lo_size)
     stepper = hi // hi_size
     lo += stepper * lo_size
-    live = valid_total[(hi_sums[big_r, hi] + lo_sums[big_r, lo]) % n]
-    if not live.any():
-        return
-    hi, lo, stepper = hi[live], lo[live], stepper[live]
     cols = (hi_sums[:, hi] + lo_sums[:, lo]) % n  # prefix columns 0..R of each row
     tot = cols[big_r]
     # orbit[t] = o_t = f^t(1) on every row, o_t = cols[c_t] + (o_(t-1) // R) * T (mod n)
@@ -800,29 +795,31 @@ def _batched_seed_survivors(
         step %= n
     live = (orbit[m] == 1) & (orbit[1:m] != 1).all(axis=0)
     live &= (orbit[p:m] == steppers[stepper, orbit[: m - p]]).all(axis=0)
-    for j, k in thread_of.items():
-        digits = hi if k < half else lo
-        live &= orbit[j] == seeds[k, digits // place[k] % kord]
     for k, col in zip(stepper[live].tolist(), cols[:, live].T.tolist()):
         yield k, col[:big_r], col[big_r]
 
 
-def _seed_join(big_r, free, pools, hi_sums, lo_sums, place):
+def _seed_join(big_r, free, pools, hi_sums, lo_sums):
     """The ids of the rows of `_batched_seed_survivors` whose period total
     passes the gcd(T, n) = R filter and whose orbit passes the seed of
     every free thread, ascending (see there for the layout and the proof).
 
     For each unit tau of Z_kord it builds one key per hi index x and one
-    per lo index y, which are equal exactly when the row (x, y) has
+    per lo index y, whose parts all agree exactly when the row (x, y) has
     T = R*tau and passes every seed check: tau and the stepper, a_R[x]
     against tau - carry_R - b_R[y], and per check QA_t[x] against
     pools[k][d_k] // R - QB_t[y], the digit d_k moved to the side it is
-    read from.  The lo keys are sorted and each hi key is matched against
-    them.  Keys are compared by `_join_hash`, so a collision only adds a
-    row, which the walk drops."""
+    read from; tau = a_R[x] + carry_R + b_R[y], so a row has one such
+    pair.  The lo keys are sorted by `_join_hash`, each hi key is matched
+    against them, and a matched pair is kept when all its parts agree.
+    The residue of o_t at free thread t is pi_rho(t), that of its pool:
+    it is Q(rho)^t(1) mod R (o_t = Q(rho)(o_(t-1) mod R) (mod R), see
+    `_realize_lift`), which law (a) of the skew rho makes pi_rho(t)."""
     import numpy as np
     kord, half = len(pools[0]), len(free) // 2
     hi_size, lo_size = kord**half, kord ** (len(free) - half)
+    # seed digit k is x // place[k] % kord for k < half, else y // place[k] % kord
+    place = [kord ** ((half if k < half else len(free)) - 1 - k) for k in range(len(free))]
     xs, ys = np.arange(hi_sums.shape[1]), np.arange(lo_sums.shape[1])
     a, b = hi_sums // big_r, lo_sums // big_r
     carry, residue = np.divmod(hi_sums[:, 0] % big_r + lo_sums[:, 0] % big_r, big_r)
@@ -842,8 +839,7 @@ def _seed_join(big_r, free, pools, hi_sums, lo_sums, place):
         if t not in thread_of:
             continue
         k = thread_of[t]
-        if column != pools[k][0] % big_r:  # no o_t is a seed of thread t
-            return np.zeros(0, np.int64)
+        _require(column == pools[k][0] % big_r, "o_t has the residue of its pool (law (a) of rho)")
         seed = np.asarray(pools[k]) // big_r
         if k < half:
             keys_x.append((qa - seed[xs // place[k] % kord]) % kord)
@@ -859,17 +855,19 @@ def _seed_join(big_r, free, pools, hi_sums, lo_sums, place):
     # match j of hi key i = x_of[j] is lo key order[first[i] + j - (the matches before i)]
     x_of = np.repeat(np.arange(len(hx)), count)
     y_of = order[np.arange(len(x_of)) + np.repeat(first + count - np.cumsum(count), count)]
-    ids = np.sort(x_of % len(xs) * lo_size + y_of % len(ys) % lo_size)
-    # a row met under two keys is a collision; np.unique would import numpy.ma (1.7 MB)
-    return ids[np.diff(ids, prepend=-1) != 0]
+    (tau_x, x), (tau_y, y) = np.divmod(x_of, len(xs)), np.divmod(y_of, len(ys))
+    same = np.ones(len(x_of), bool)
+    for part_x, part_y in zip(keys_x, keys_y):  # parts over (tau, x) and (tau, y)
+        part_x, part_y = np.broadcast_to(part_x, qa.shape), np.broadcast_to(part_y, qb.shape)
+        same &= part_x[tau_x, x] == part_y[tau_y, y]
+    return np.sort(x[same] * lo_size + y[same] % lo_size)
 
 
 def _join_hash(parts, kord):
-    """One int64 per key of `_seed_join`: its first part (a label below
-    kord * stack) and then its other parts (each in [0, kord)) read as
-    digits base kord.  Exact while stack * kord^(nfree + 2) < 2^63 (below
-    2^25 on every task of census 2..161); larger keys wrap, and a
-    collision only adds a row to the join."""
+    """The int64 bucket of a key of `_seed_join`: its first part (a label
+    below kord * stack) and its other parts (each in [0, kord)) as digits
+    base kord.  One key per bucket while stack * kord^(nfree + 2) < 2^63
+    (below 2^25 on every task of census 2..161); larger keys wrap."""
     key = parts[0]
     for part in parts[1:]:
         key = key * kord + part
@@ -894,7 +892,8 @@ def _realize_lift(
     position e (`_batched_seed_survivors`), the period sums are
     prefix[j] = sum_{i<j} x_(e_i), which reach T (mod n) at j = R.
     - x_e = f^e(1) for every e in orbit_l: the walk is the orbit of 1
-      under f, and it checks o_t = seed_t at each free thread t < p and
+      under f, o_t = seed_t at each free thread t < p (`_seed_join`, or
+      o_1 = prefix[1] with one free thread), and the walk checks
       o_t = psi(o_(t-p)) for t >= p, psi the row's stepper; every needed
       position lies in thread 0 or in a free thread (`_free_threads`).
     - f(k + 1) - f(k) = x_(e_(k mod R)) for every k: inside a period it

@@ -398,15 +398,45 @@ def test_seed_join_keeps_exactly_the_rows_that_pass_the_total_and_seed_checks():
     assert wide_rows == 54  # of the 6 * 39,366 rows of the seed products
 
 
-def test_seed_join_only_discards(prefilter_calls, monkeypatch):
-    # with every key colliding, the join hands the walk the whole product,
-    # and the pre-filter's output does not change
+def test_a_hash_collision_adds_no_row(prefilter_calls, monkeypatch):
+    # with every key colliding, the join compares the parts of each matched
+    # pair and still returns exactly the rows that pass its checks, and the
+    # pre-filter's output does not change
     whole = [list(enum._batched_seed_survivors(*args)) for args in prefilter_calls]
     monkeypatch.setattr(enum, "_join_hash", lambda parts, kord: parts[0] * 0)
     joined = [_joined_rows(args) for args in prefilter_calls]
     assert [found for _rows_of, found in joined] == whole
-    products = [(rows, _rows(args)) for args, (rows, _found) in zip(prefilter_calls, joined) if rows]
-    assert products and all(rows == list(range(size)) for rows, size in products)
+    wide = [
+        (args, rows) for args, (rows, _found) in zip(prefilter_calls, joined) if rows is not None
+    ]
+    assert wide and all(rows == list(naive_seed_rows(*args)) for args, rows in wide)
+    assert any(len(rows) < _rows(args) for args, rows in wide)
+
+
+def test_a_pool_off_its_residue_trips_the_residue_law():
+    # the join requires the residue of o_t at each free thread t to be its
+    # pool's (law (a) of rho); shifting one pool of a wide pre-filter call of
+    # census(54) by d in 1..R-1 leaves that law, and 116 of those 808 shifts
+    # reach the check (most others fail the residue of T first)
+    wide = [args for args in _record_prefilter_calls([54]) if len(args[5]) >= 2]
+    assert len(wide) == 20
+    n, m, big_r, p, psis, free, pools, orbit_l = wide[0]
+    assert (n, m, big_r, p, free) == (18, 9, 6, 3, [1, 2])
+    shifted = [[(x + 2) % n for x in pools[0]], pools[1]]
+    with pytest.raises(InternalCheckError, match=r"residue of its pool \(law \(a\) of rho\)"):
+        list(enum._batched_seed_survivors(n, m, big_r, p, psis, free, shifted, orbit_l))
+    shifts = law = 0
+    for n, m, big_r, p, psis, free, pools, orbit_l in wide:
+        for k in range(len(free)):
+            for d in range(1, big_r):
+                shifted = list(pools)
+                shifted[k] = [(x + d) % n for x in pools[k]]
+                shifts += 1
+                try:
+                    list(enum._batched_seed_survivors(n, m, big_r, p, psis, free, shifted, orbit_l))
+                except InternalCheckError as error:
+                    law += "law (a) of rho" in str(error)
+    assert (law, shifts) == (116, 808)
 
 
 def test_census_builds_no_quotient(monkeypatch):
@@ -631,6 +661,22 @@ def test_replay_solutions_match_the_scan():
                         if g % d == 0
                     )
     assert zeros > 0 and whole > 0
+
+
+def test_every_replay_solution_is_a_bijection():
+    # the theorem `_cp_candidates` rests on: every solution w of the replay
+    # congruence makes c = 1 + w*sigma a unit mod kq (the scan of
+    # `naive_cp_candidates` keeps its own unit test of c, as the reference)
+    solutions = 0
+    for kq in range(1, 61):
+        divisors = [g for g in range(1, kq + 1) if kq % g == 0]
+        for u in units(kq) or [0]:
+            for g in divisors:
+                for sigma in range(kq):
+                    for w in enum._replay_solutions(kq, g, u, sigma):
+                        assert gcd(1 + w * sigma, kq) == 1, (kq, u, g, sigma, w)
+                        solutions += 1
+    assert solutions > 0
 
 
 def test_cp_search_tasks_match_the_order_walk():
